@@ -11,6 +11,7 @@ from .matcore import (
     SpectralDecomposition,
     ToleranceConfig,
     herm_eig,
+    herm_part,
     hermitize,
     mat_func,
     nullspace_basis,
@@ -36,7 +37,6 @@ from .algebra import (
     OperatorBasis,
     commutant_basis,
     invariance_check,
-    spectral_projections,
     trace_tau,
 )
 from .jensen import (

@@ -17,10 +17,8 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
-    SpectralDecomposition,
     ToleranceConfig,
     as_cmatrix,
-    herm_eig,
     matrix_units,
     nullspace_basis,
     opnorm,
@@ -35,7 +33,6 @@ __all__ = [
     "commutant_basis",
     "trace_tau",
     "invariance_check",
-    "spectral_projections",
 ]
 
 
@@ -183,13 +180,3 @@ def invariance_check(
                     return False
     return True
 
-
-def spectral_projections(
-    a, cfg: ToleranceConfig = DEFAULT_TOL
-) -> SpectralDecomposition:
-    """Clustered spectral projections of a Hermitian operator.
-
-    Thin alias over the eigendecomposition; exposed here because the
-    fixed-point argument quantifies over exactly these projections.
-    """
-    return herm_eig(a, cfg)

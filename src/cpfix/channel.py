@@ -29,8 +29,7 @@ from .matcore import (
     NullspaceResult,
     ToleranceConfig,
     as_cmatrix,
-    hermitize,
-    is_hermitian,
+    herm_part,
     nullspace_basis,
     opnorm,
     psd_min_eig,
@@ -120,26 +119,29 @@ def _check_dim(kf: KrausFamily, a: np.ndarray):
 
 
 def apply_map(kf: KrausFamily, a) -> np.ndarray:
-    """Phi(a) = sum mu_t x_t* a x_t; Hermitian input gives Hermitian output."""
+    """Phi(a) = sum mu_t x_t* a x_t.
+
+    Hermitian input gives Hermitian output up to rounding; a caller that
+    needs exact self-adjointness applies ``herm_part`` to the result.
+    """
     a = as_cmatrix(a)
     _check_dim(kf, a)
     out = np.zeros_like(a)
     for s in kf.scaled_operators:
         out += s.conj().T @ a @ s
-    if is_hermitian(a, tol=1e-12):
-        out = (out + out.conj().T) / 2.0
     return out
 
 
 def dual_apply(kf: KrausFamily, a) -> np.ndarray:
-    """The trace-dual map sum mu_t x_t a x_t*."""
+    """The trace-dual map sum mu_t x_t a x_t*.
+
+    Same contract as :func:`apply_map`: Hermitian output up to rounding.
+    """
     a = as_cmatrix(a)
     _check_dim(kf, a)
     out = np.zeros_like(a)
     for s in kf.scaled_operators:
         out += s @ a @ s.conj().T
-    if is_hermitian(a, tol=1e-12):
-        out = (out + out.conj().T) / 2.0
     return out
 
 
@@ -181,10 +183,10 @@ def normalization_report(
     for s in kf.scaled_operators:
         col += s.conj().T @ s
         row += s @ s.conj().T
-    col = (col + col.conj().T) / 2.0
-    row = (row + row.conj().T) / 2.0
+    col = herm_part(col)
+    row = herm_part(row)
     is_unital = opnorm(col - eye) <= cfg.eq_tol * rel_scale(col)
-    is_subunital = psd_min_eig(eye - row) >= -cfg.psd_tol
+    is_subunital = psd_min_eig(eye - row, cfg) >= -cfg.psd_tol
     is_tp = opnorm(row - eye) <= cfg.eq_tol * rel_scale(row)
     self_adjoint = all(
         opnorm(x - x.conj().T) <= cfg.eq_tol * rel_scale(x) for x in kf.operators
@@ -221,9 +223,6 @@ class Superoperator:
             )
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, a) -> np.ndarray:
-        return unvec(self.matrix @ vec(as_cmatrix(a)), self.dim)
-
 
 def superoperator_matrix(kf: KrausFamily) -> Superoperator:
     d = kf.dim
@@ -234,15 +233,14 @@ def superoperator_matrix(kf: KrausFamily) -> Superoperator:
 
 
 def choi_matrix(sop: Superoperator) -> np.ndarray:
-    """Choi matrix C = sum_ij Phi(e_ij) kron e_ij, assembled from S columns."""
+    """Choi matrix C = sum_ij Phi(e_ij) kron e_ij, an index reshuffle of S.
+
+    Writing (a, b) for the flat index a*d + b, column stacking gives
+    S[(q, p), (j, i)] = Phi(e_ij)[p, q] = C[(p, i), (q, j)], so C is a
+    permutation of S's entries (Choi, Linear Algebra Appl. 10, 1975).
+    """
     d = sop.dim
-    c = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            c += np.kron(sop.apply(e_ij), e_ij)
-    return c
+    return sop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,7 @@ class ChoiCheck:
 
 def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ChoiCheck:
     """Complete positivity certificate via the Choi matrix's bottom eigenvalue."""
-    c = choi_matrix(sop)
-    m = psd_min_eig(hermitize(c, tol=np.inf))
+    m = psd_min_eig(herm_part(choi_matrix(sop)), cfg)
     return ChoiCheck(is_cp=m >= -cfg.psd_tol, min_eig=m)
 
 
@@ -287,7 +284,7 @@ def _hermitian_reorthonormalize(
     basis = []
     for col in u[:, keep].T:
         m = unvec(col[: dim * dim] + 1j * col[dim * dim :], dim)
-        basis.append((m + m.conj().T) / 2.0)
+        basis.append(herm_part(m))
     return basis
 
 
@@ -308,7 +305,7 @@ def fixed_space_basis(
     )
     candidates = []
     for b in ns.basis:
-        candidates.append((b + b.conj().T) / 2.0)
+        candidates.append(herm_part(b))
         candidates.append((b - b.conj().T) / 2.0j)
     basis = _hermitian_reorthonormalize(candidates, kf.dim, cfg)
     return FixedSpace(

@@ -22,6 +22,7 @@ from .matcore import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    herm_part,
     hermitize,
     mat_func,
     opnorm,
@@ -39,7 +40,6 @@ __all__ = [
     "midpoint_convexity_residual",
     "kadison_schwarz_residual",
     "lambda_domination_check",
-    "spectral_scalar_function",
 ]
 
 MARGIN_FACTOR = 0.99
@@ -81,8 +81,7 @@ class IneqResidual:
 
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
-    gap = hermitize(rhs - lhs, tol=1e-6)
-    m = psd_min_eig(gap)
+    m = psd_min_eig(herm_part(rhs - lhs), cfg)
     return IneqResidual(
         min_eig=m,
         lhs_norm=opnorm(lhs),
@@ -98,7 +97,7 @@ def f_eps_eval(f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     analytic past the symmetric convexity interval on the other side, and
     the inequality operations impose the symmetric bound themselves.
     """
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     if f.eps > 0:
         domain = (-np.inf, MARGIN_FACTOR / f.eps)
     elif f.eps < 0:
@@ -106,15 +105,6 @@ def f_eps_eval(f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     else:
         domain = None
     return mat_func(f, h, cfg, domain=domain)
-
-
-def spectral_scalar_function(f, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate a user-supplied scalar function spectrally.
-
-    No convexity certification is performed; this is a hook for
-    exploration, not a verified inequality ingredient.
-    """
-    return mat_func(f, hermitize(a), cfg)
 
 
 def series_truncation_check(
@@ -127,7 +117,7 @@ def series_truncation_check(
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     f.require_margin(opnorm(h))
     exact = f_eps_eval(f, h, cfg)
     partial = np.zeros_like(h)
@@ -148,16 +138,16 @@ def jensen_residual(
     the left argument is automatically inside the domain.
     """
     rep = normalization_report(kf, cfg)
-    contraction = psd_min_eig(np.eye(kf.dim) - rep.column_sum)
+    contraction = psd_min_eig(np.eye(kf.dim) - rep.column_sum, cfg)
     if contraction < -cfg.psd_tol:
         raise ValueError(
             f"family is not contractive: min eig of (I - sum mu x*x) = {contraction:.3e}"
         )
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     # operator convexity of f_eps lives on the symmetric interval
     f.require_margin(opnorm(h))
-    lhs = f_eps_eval(f, apply_map(kf, h), cfg)
-    rhs = hermitize(apply_map(kf, f_eps_eval(f, h, cfg)), tol=1e-8)
+    lhs = f_eps_eval(f, herm_part(apply_map(kf, h)), cfg)
+    rhs = herm_part(apply_map(kf, f_eps_eval(f, h, cfg)))
     return _residual(lhs, rhs, cfg)
 
 
@@ -165,7 +155,7 @@ def midpoint_convexity_residual(
     f: EpsFunction, a, b, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
     """Residual of (f(a) + f(b))/2 - f((a+b)/2)."""
-    ha, hb = hermitize(a), hermitize(b)
+    ha, hb = hermitize(a, cfg), hermitize(b, cfg)
     f.require_margin(max(opnorm(ha), opnorm(hb)))
     mid = (ha + hb) / 2.0
     lhs = f_eps_eval(f, mid, cfg)
@@ -180,7 +170,7 @@ def kadison_schwarz_residual(
     rep = normalization_report(kf, cfg)
     if not rep.is_unital:
         raise ValueError("Kadison-Schwarz check requires a unital family")
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     phi_a = apply_map(kf, h)
     lhs = phi_a @ phi_a
     rhs = apply_map(kf, h @ h)
@@ -194,8 +184,8 @@ def lambda_domination_check(
 
     Valid for positive semidefinite a inside the pole margin.
     """
-    h = hermitize(a)
-    if psd_min_eig(h) < -cfg.psd_tol:
+    h = hermitize(a, cfg)
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise ValueError("lambda domination requires a positive semidefinite operator")
     norm = opnorm(h)
     f.require_margin(norm)

@@ -1,10 +1,19 @@
 """Dense complex matrix primitives shared by every other module.
 
 All matrices are plain ``numpy.ndarray`` with complex128 entries and are
-treated as immutable.  Hermitian inputs are symmetrized once, at the
-boundary, via :func:`hermitize`; downstream code assumes exact
-self-adjointness after that.  Norms are spectral norms throughout, and
-every equality tolerance is relative to ``max(1, norm)`` of the input.
+treated as immutable.  Hermitian matrices are symmetrized once, at the
+boundary, by one of two functions defined here:
+
+* outside input (user operators, arguments of public entry points) goes
+  through :func:`hermitize`, which rejects a deviation from
+  self-adjointness above ``cfg.eq_tol`` and then symmetrizes;
+* values that are Hermitian by construction (Phi(a) - a, sum mu x*x,
+  eigenprojections) go through :func:`herm_part`, which symmetrizes
+  without a check: their rounding grows with their scale.
+
+Downstream code assumes exact self-adjointness after that.  Norms are
+spectral norms throughout, and every equality tolerance is relative to
+``max(1, norm)`` of the input.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ __all__ = [
     "SpectralDecomposition",
     "NullspaceResult",
     "as_cmatrix",
+    "herm_part",
     "hermitize",
-    "is_hermitian",
     "opnorm",
     "rel_scale",
     "vec",
@@ -94,20 +103,22 @@ def rel_scale(a: np.ndarray) -> float:
     return max(1.0, opnorm(a))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-9) -> bool:
-    return opnorm(a - a.conj().T) <= tol * rel_scale(a)
+def herm_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*)/2, for a value that is Hermitian by construction."""
+    return (m + m.conj().T) / 2.0
 
 
-def hermitize(a, tol: float = 1e-9) -> np.ndarray:
-    """Symmetrize ``a`` to (a + a*)/2, rejecting clearly non-Hermitian input."""
+def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Symmetrize outside input, rejecting a deviation above ``cfg.eq_tol``."""
     m = as_cmatrix(a)
     dev = opnorm(m - m.conj().T)
-    if dev > tol * rel_scale(m):
+    tol = cfg.eq_tol * rel_scale(m)
+    if dev > tol:
         raise HermiticityError(
             f"matrix deviates from self-adjointness by {dev:.3e} "
-            f"(tolerance {tol * rel_scale(m):.3e})"
+            f"(tolerance {tol:.3e})"
         )
-    return (m + m.conj().T) / 2.0
+    return herm_part(m)
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -172,7 +183,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     quantifies over spectral projections, which are unstable under
     degeneracy splitting.
     """
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -190,7 +201,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
         if i == n or w[start] - w[i] > gap:
             block = v[:, start:i]
             p = block @ block.conj().T
-            projections.append((p + p.conj().T) / 2.0)
+            projections.append(herm_part(p))
             eigenvalues.append(float(np.mean(w[start:i])))
             multiplicities.append(i - start)
             start = i
@@ -221,16 +232,16 @@ def mat_func(
                 f"eigenvalue {lam} outside open domain ({domain[0]}, {domain[1]})"
             )
         out += float(f(lam)) * p
-    return (out + out.conj().T) / 2.0
+    return herm_part(out)
 
 
-def psd_min_eig(a) -> float:
+def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     Realizes every ">= 0" assertion as a number the caller compares
-    against ``-psd_tol``.
+    against ``-psd_tol``.  ``a`` is checked like :func:`hermitize` input.
     """
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     return float(np.linalg.eigvalsh(h)[0])
 
 

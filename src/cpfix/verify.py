@@ -25,6 +25,7 @@ from .matcore import (
     ToleranceConfig,
     commutator,
     herm_eig,
+    herm_part,
     hermitize,
     mat_func,
     opnorm,
@@ -33,6 +34,7 @@ from .matcore import (
 )
 from .channel import (
     KrausFamily,
+    NormalizationReport,
     apply_map,
     fixed_space_basis,
     normalization_report,
@@ -43,6 +45,7 @@ from .algebra import (
     invariance_check,
     trace_tau,
 )
+from .io import channel_to_obj
 from .jensen import EpsFunction, f_eps_eval, kadison_schwarz_residual
 
 __all__ = [
@@ -83,16 +86,47 @@ def _psd_sqrt(a: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     return mat_func(lambda t: np.sqrt(max(t, 0.0)), a, cfg)
 
 
+def _trace_chain(
+    alg: BlockAlgebra,
+    h: np.ndarray,
+    tau_phi: float,
+    row_sum: np.ndarray,
+    cfg: ToleranceConfig,
+) -> float:
+    root = _psd_sqrt(h, cfg)
+    return abs(tau_phi - _weighted_trace(alg, root @ row_sum @ root))
+
+
 def trace_chain_residual(
     kf: KrausFamily, alg: BlockAlgebra, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> float:
     """|tau(Phi(a)) - tau(a^{1/2} e a^{1/2})|, the swap behind the trace inequality."""
-    h = hermitize(a)
-    rep = normalization_report(kf, cfg)
-    root = _psd_sqrt(h, cfg)
-    lhs = trace_tau(alg, apply_map(kf, h), cfg)
-    rhs = _weighted_trace(alg, root @ rep.row_sum @ root)
-    return abs(lhs - rhs)
+    h = hermitize(a, cfg)
+    tau_phi = trace_tau(alg, apply_map(kf, h), cfg)
+    return _trace_chain(alg, h, tau_phi, normalization_report(kf, cfg).row_sum, cfg)
+
+
+def _trace_gap(
+    alg: BlockAlgebra,
+    h: np.ndarray,
+    phi_h: np.ndarray,
+    rep: NormalizationReport,
+    cfg: ToleranceConfig,
+) -> float:
+    """Trace gap of a positive ``h`` whose image ``phi_h`` and report are known."""
+    if not rep.is_subunital_dual:
+        raise PreconditionError("family violates sum mu x x* <= 1")
+    try:
+        tau_a = trace_tau(alg, h, cfg)
+        tau_phi = trace_tau(alg, phi_h, cfg)
+    except MembershipError as exc:
+        raise PreconditionError(f"a or Phi(a) is not in the algebra: {exc}") from exc
+    chain = _trace_chain(alg, h, tau_phi, rep.row_sum, cfg)
+    if chain > cfg.eq_tol * max(1.0, abs(tau_a)):
+        raise PreconditionError(
+            f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
+        )
+    return tau_a - tau_phi
 
 
 def trace_inequality_check(
@@ -104,23 +138,10 @@ def trace_inequality_check(
     matches tau(Phi(a)); a mismatch means the tracial swap itself failed
     and is raised rather than returned.
     """
-    h = hermitize(a)
-    if psd_min_eig(h) < -cfg.psd_tol:
+    h = hermitize(a, cfg)
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("a must be positive semidefinite")
-    rep = normalization_report(kf, cfg)
-    if not rep.is_subunital_dual:
-        raise PreconditionError("family violates sum mu x x* <= 1")
-    try:
-        tau_a = trace_tau(alg, h, cfg)
-        tau_phi = trace_tau(alg, apply_map(kf, h), cfg)
-    except MembershipError as exc:
-        raise PreconditionError(f"a or Phi(a) is not in the algebra: {exc}") from exc
-    chain = trace_chain_residual(kf, alg, h, cfg)
-    if chain > cfg.eq_tol * max(1.0, abs(tau_a)):
-        raise PreconditionError(
-            f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
-        )
-    return tau_a - tau_phi
+    return _trace_gap(alg, h, apply_map(kf, h), normalization_report(kf, cfg), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +192,15 @@ def theorem_verify(
     Hypothesis failures are reported, never raised; conclusion residuals
     are only computed (and asserted) once every hypothesis holds.
     """
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     rep = normalization_report(kf, cfg)
     phi_a = apply_map(kf, h)
     hypotheses = {
         "unital": rep.is_unital,
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
-        "aPositive": psd_min_eig(h) >= -cfg.psd_tol,
-        "superFixed": psd_min_eig(hermitize(phi_a - h, tol=1e-6)) >= -cfg.psd_tol,
+        "aPositive": psd_min_eig(h, cfg) >= -cfg.psd_tol,
+        "superFixed": psd_min_eig(herm_part(phi_a - h), cfg) >= -cfg.psd_tol,
     }
     failures = [f"hypothesis failed: {k}" for k, v in hypotheses.items() if not v]
     if failures:
@@ -199,7 +220,7 @@ def theorem_verify(
     scale = rel_scale(h)
     loose = CONCLUSION_SLACK * cfg.eq_tol
 
-    trace_gap = trace_inequality_check(kf, alg, h, cfg)
+    trace_gap = _trace_gap(alg, h, phi_a, rep, cfg)
     tau_scale = max(1.0, abs(trace_tau(alg, h, cfg)))
     if trace_gap < -cfg.eq_tol * tau_scale:
         failures.append(f"trace gap negative: {trace_gap:.3e}")
@@ -219,7 +240,7 @@ def theorem_verify(
     power_residuals = []
     power = h.copy()
     for n in range(1, powers + 1):
-        r = opnorm(apply_map(kf, power) - power)
+        r = fixedness if n == 1 else opnorm(apply_map(kf, power) - power)
         power_residuals.append(r)
         if r > cfg.eq_tol * max(1.0, opnorm(h) ** n):
             failures.append(f"power residual at n={n}: {r:.3e}")
@@ -275,8 +296,8 @@ def corollary_verify(
     a^2 to the main pipeline, and asserts the commutators of a itself
     (positive a and a^2 share their spectral family).
     """
-    h = hermitize(a)
-    if psd_min_eig(h) < -cfg.psd_tol:
+    h = hermitize(a, cfg)
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("corollary pipeline requires a >= 0")
     fix_res = opnorm(apply_map(kf, h) - h)
     if fix_res > cfg.eq_tol * rel_scale(h):
@@ -305,7 +326,7 @@ def power_fixed_check(
     kf: KrausFamily, a, n_max: int, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> list[float]:
     """Residuals ||Phi(a^n) - a^n|| for n = 1..n_max of a fixed point."""
-    h = hermitize(a)
+    h = hermitize(a, cfg)
     fix_res = opnorm(apply_map(kf, h) - h)
     if fix_res > cfg.eq_tol * rel_scale(h):
         raise PreconditionError(
@@ -369,10 +390,10 @@ def spectral_peel(
         raise PreconditionError("spectral peeling requires x_t = x_t* for all t")
     if not rep.is_unital:
         raise PreconditionError("spectral peeling requires a unital family")
-    h = hermitize(a)
-    if psd_min_eig(h) < -cfg.psd_tol:
+    h = hermitize(a, cfg)
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("spectral peeling requires a >= 0")
-    gap0 = psd_min_eig(hermitize(apply_map(kf, h) - h, tol=1e-6))
+    gap0 = psd_min_eig(herm_part(apply_map(kf, h) - h), cfg)
     if gap0 < -cfg.psd_tol:
         raise PreconditionError(
             f"Phi(a) >= a fails: min eig of Phi(a) - a is {gap0:.3e}"
@@ -405,8 +426,8 @@ def spectral_peel(
             failures.append(f"step {k}: projection not fixed, residual {fix_res:.3e}")
             failed_step = failed_step if failed_step is not None else k
         total += lam * p
-        current = hermitize(current - lam * p, tol=1e-6)
-        super_gap = psd_min_eig(hermitize(apply_map(kf, current) - current, tol=1e-6))
+        current = herm_part(current - lam * p)
+        super_gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
         if super_gap < -cfg.psd_tol:
             failures.append(
                 f"step {k}: super-fixed property lost, min eig {super_gap:.3e}"
@@ -464,7 +485,7 @@ def _random_projective_partition(
     for k in range(n_terms):
         mask = np.diag((assignment == k).astype(np.complex128))
         p = u @ mask @ u.conj().T
-        out.append((p + p.conj().T) / 2.0)
+        out.append(herm_part(p))
     return out
 
 
@@ -511,14 +532,12 @@ def random_selfadjoint_family(
             if not np.isfinite(dev) or dev > 1e3:
                 ok = False
                 break
-            w, v = np.linalg.eigh((s + s.conj().T) / 2.0)
+            w, v = np.linalg.eigh(herm_part(s))
             if w[0] <= 0.0:
                 ok = False
                 break
             s_inv_quarter = (v * w ** (-0.25)) @ v.conj().T
-            ops = [
-                hermitize(s_inv_quarter @ x @ s_inv_quarter, tol=1e-6) for x in ops
-            ]
+            ops = [herm_part(s_inv_quarter @ x @ s_inv_quarter) for x in ops]
         else:
             ok = False
         if ok:
@@ -528,7 +547,7 @@ def random_selfadjoint_family(
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2.0
+    return herm_part(z)
 
 
 def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -594,21 +613,6 @@ class ExplorationReport:
         }
 
 
-def _serialize_family(kf: KrausFamily) -> dict:
-    return {
-        "dim": kf.dim,
-        "terms": [
-            {
-                "weight": w,
-                "matrix": [
-                    [[float(z.real), float(z.imag)] for z in row] for row in x
-                ],
-            }
-            for w, x in kf.terms
-        ],
-    }
-
-
 def hypothesis_explorer(
     trial_cfg: TrialConfig, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> ExplorationReport:
@@ -627,11 +631,11 @@ def hypothesis_explorer(
         raw = [_random_complex(d, rng) for _ in range(trial_cfg.n_terms)]
         if trial_cfg.mode == "unital-only":
             col = sum(x.conj().T @ x for x in raw)
-            col_inv_root = mat_func(lambda t: t**-0.5, hermitize(col, tol=1e-6))
+            col_inv_root = mat_func(lambda t: t**-0.5, herm_part(col))
             ops = [x @ col_inv_root for x in raw]
         else:
             row = sum(x @ x.conj().T for x in raw)
-            top = float(np.linalg.eigvalsh(hermitize(row, tol=1e-6))[-1])
+            top = float(np.linalg.eigvalsh(herm_part(row))[-1])
             ops = [x / np.sqrt(top) for x in raw]
         kf = KrausFamily.from_operators(ops)
         fs = fixed_space_basis(kf, cfg)
@@ -647,7 +651,7 @@ def hypothesis_explorer(
                             [[float(z.real), float(z.imag)] for z in rrow]
                             for rrow in b
                         ],
-                        "family": _serialize_family(kf),
+                        "family": channel_to_obj(kf),
                     }
                 )
     return ExplorationReport(

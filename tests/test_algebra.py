@@ -6,11 +6,10 @@ from cpfix.algebra import (
     MembershipError,
     commutant_basis,
     invariance_check,
-    spectral_projections,
     trace_tau,
 )
 from cpfix.channel import KrausFamily
-from cpfix.matcore import ToleranceConfig, opnorm, vec
+from cpfix.matcore import ToleranceConfig, herm_eig, opnorm, vec
 
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_hermitian
 
@@ -130,12 +129,14 @@ class TestInvariance:
 
 
 class TestSpectralProjections:
+    """Clustered projections, the objects the fixed-point argument quantifies over."""
+
     def test_multiplicities(self):
-        dec = spectral_projections(np.diag([3.0, 3.0, 1.0]).astype(complex), CFG)
+        dec = herm_eig(np.diag([3.0, 3.0, 1.0]).astype(complex), CFG)
         assert list(dec.multiplicities) == [2, 1]
 
     def test_identity_single_projection(self):
-        dec = spectral_projections(np.eye(4), CFG)
+        dec = herm_eig(np.eye(4), CFG)
         assert len(dec.projections) == 1
         np.testing.assert_allclose(dec.projections[0], np.eye(4), atol=1e-12)
 
@@ -144,6 +145,6 @@ class TestSpectralProjections:
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(z)
         a = u @ np.diag([2.0, 2.0, 5.0]) @ u.conj().T
-        dec = spectral_projections(a, CFG)
+        dec = herm_eig(a, CFG)
         assert list(dec.multiplicities) == [1, 2]
         assert int(round(np.trace(dec.projections[1]).real)) == 2

@@ -156,7 +156,28 @@ class TestSuperoperator:
             Superoperator(dim=2, matrix=np.eye(3))
 
 
+def _choi_oracle(kf: KrausFamily) -> np.ndarray:
+    """The defining sum C = sum_ij Phi(e_ij) kron e_ij."""
+    d = kf.dim
+    c = np.zeros((d * d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.zeros((d, d), dtype=np.complex128)
+            e_ij[i, j] = 1.0
+            c += np.kron(apply_map(kf, e_ij), e_ij)
+    return c
+
+
 class TestChoi:
+    def test_reshuffle_matches_defining_sum(self):
+        rng = np.random.default_rng(14)
+        for d in range(1, 6):
+            for n in (1, 3):
+                ops = [random_complex(d, rng) for _ in range(n)]
+                kf = KrausFamily.from_operators(ops, rng.uniform(0.1, 2.0, size=n))
+                c = choi_matrix(superoperator_matrix(kf))
+                assert opnorm(c - _choi_oracle(kf)) <= 1e-12
+
     def test_kraus_families_are_cp(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

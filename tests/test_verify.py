@@ -92,6 +92,28 @@ class TestTheoremVerify:
             "superFixed",
         }
 
+    def test_report_and_image_computed_once(self, mixture, monkeypatch):
+        # the trace gap and trace chain reuse the pipeline's report and Phi(a)
+        import cpfix.verify as verify_mod
+
+        a = np.array([[2, 1], [1, 2]], dtype=complex)
+        calls = {"report": 0, "image": 0}
+        real_report, real_apply = verify_mod.normalization_report, verify_mod.apply_map
+
+        def counting_report(*args, **kwargs):
+            calls["report"] += 1
+            return real_report(*args, **kwargs)
+
+        def counting_apply(kf, b):
+            calls["image"] += int(np.array_equal(b, a))
+            return real_apply(kf, b)
+
+        monkeypatch.setattr(verify_mod, "normalization_report", counting_report)
+        monkeypatch.setattr(verify_mod, "apply_map", counting_apply)
+        report = theorem_verify(mixture, FULL2, a, CFG)
+        assert report.verdict and report.trace_gap is not None
+        assert calls == {"report": 1, "image": 1}
+
 
 class TestCorollaryVerify:
     def test_identity_channel(self, identity_channel):
