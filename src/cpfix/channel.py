@@ -187,14 +187,15 @@ def normalization_report(
     row = herm_part(row)
     is_unital = opnorm(col - eye) <= cfg.eq_tol * rel_scale(col)
     is_subunital = psd_min_eig(eye - row, cfg) >= -cfg.psd_tol
-    is_tp = opnorm(row - eye) <= cfg.eq_tol * rel_scale(row)
+    row_dev, row_scale = opnorm(row - eye), rel_scale(row)
+    is_tp = row_dev <= cfg.eq_tol * row_scale
     self_adjoint = all(
         opnorm(x - x.conj().T) <= cfg.eq_tol * rel_scale(x) for x in kf.operators
     )
     # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
     # forces row_sum = I; numerically we grant a 10x slack on eq_tol.
     rigidity = (not (is_unital and is_subunital)) or (
-        opnorm(row - eye) <= 10.0 * cfg.eq_tol * rel_scale(row)
+        row_dev <= 10.0 * cfg.eq_tol * row_scale
     )
     return NormalizationReport(
         column_sum=col,
@@ -250,9 +251,10 @@ class ChoiCheck:
 
 
 def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ChoiCheck:
-    """Complete positivity certificate via the Choi matrix's bottom eigenvalue."""
-    m = psd_min_eig(herm_part(choi_matrix(sop)), cfg)
-    return ChoiCheck(is_cp=m >= -cfg.psd_tol, min_eig=m)
+    """CP certificate: the Choi min eig must be >= -psd_tol * max(1, ||C||)."""
+    w = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
+    m = float(w[0])
+    return ChoiCheck(is_cp=m >= -cfg.psd_tol * max(1.0, float(np.abs(w).max())), min_eig=m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,11 +168,25 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.projections[0].shape[0]
 
-    def reconstruct(self) -> np.ndarray:
+    def apply(self, f, domain: tuple[float, float] | None = None) -> np.ndarray:
+        """Spectral evaluation sum f(lambda_n) p_n of a scalar function.
+
+        ``domain``, if given, is an open interval every clustered eigenvalue
+        must lie in; a violation raises :class:`DomainError` naming the
+        offending eigenvalue.  One decomposition serves any number of
+        functions of the same matrix.
+        """
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for lam, p in zip(self.eigenvalues, self.projections):
-            out += lam * p
-        return out
+            if domain is not None and not (domain[0] < lam < domain[1]):
+                raise DomainError(
+                    f"eigenvalue {lam} outside open domain ({domain[0]}, {domain[1]})"
+                )
+            out += float(f(lam)) * p
+        return herm_part(out)
+
+    def reconstruct(self) -> np.ndarray:
+        return self.apply(float)
 
 
 def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -218,21 +232,8 @@ def mat_func(
     cfg: ToleranceConfig = DEFAULT_TOL,
     domain: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Spectral evaluation sum f(lambda_n) p_n of a scalar function.
-
-    ``domain``, if given, is an open interval every clustered eigenvalue
-    must lie in; a violation raises :class:`DomainError` naming the
-    offending eigenvalue.
-    """
-    dec = herm_eig(a, cfg)
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for lam, p in zip(dec.eigenvalues, dec.projections):
-        if domain is not None and not (domain[0] < lam < domain[1]):
-            raise DomainError(
-                f"eigenvalue {lam} outside open domain ({domain[0]}, {domain[1]})"
-            )
-        out += float(f(lam)) * p
-    return herm_part(out)
+    """Spectral evaluation of ``f`` on ``a``; see :meth:`SpectralDecomposition.apply`."""
+    return herm_eig(a, cfg).apply(f, domain)
 
 
 def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     ToleranceConfig,
     commutator,
     herm_eig,
@@ -46,7 +47,7 @@ from .algebra import (
     trace_tau,
 )
 from .io import channel_to_obj
-from .jensen import EpsFunction, f_eps_eval, kadison_schwarz_residual
+from .jensen import EpsFunction, kadison_schwarz_residual
 
 __all__ = [
     "PreconditionError",
@@ -76,25 +77,13 @@ class PreconditionError(ValueError):
     """A named hypothesis of a verification pipeline is violated."""
 
 
-def _weighted_trace(alg: BlockAlgebra, a: np.ndarray) -> float:
-    """Tr(W a) without a membership check (for products that leave M)."""
-    return float(np.trace(alg.weight_matrix @ a).real)
-
-
-def _psd_sqrt(a: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    # negative rounding noise in the spectrum is clamped to zero
-    return mat_func(lambda t: np.sqrt(max(t, 0.0)), a, cfg)
-
-
 def _trace_chain(
-    alg: BlockAlgebra,
-    h: np.ndarray,
-    tau_phi: float,
-    row_sum: np.ndarray,
-    cfg: ToleranceConfig,
+    alg: BlockAlgebra, dec: SpectralDecomposition, tau_phi: float, row_sum: np.ndarray
 ) -> float:
-    root = _psd_sqrt(h, cfg)
-    return abs(tau_phi - _weighted_trace(alg, root @ row_sum @ root))
+    # negative rounding noise in the spectrum is clamped to zero
+    root = dec.apply(lambda t: np.sqrt(max(t, 0.0)))
+    # Tr(W .) with no membership check: root e root may leave the algebra
+    return abs(tau_phi - float(np.trace(alg.weight_matrix @ (root @ row_sum @ root)).real))
 
 
 def trace_chain_residual(
@@ -103,17 +92,18 @@ def trace_chain_residual(
     """|tau(Phi(a)) - tau(a^{1/2} e a^{1/2})|, the swap behind the trace inequality."""
     h = hermitize(a, cfg)
     tau_phi = trace_tau(alg, apply_map(kf, h), cfg)
-    return _trace_chain(alg, h, tau_phi, normalization_report(kf, cfg).row_sum, cfg)
+    return _trace_chain(alg, herm_eig(h, cfg), tau_phi, normalization_report(kf, cfg).row_sum)
 
 
 def _trace_gap(
     alg: BlockAlgebra,
     h: np.ndarray,
+    dec: SpectralDecomposition,
     phi_h: np.ndarray,
     rep: NormalizationReport,
     cfg: ToleranceConfig,
-) -> float:
-    """Trace gap of a positive ``h`` whose image ``phi_h`` and report are known."""
+) -> tuple[float, float]:
+    """(tau(h), trace gap) of a positive ``h`` whose spectrum, image and report are known."""
     if not rep.is_subunital_dual:
         raise PreconditionError("family violates sum mu x x* <= 1")
     try:
@@ -121,12 +111,12 @@ def _trace_gap(
         tau_phi = trace_tau(alg, phi_h, cfg)
     except MembershipError as exc:
         raise PreconditionError(f"a or Phi(a) is not in the algebra: {exc}") from exc
-    chain = _trace_chain(alg, h, tau_phi, rep.row_sum, cfg)
+    chain = _trace_chain(alg, dec, tau_phi, rep.row_sum)
     if chain > cfg.eq_tol * max(1.0, abs(tau_a)):
         raise PreconditionError(
             f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
         )
-    return tau_a - tau_phi
+    return tau_a, tau_a - tau_phi
 
 
 def trace_inequality_check(
@@ -141,7 +131,8 @@ def trace_inequality_check(
     h = hermitize(a, cfg)
     if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("a must be positive semidefinite")
-    return _trace_gap(alg, h, apply_map(kf, h), normalization_report(kf, cfg), cfg)
+    rep = normalization_report(kf, cfg)
+    return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +208,13 @@ def theorem_verify(
             failures=failures,
         )
 
-    scale = rel_scale(h)
+    dec = herm_eig(h, cfg)
+    norm_h = opnorm(h)
+    scale = max(1.0, norm_h)
     loose = CONCLUSION_SLACK * cfg.eq_tol
 
-    trace_gap = _trace_gap(alg, h, phi_a, rep, cfg)
-    tau_scale = max(1.0, abs(trace_tau(alg, h, cfg)))
-    if trace_gap < -cfg.eq_tol * tau_scale:
+    tau_a, trace_gap = _trace_gap(alg, h, dec, phi_a, rep, cfg)
+    if trace_gap < -cfg.eq_tol * max(1.0, abs(tau_a)):
         failures.append(f"trace gap negative: {trace_gap:.3e}")
 
     fixedness = opnorm(phi_a - h)
@@ -231,7 +223,8 @@ def theorem_verify(
 
     f_eps_residuals = []
     for eps in (0.5 / scale, -0.5 / scale):
-        fa = f_eps_eval(EpsFunction(eps), h, cfg)
+        # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
+        fa = dec.apply(EpsFunction(eps))
         r = opnorm(apply_map(kf, fa) - fa)
         f_eps_residuals.append(r)
         if r > loose * rel_scale(fa):
@@ -242,11 +235,10 @@ def theorem_verify(
     for n in range(1, powers + 1):
         r = fixedness if n == 1 else opnorm(apply_map(kf, power) - power)
         power_residuals.append(r)
-        if r > cfg.eq_tol * max(1.0, opnorm(h) ** n):
+        if r > cfg.eq_tol * max(1.0, norm_h**n):
             failures.append(f"power residual at n={n}: {r:.3e}")
         power = power @ h
 
-    dec = herm_eig(h, cfg)
     eye = np.eye(kf.dim)
     projection_residuals = []
     offdiag_residuals = []
@@ -260,8 +252,9 @@ def theorem_verify(
     for r in projection_residuals:
         if r > loose:
             failures.append(f"projection fixedness residual {r:.3e}")
+    op_scale = max(1.0, max(opnorm(x) for x in kf.operators))
     for r in offdiag_residuals:
-        if r > loose * max(1.0, max(opnorm(x) for x in kf.operators)):
+        if r > loose * op_scale:
             failures.append(f"off-diagonal block residual {r:.3e}")
 
     commutator_residuals = [opnorm(commutator(h, x)) for x in kf.operators]
@@ -283,6 +276,12 @@ def theorem_verify(
     )
 
 
+def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig):
+    fix_res = opnorm(apply_map(kf, h) - h)
+    if fix_res > cfg.eq_tol * rel_scale(h):
+        raise PreconditionError(f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}")
+
+
 def corollary_verify(
     kf: KrausFamily,
     alg: BlockAlgebra,
@@ -299,11 +298,7 @@ def corollary_verify(
     h = hermitize(a, cfg)
     if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("corollary pipeline requires a >= 0")
-    fix_res = opnorm(apply_map(kf, h) - h)
-    if fix_res > cfg.eq_tol * rel_scale(h):
-        raise PreconditionError(
-            f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
-        )
+    _require_fixed_point(kf, h, cfg)
     ks = kadison_schwarz_residual(kf, h, cfg)
     inner = theorem_verify(kf, alg, h @ h, cfg, powers)
     failures = list(inner.failures)
@@ -327,11 +322,7 @@ def power_fixed_check(
 ) -> list[float]:
     """Residuals ||Phi(a^n) - a^n|| for n = 1..n_max of a fixed point."""
     h = hermitize(a, cfg)
-    fix_res = opnorm(apply_map(kf, h) - h)
-    if fix_res > cfg.eq_tol * rel_scale(h):
-        raise PreconditionError(
-            f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
-        )
+    _require_fixed_point(kf, h, cfg)
     out = []
     power = h.copy()
     for _ in range(n_max):

@@ -8,10 +8,11 @@ from cpfix.algebra import (
     invariance_check,
     trace_tau,
 )
-from cpfix.channel import KrausFamily
+from cpfix.channel import KrausFamily, apply_map
 from cpfix.matcore import ToleranceConfig, herm_eig, opnorm, vec
+from cpfix.verify import haar_unitary
 
-from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_hermitian
+from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_complex, random_hermitian
 
 CFG = ToleranceConfig()
 
@@ -114,6 +115,42 @@ class TestTraceTau:
             assert abs(trace_tau(alg, a @ b, CFG) - trace_tau(alg, b @ a, CFG)) <= 1e-10
 
 
+INSTANCE_KINDS = ("block-haar", "leak", "full-haar", "gaussian")
+
+
+def _invariance_oracle(kf, alg, cfg):
+    """Apply the map to every block matrix unit and test membership."""
+    for s in alg.slices:
+        idx = range(s.start, s.stop)
+        for i in idx:
+            for j in idx:
+                b = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+                b[i, j] = 1.0
+                if not alg.contains(apply_map(kf, b), cfg):
+                    return False
+    return True
+
+
+def _random_instance(kind, rng):
+    dims = tuple(int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+    alg = BlockAlgebra(block_dims=dims, weights=tuple(rng.uniform(0.2, 3.0, len(dims))))
+    d, n = alg.dim, int(rng.integers(1, 4))
+    ops = []
+    for _ in range(n):
+        if kind in ("block-haar", "leak"):
+            x = np.zeros((d, d), dtype=np.complex128)
+            for s in alg.slices:
+                x[s, s] = haar_unitary(s.stop - s.start, rng)
+            if kind == "leak":
+                x = x + 10.0 ** rng.uniform(-11, -8) * random_complex(d, rng)
+        elif kind == "full-haar":
+            x = haar_unitary(d, rng)
+        else:
+            x = 10.0 ** rng.choice([-3.0, 3.0]) * random_complex(d, rng)
+        ops.append(x)
+    return KrausFamily.from_operators(ops, rng.uniform(0.2, 3.0, n)), alg
+
+
 class TestInvariance:
     def test_full_algebra_always_invariant(self, mixture):
         assert invariance_check(mixture, BlockAlgebra.full(2), CFG)
@@ -126,6 +163,19 @@ class TestInvariance:
         kf = KrausFamily.from_operators([HADAMARD])
         alg = BlockAlgebra(block_dims=(1, 1), weights=(1.0, 1.0))
         assert not invariance_check(kf, alg, CFG)
+
+    def test_matches_map_application_oracle(self):
+        rng = np.random.default_rng(26)
+        verdicts = {kind: set() for kind in INSTANCE_KINDS}
+        for _ in range(400):
+            kind = INSTANCE_KINDS[int(rng.integers(len(INSTANCE_KINDS)))]
+            kf, alg = _random_instance(kind, rng)
+            want = _invariance_oracle(kf, alg, CFG)
+            assert invariance_check(kf, alg, CFG) == want
+            verdicts[kind].add(want)
+        # the leak straddles eq_tol, so both verdicts must occur there
+        assert verdicts["leak"] == {True, False}
+        assert verdicts["block-haar"] == {True}
 
 
 class TestSpectralProjections:

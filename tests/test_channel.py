@@ -15,6 +15,7 @@ from cpfix.channel import (
 )
 from cpfix.algebra import commutant_basis
 from cpfix.matcore import ToleranceConfig, opnorm, vec
+from cpfix.verify import random_bistochastic
 
 from conftest import (
     E11,
@@ -156,6 +157,11 @@ class TestSuperoperator:
             Superoperator(dim=2, matrix=np.eye(3))
 
 
+# Superoperator of the transpose map on M_2; its Choi matrix is the swap
+# operator, with eigenvalue -1
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
 def _choi_oracle(kf: KrausFamily) -> np.ndarray:
     """The defining sum C = sum_ij Phi(e_ij) kron e_ij."""
     d = kf.dim
@@ -190,14 +196,18 @@ class TestChoi:
             assert check.min_eig >= -1e-10
 
     def test_transpose_map_not_cp(self):
-        # Choi of the transpose is the swap operator, eigenvalue -1
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[2 * j + i, 2 * i + j] = 1.0
-        check = choi_psd_check(Superoperator(dim=2, matrix=swap), CFG)
+        check = choi_psd_check(Superoperator(dim=2, matrix=SWAP), CFG)
         assert not check.is_cp
         assert check.min_eig == pytest.approx(-1.0)
+
+    def test_tolerance_relative_to_choi_norm(self):
+        # CP by construction at every scale; the Choi matrix grows as c^2
+        kf = random_bistochastic(6, 3, 1)
+        for c in (1.0, 1e2, 1e4, 1e5):
+            scaled = KrausFamily.from_operators([c * x for x in kf.operators])
+            assert choi_psd_check(superoperator_matrix(scaled), CFG).is_cp
+        for c in (1.0, 1e4):
+            assert not choi_psd_check(Superoperator(dim=2, matrix=c * SWAP), CFG).is_cp
 
     def test_identity_choi_rank_one(self, identity_channel):
         c = choi_matrix(superoperator_matrix(identity_channel))

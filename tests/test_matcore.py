@@ -106,6 +106,16 @@ class TestMatFunc:
             mat_func(lambda t: t * t, a, CFG), a @ a, atol=1e-10
         )
 
+    def test_one_decomposition_serves_many_functions(self):
+        rng = np.random.default_rng(9)
+        a = random_hermitian(5, rng)
+        dec = herm_eig(a, CFG)
+        for f in (np.exp, lambda t: t * t):
+            assert np.array_equal(dec.apply(f), mat_func(f, a, CFG))
+        assert dec.eigenvalues[-1] < 0.0
+        with pytest.raises(DomainError):
+            dec.apply(np.sqrt, domain=(0.0, np.inf))
+
     def test_domain_error_names_eigenvalue(self):
         with pytest.raises(DomainError, match="3"):
             mat_func(np.sqrt, np.diag([3.0, 1.0]).astype(complex), CFG, domain=(0.0, 2.0))

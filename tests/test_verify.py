@@ -3,7 +3,7 @@ import pytest
 
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
-from cpfix.matcore import ToleranceConfig, commutator, opnorm, psd_min_eig, vec
+from cpfix.matcore import ToleranceConfig, commutator, herm_eig, opnorm, psd_min_eig, vec
 from cpfix.verify import (
     PreconditionError,
     TrialConfig,
@@ -113,6 +113,27 @@ class TestTheoremVerify:
         report = theorem_verify(mixture, FULL2, a, CFG)
         assert report.verdict and report.trace_gap is not None
         assert calls == {"report": 1, "image": 1}
+
+    def test_one_decomposition_and_no_invariance_map_calls(self, monkeypatch):
+        # the full algebra is invariant without applying the map, and sqrt(a),
+        # both f_eps(a) and the spectral projections share one herm_eig(a):
+        # 1 Phi(a) + 2 f_eps + 7 powers + 1 projection = 11 map applications
+        import sys
+
+        calls = {"apply_map": 0, "herm_eig": 0}
+        for real in (apply_map, herm_eig):
+
+            def counting(*args, _real=real, **kwargs):
+                calls[_real.__name__] += 1
+                return _real(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("cpfix") and getattr(mod, real.__name__, None) is real:
+                    monkeypatch.setattr(mod, real.__name__, counting)
+        kf = random_bistochastic(6, 3, 0)
+        report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
+        assert report.verdict
+        assert calls == {"apply_map": 11, "herm_eig": 1}
 
 
 class TestCorollaryVerify:
