@@ -7,6 +7,7 @@ failed precondition, 2 = usage or input-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .verify import (
 __all__ = ["main", "run"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="equality tolerance (default 1e-9)")

@@ -14,6 +14,7 @@ formatting, so write(read(x)) is byte-stable and files stay diffable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ def matrix_to_obj(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
+def _as_float(v, path: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{path}: number too large for a float") from None
+
+
 def _as_complex_entry(entry, path: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
@@ -57,13 +65,24 @@ def _as_complex_entry(entry, path: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise SchemaError(f"{path}: complex entries must be [re, im] number pairs")
-    return complex(entry[0], entry[1])
+    return complex(_as_float(entry[0], path), _as_float(entry[1], path))
 
 
 def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{path}: expected a nonempty list of rows")
     n = len(obj)
+    # Fast path for JSON-parsed input: one conversion of the whole nested
+    # list; the float64 (re, im) pairs reinterpreted as complex128 keep every
+    # bit, signed zeros included.  Anything else takes the per-entry loop,
+    # which names the offending field.
+    if set(map(type, obj)) == {list} and set(map(type, chain.from_iterable(obj))) == {list}:
+        try:
+            pairs = np.array(obj, dtype=object)
+            if pairs.shape == (n, n, 2) and set(map(type, pairs.flat)) <= {int, float}:
+                return pairs.astype(np.float64).view(np.complex128).reshape(n, n)
+        except (ValueError, OverflowError):
+            pass
     out = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
@@ -100,12 +119,13 @@ def channel_from_obj(obj) -> KrausFamily:
         w = term["weight"]
         if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
             raise SchemaError(f"terms[{k}].weight: must be a strictly positive number")
+        w = _as_float(w, f"terms[{k}].weight")
         m = matrix_from_obj(term["matrix"], f"terms[{k}].matrix")
         if m.shape != (dim, dim):
             raise SchemaError(
                 f"terms[{k}].matrix: shape {m.shape} does not match dim {dim}"
             )
-        parsed.append((float(w), m))
+        parsed.append((w, m))
     return KrausFamily(dim=dim, terms=tuple(parsed))
 
 
@@ -123,6 +143,7 @@ def algebra_from_obj(obj) -> BlockAlgebra:
         for w in weights
     ):
         raise SchemaError("weights: expected a list of positive numbers")
+    weights = [_as_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
     try:
         return BlockAlgebra(block_dims=tuple(blocks), weights=tuple(weights))
     except ValueError as exc:

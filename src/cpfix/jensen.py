@@ -22,11 +22,11 @@ from .matcore import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    _min_eig,
     herm_part,
     hermitize,
     mat_func,
     opnorm,
-    psd_min_eig,
 )
 from .channel import KrausFamily, apply_map, normalization_report
 
@@ -81,7 +81,7 @@ class IneqResidual:
 
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
-    m = psd_min_eig(herm_part(rhs - lhs), cfg)
+    m = _min_eig(herm_part(rhs - lhs))
     return IneqResidual(
         min_eig=m,
         lhs_norm=opnorm(lhs),
@@ -138,7 +138,7 @@ def jensen_residual(
     the left argument is automatically inside the domain.
     """
     rep = normalization_report(kf, cfg)
-    contraction = psd_min_eig(np.eye(kf.dim) - rep.column_sum, cfg)
+    contraction = _min_eig(np.eye(kf.dim) - rep.column_sum)
     if contraction < -cfg.psd_tol:
         raise ValueError(
             f"family is not contractive: min eig of (I - sum mu x*x) = {contraction:.3e}"
@@ -185,7 +185,7 @@ def lambda_domination_check(
     Valid for positive semidefinite a inside the pole margin.
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
+    if _min_eig(h) < -cfg.psd_tol:
         raise ValueError("lambda domination requires a positive semidefinite operator")
     norm = opnorm(h)
     f.require_margin(norm)

@@ -242,8 +242,17 @@ def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     Realizes every ">= 0" assertion as a number the caller compares
     against ``-psd_tol``.  ``a`` is checked like :func:`hermitize` input.
     """
-    h = hermitize(a, cfg)
-    return float(np.linalg.eigvalsh(h)[0])
+    return _min_eig(hermitize(a, cfg))
+
+
+def _min_eig(h: np.ndarray) -> float:
+    """:func:`psd_min_eig` of a value that is exactly Hermitian already.
+
+    For ``herm_part`` or ``hermitize`` output, and differences of such
+    values with a real diagonal matrix, the Hermiticity test would only
+    cost two SVDs to find a zero deviation.
+    """
+    return float(np.linalg.eigvalsh(as_cmatrix(h))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +277,13 @@ def nullspace_basis(
     vectorizations.  An empty system returns the full matrix space.  A
     singular value within a factor 10 of the rank threshold sets
     ``rank_warning``.
+
+    A tall system A is first replaced by the square R factor of its
+    Householder QR: A*A = R*R, so the singular values and right singular
+    vectors are those of A, and the left factor of A, which no caller
+    reads, is never formed.  Householder QR is backward stable, so the
+    rank decision still sees the condition number of A; the Gram matrix
+    A*A would square it and push ``null_tol`` below rounding.
     """
     system = np.asarray(system, dtype=np.complex128)
     if system.size == 0:
@@ -278,6 +294,8 @@ def nullspace_basis(
         raise ValueError(
             f"system has {system.shape[1]} columns, expected {dim * dim}"
         )
+    if system.shape[0] > system.shape[1]:
+        system = np.linalg.qr(system, mode="r")
     _, s, vh = np.linalg.svd(system)
     smax = s[0] if s.size else 0.0
     threshold = cfg.null_tol * max(smax, 1e-300)

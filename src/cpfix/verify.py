@@ -24,13 +24,13 @@ from .matcore import (
     DEFAULT_TOL,
     SpectralDecomposition,
     ToleranceConfig,
+    _min_eig,
     commutator,
     herm_eig,
     herm_part,
     hermitize,
     mat_func,
     opnorm,
-    psd_min_eig,
     rel_scale,
 )
 from .channel import (
@@ -129,7 +129,7 @@ def trace_inequality_check(
     and is raised rather than returned.
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
+    if _min_eig(h) < -cfg.psd_tol:
         raise PreconditionError("a must be positive semidefinite")
     rep = normalization_report(kf, cfg)
     return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
@@ -190,8 +190,8 @@ def theorem_verify(
         "unital": rep.is_unital,
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
-        "aPositive": psd_min_eig(h, cfg) >= -cfg.psd_tol,
-        "superFixed": psd_min_eig(herm_part(phi_a - h), cfg) >= -cfg.psd_tol,
+        "aPositive": _min_eig(h) >= -cfg.psd_tol,
+        "superFixed": _min_eig(herm_part(phi_a - h)) >= -cfg.psd_tol,
     }
     failures = [f"hypothesis failed: {k}" for k, v in hypotheses.items() if not v]
     if failures:
@@ -296,7 +296,7 @@ def corollary_verify(
     (positive a and a^2 share their spectral family).
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
+    if _min_eig(h) < -cfg.psd_tol:
         raise PreconditionError("corollary pipeline requires a >= 0")
     _require_fixed_point(kf, h, cfg)
     ks = kadison_schwarz_residual(kf, h, cfg)
@@ -382,9 +382,9 @@ def spectral_peel(
     if not rep.is_unital:
         raise PreconditionError("spectral peeling requires a unital family")
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
+    if _min_eig(h) < -cfg.psd_tol:
         raise PreconditionError("spectral peeling requires a >= 0")
-    gap0 = psd_min_eig(herm_part(apply_map(kf, h) - h), cfg)
+    gap0 = _min_eig(herm_part(apply_map(kf, h) - h))
     if gap0 < -cfg.psd_tol:
         raise PreconditionError(
             f"Phi(a) >= a fails: min eig of Phi(a) - a is {gap0:.3e}"
@@ -418,7 +418,7 @@ def spectral_peel(
             failed_step = failed_step if failed_step is not None else k
         total += lam * p
         current = herm_part(current - lam * p)
-        super_gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
+        super_gap = _min_eig(herm_part(apply_map(kf, current) - current))
         if super_gap < -cfg.psd_tol:
             failures.append(
                 f"step {k}: super-fixed property lost, min eig {super_gap:.3e}"

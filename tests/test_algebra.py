@@ -86,6 +86,21 @@ class TestCommutant:
                 proj = sum(np.vdot(vec(e), vec(prod)) * e for e in basis.elements)
                 assert opnorm(proj - prod) <= 1e-8
 
+    def test_no_tall_svd(self, monkeypatch):
+        # the 108 x 36 system reaches the SVD as its 36 x 36 R factor
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = np.random.default_rng(61)
+        basis = commutant_basis([random_complex(6, rng) for _ in range(3)], CFG)
+        assert basis.dimension == 1
+        assert shapes == [(36, 36)]
+
 
 class TestTraceTau:
     def test_weighted_blocks(self):

@@ -76,6 +76,30 @@ class TestIo:
         path.write_text("[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]")
         np.testing.assert_array_equal(io.read_matrix(path), SIGMA_X)
 
+    def test_entries_bit_exact(self):
+        # ints, signed zeros and subnormals land bit for bit where complex(re, im) puts them
+        obj = [[[-0.0, 0.0], [1, -0.0]], [[2.5, 5e-324], [-3, 1e300]]]
+        want = np.array([[complex(re, im) for re, im in row] for row in obj])
+        got = io.matrix_from_obj(obj)
+        assert got.shape == (2, 2) and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([[[True, 0]]], "matrix[0][0]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0], [0, 0]], [[1, 0]]], "matrix[1]: expected a row of length 2 (square matrix)"),
+            ([[[1, 0, 0]]], "matrix[0][0]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0], ["0", 0]], [[1, 0], [0, 0]]], "matrix[0][1]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0], [0, 0]]], "matrix[0]: expected a row of length 1 (square matrix)"),
+        ],
+        ids=["bool", "ragged-row", "three-element-entry", "string", "non-square"],
+    )
+    def test_matrix_error_names_field(self, obj, message):
+        with pytest.raises(io.SchemaError) as exc:
+            io.matrix_from_obj(obj)
+        assert str(exc.value) == message
+
     def test_algebra_parsing(self):
         alg = io.algebra_from_obj({"blocks": [2, 1], "weights": [1.0, 2.0]})
         assert alg.block_dims == (2, 1)
@@ -168,6 +192,33 @@ class TestCli:
 
     def test_unknown_flag_exit_two(self, lueders_file, capsys):
         assert run(["check", lueders_file, "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "term, field",
+        [
+            ({"weight": 1.0, "matrix": [[[10**400, 0]]]}, "terms[0].matrix[0][0]"),
+            ({"weight": 10**400, "matrix": [[[1.0, 0.0]]]}, "terms[0].weight"),
+        ],
+        ids=["matrix-entry", "weight"],
+    )
+    def test_oversized_integer_exit_two(self, tmp_path, capsys, term, field):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 1, "terms": [term]}))
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: number too large for a float\n"
+
+    def test_oversized_algebra_weight_exit_two(self, tmp_path, lueders_file, capsys):
+        a = _matrix_file(tmp_path, "a.json", np.eye(2))
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps({"blocks": [1, 1], "weights": [1.0, 10**400]}))
+        assert run(["verify", lueders_file, a, "--algebra", str(alg)]) == 2
+        assert "weights[1]: number too large for a float" in capsys.readouterr().err
+
+    def test_usage_error_leaves_next_run_intact(self, lueders_file, capsys):
+        # the parser is built once per process and shared by every run
+        assert run(["check"]) == 2
+        assert run(["fix", lueders_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 2
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["check", "/nonexistent/channel.json"]) == 2

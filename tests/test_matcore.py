@@ -15,8 +15,9 @@ from cpfix.matcore import (
     unvec,
     vec,
 )
+from cpfix.verify import haar_unitary
 
-from conftest import SIGMA_X, random_hermitian
+from conftest import SIGMA_X, random_complex, random_hermitian
 
 CFG = ToleranceConfig()
 
@@ -180,6 +181,63 @@ class TestNullspace:
         smax = res.singular_values[0]
         for b in res.basis:
             assert np.linalg.norm(system @ vec(b)) <= CFG.null_tol * smax
+
+    def test_tall_system_matches_full_svd_oracle(self):
+        rng = np.random.default_rng(41)
+        warnings = {kind: set() for kind in SYSTEM_KINDS}
+        for k in range(300):
+            kind = SYSTEM_KINDS[k % len(SYSTEM_KINDS)]
+            d, n = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+            system = _commutant_system(kind, d, n, rng)
+            s, warning, kernel = _full_svd_oracle(system, CFG)
+            res = nullspace_basis(system, d, CFG)
+            assert res.dimension == len(kernel)
+            assert res.rank_warning == warning
+            assert np.max(np.abs(res.singular_values - s)) <= 1e-12 * s[0]
+            got = np.array([vec(b) for b in res.basis])
+            # distance between the orthogonal projectors onto the two kernels
+            dist = opnorm(got.T @ got.conj() - kernel.T @ kernel.conj())
+            assert dist <= 1e-12
+            warnings[kind].add(warning)
+        # the leak straddles the rank threshold, so both warnings occur there
+        assert warnings["leak"] == {False, True}
+
+
+SYSTEM_KINDS = ("gaussian", "block", "leak")
+
+
+def _commutant_system(kind, d, n, rng):
+    """Stacked [I kron x_t - x_t^T kron I] for n operators: n*d^2 rows, d^2 columns.
+
+    ``block`` operators are V(direct sum of Haar blocks)V*, with a kernel of
+    dimension the number of blocks; ``leak`` adds a 1e-12...1e-8 perturbation.
+    """
+    eye = np.eye(d)
+    cuts = rng.choice(np.arange(1, d), size=int(rng.integers(0, min(3, d - 1) + 1)), replace=False)
+    bounds = np.concatenate([[0], np.sort(cuts), [d]])
+    v = haar_unitary(d, rng)
+    rows = []
+    for _ in range(n):
+        if kind == "gaussian":
+            x = random_complex(d, rng)
+        else:
+            x = np.zeros((d, d), dtype=complex)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                x[lo:hi, lo:hi] = haar_unitary(int(hi - lo), rng)
+            x = v @ x @ v.conj().T
+            if kind == "leak":
+                x = x + 10.0 ** rng.uniform(-12, -8) * random_complex(d, rng)
+        rows.append(np.kron(eye, x) - np.kron(x.T, eye))
+    return np.vstack(rows)
+
+
+def _full_svd_oracle(system, cfg):
+    """Singular values, rank warning and kernel rows from the full SVD of ``system``."""
+    _, s, vh = np.linalg.svd(system)
+    threshold = cfg.null_tol * max(s[0], 1e-300)
+    rank = int(np.sum(s > threshold))
+    warning = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
+    return s, warning, vh[rank:].conj()
 
 
 def test_vec_unvec_roundtrip():

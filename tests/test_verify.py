@@ -3,7 +3,7 @@ import pytest
 
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
-from cpfix.matcore import ToleranceConfig, commutator, herm_eig, opnorm, psd_min_eig, vec
+from cpfix.matcore import ToleranceConfig, commutator, herm_eig, hermitize, opnorm, psd_min_eig, vec
 from cpfix.verify import (
     PreconditionError,
     TrialConfig,
@@ -134,6 +134,26 @@ class TestTheoremVerify:
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
         assert calls == {"apply_map": 11, "herm_eig": 1}
+
+    def test_hermiticity_checked_on_input_only(self, monkeypatch):
+        # a is checked once by theorem_verify and once more by herm_eig; the
+        # internal ">= 0" tests (I - row sum, a, Phi(a) - a) check nothing
+        import sys
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return hermitize(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cpfix") and getattr(mod, "hermitize", None) is hermitize:
+                monkeypatch.setattr(mod, "hermitize", counting)
+        kf = random_bistochastic(6, 3, 0)
+        normalization_report(kf, CFG)
+        assert len(calls) == 0
+        assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
+        assert len(calls) == 2
 
 
 class TestCorollaryVerify:
