@@ -28,11 +28,11 @@ from .matcore import (
     DEFAULT_TOL,
     NullspaceResult,
     ToleranceConfig,
-    _min_eig,
     as_cmatrix,
     herm_part,
     nullspace_basis,
     opnorm,
+    psd_min_eig,
     rel_scale,
     unvec,
     vec,
@@ -186,7 +186,7 @@ def normalization_report(
     col = herm_part(col)
     row = herm_part(row)
     is_unital = opnorm(col - eye) <= cfg.eq_tol * rel_scale(col)
-    is_subunital = _min_eig(eye - row) >= -cfg.psd_tol
+    is_subunital = psd_min_eig(eye - row, cfg) >= -cfg.psd_tol
     row_dev, row_scale = opnorm(row - eye), rel_scale(row)
     is_tp = row_dev <= cfg.eq_tol * row_scale
     self_adjoint = all(

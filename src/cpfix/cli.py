@@ -24,6 +24,7 @@ from .channel import (
 )
 from .jensen import EpsFunction, jensen_residual
 from .verify import (
+    EXPLORER_MODES,
     PreconditionError,
     TrialConfig,
     corollary_verify,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
 
     p = sub.add_parser("explore", parents=[common], help="hypothesis-necessity exploration")
-    p.add_argument("--mode", choices=("unital-only", "subunital-only"), required=True)
+    p.add_argument("--mode", choices=EXPLORER_MODES, required=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--terms", type=int, default=3)
@@ -189,19 +190,12 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_verify(args, cfg) -> int:
+    """``verify`` and ``corollary``: the same I/O around two pipelines."""
     kf = io.read_channel(args.channel)
     a = io.read_matrix(args.operator)
     alg = _load_algebra(args, kf.dim)
-    report = theorem_verify(kf, alg, a, cfg, powers=args.powers)
-    _emit(args, report.to_dict(), _report_lines(report))
-    return 0 if report.verdict else 1
-
-
-def _cmd_corollary(args, cfg) -> int:
-    kf = io.read_channel(args.channel)
-    a = io.read_matrix(args.operator)
-    alg = _load_algebra(args, kf.dim)
-    report = corollary_verify(kf, alg, a, cfg, powers=args.powers)
+    pipeline = corollary_verify if args.command == "corollary" else theorem_verify
+    report = pipeline(kf, alg, a, cfg, powers=args.powers)
     _emit(args, report.to_dict(), _report_lines(report))
     return 0 if report.verdict else 1
 
@@ -268,7 +262,7 @@ _COMMANDS = {
     "fix": _cmd_fix,
     "commutant": _cmd_commutant,
     "verify": _cmd_verify,
-    "corollary": _cmd_corollary,
+    "corollary": _cmd_verify,
     "peel": _cmd_peel,
     "jensen": _cmd_jensen,
     "explore": _cmd_explore,

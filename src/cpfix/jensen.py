@@ -22,11 +22,11 @@ from .matcore import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
-    _min_eig,
     herm_part,
     hermitize,
     mat_func,
     opnorm,
+    psd_min_eig,
 )
 from .channel import KrausFamily, apply_map, normalization_report
 
@@ -58,10 +58,6 @@ class EpsFunction:
     def pole_radius(self) -> float:
         return math.inf if self.eps == 0.0 else 1.0 / abs(self.eps)
 
-    def domain(self) -> tuple[float, float]:
-        r = self.pole_radius
-        return (-r, r)
-
     def require_margin(self, norm: float):
         if abs(self.eps) * norm > MARGIN_FACTOR:
             raise DomainError(
@@ -81,7 +77,7 @@ class IneqResidual:
 
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
-    m = _min_eig(herm_part(rhs - lhs))
+    m = psd_min_eig(herm_part(rhs - lhs), cfg)
     return IneqResidual(
         min_eig=m,
         lhs_norm=opnorm(lhs),
@@ -138,7 +134,7 @@ def jensen_residual(
     the left argument is automatically inside the domain.
     """
     rep = normalization_report(kf, cfg)
-    contraction = _min_eig(np.eye(kf.dim) - rep.column_sum)
+    contraction = psd_min_eig(np.eye(kf.dim) - rep.column_sum, cfg)
     if contraction < -cfg.psd_tol:
         raise ValueError(
             f"family is not contractive: min eig of (I - sum mu x*x) = {contraction:.3e}"
@@ -185,7 +181,7 @@ def lambda_domination_check(
     Valid for positive semidefinite a inside the pole margin.
     """
     h = hermitize(a, cfg)
-    if _min_eig(h) < -cfg.psd_tol:
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise ValueError("lambda domination requires a positive semidefinite operator")
     norm = opnorm(h)
     f.require_margin(norm)

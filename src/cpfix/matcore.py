@@ -1,15 +1,17 @@
 """Dense complex matrix primitives shared by every other module.
 
 All matrices are plain ``numpy.ndarray`` with complex128 entries and are
-treated as immutable.  Hermitian matrices are symmetrized once, at the
-boundary, by one of two functions defined here:
+treated as immutable.  The Hermitian boundary is two functions:
 
-* outside input (user operators, arguments of public entry points) goes
-  through :func:`hermitize`, which rejects a deviation from
-  self-adjointness above ``cfg.eq_tol`` and then symmetrizes;
-* values that are Hermitian by construction (Phi(a) - a, sum mu x*x,
-  eigenprojections) go through :func:`herm_part`, which symmetrizes
-  without a check: their rounding grows with their scale.
+* :func:`herm_part` is the one symmetrizer, (m + m*)/2.  Values that are
+  Hermitian by construction (Phi(a) - a, sum mu x*x, eigenprojections) go
+  through it unchecked: their rounding grows with their scale.  Its
+  output is exactly Hermitian.
+* :func:`hermitize` is the one Hermiticity check.  It rejects a deviation
+  from self-adjointness above ``cfg.eq_tol`` and then symmetrizes, and it
+  runs its two SVDs only when ``a`` is not exactly Hermitian, so
+  ``herm_part`` output (and its difference with a real diagonal matrix)
+  passes through ``herm_eig``, ``mat_func`` and ``psd_min_eig`` for free.
 
 Downstream code assumes exact self-adjointness after that.  Norms are
 spectral norms throughout, and every equality tolerance is relative to
@@ -109,15 +111,19 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Symmetrize outside input, rejecting a deviation above ``cfg.eq_tol``."""
+    """Symmetrize ``a``, rejecting a deviation above ``cfg.eq_tol``.
+
+    The deviation is only measured when ``a`` is not exactly Hermitian.
+    """
     m = as_cmatrix(a)
-    dev = opnorm(m - m.conj().T)
-    tol = cfg.eq_tol * rel_scale(m)
-    if dev > tol:
-        raise HermiticityError(
-            f"matrix deviates from self-adjointness by {dev:.3e} "
-            f"(tolerance {tol:.3e})"
-        )
+    if not np.array_equal(m, m.conj().T):
+        dev = opnorm(m - m.conj().T)
+        tol = cfg.eq_tol * rel_scale(m)
+        if dev > tol:
+            raise HermiticityError(
+                f"matrix deviates from self-adjointness by {dev:.3e} "
+                f"(tolerance {tol:.3e})"
+            )
     return herm_part(m)
 
 
@@ -240,19 +246,9 @@ def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     Realizes every ">= 0" assertion as a number the caller compares
-    against ``-psd_tol``.  ``a`` is checked like :func:`hermitize` input.
+    against ``-psd_tol``.  ``a`` is checked by :func:`hermitize`.
     """
-    return _min_eig(hermitize(a, cfg))
-
-
-def _min_eig(h: np.ndarray) -> float:
-    """:func:`psd_min_eig` of a value that is exactly Hermitian already.
-
-    For ``herm_part`` or ``hermitize`` output, and differences of such
-    values with a real diagonal matrix, the Hermiticity test would only
-    cost two SVDs to find a zero deviation.
-    """
-    return float(np.linalg.eigvalsh(as_cmatrix(h))[0])
+    return float(np.linalg.eigvalsh(hermitize(a, cfg))[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,13 +24,13 @@ from .matcore import (
     DEFAULT_TOL,
     SpectralDecomposition,
     ToleranceConfig,
-    _min_eig,
     commutator,
     herm_eig,
     herm_part,
     hermitize,
     mat_func,
     opnorm,
+    psd_min_eig,
     rel_scale,
 )
 from .channel import (
@@ -47,7 +47,7 @@ from .algebra import (
     trace_tau,
 )
 from .io import channel_to_obj
-from .jensen import EpsFunction, kadison_schwarz_residual
+from .jensen import EpsFunction
 
 __all__ = [
     "PreconditionError",
@@ -129,7 +129,7 @@ def trace_inequality_check(
     and is raised rather than returned.
     """
     h = hermitize(a, cfg)
-    if _min_eig(h) < -cfg.psd_tol:
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("a must be positive semidefinite")
     rep = normalization_report(kf, cfg)
     return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
@@ -139,19 +139,19 @@ def trace_inequality_check(
 class TheoremReport:
     """Structured verdict of the main verification pipeline.
 
-    Residual lists are empty when the hypotheses already fail: the
+    Residuals stay None or empty when the hypotheses already fail: the
     conclusion is then not asserted at all.
     """
 
     hypotheses: dict[str, bool]
-    trace_gap: float | None
-    fixedness_residual: float | None
-    f_eps_residuals: list[float]
-    power_residuals: list[float]
-    projection_residuals: list[float]
-    offdiag_residuals: list[float]
-    commutator_residuals: list[float]
-    verdict: bool
+    trace_gap: float | None = None
+    fixedness_residual: float | None = None
+    f_eps_residuals: list[float] = field(default_factory=list)
+    power_residuals: list[float] = field(default_factory=list)
+    projection_residuals: list[float] = field(default_factory=list)
+    offdiag_residuals: list[float] = field(default_factory=list)
+    commutator_residuals: list[float] = field(default_factory=list)
+    verdict: bool = False
     failures: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -185,39 +185,41 @@ def theorem_verify(
     """
     h = hermitize(a, cfg)
     rep = normalization_report(kf, cfg)
-    phi_a = apply_map(kf, h)
+    return _theorem(kf, alg, h, apply_map(kf, h), rep, cfg, powers)
+
+
+def _theorem(
+    kf: KrausFamily,
+    alg: BlockAlgebra,
+    h: np.ndarray,
+    phi_h: np.ndarray,
+    rep: NormalizationReport,
+    cfg: ToleranceConfig,
+    powers: int,
+) -> TheoremReport:
+    """Hypotheses and conclusion stages for a hermitized ``h``, its image and the report."""
     hypotheses = {
         "unital": rep.is_unital,
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
-        "aPositive": _min_eig(h) >= -cfg.psd_tol,
-        "superFixed": _min_eig(herm_part(phi_a - h)) >= -cfg.psd_tol,
+        "aInAlgebra": alg.contains(h, cfg),
+        "aPositive": psd_min_eig(h, cfg) >= -cfg.psd_tol,
+        "superFixed": psd_min_eig(herm_part(phi_h - h), cfg) >= -cfg.psd_tol,
     }
     failures = [f"hypothesis failed: {k}" for k, v in hypotheses.items() if not v]
     if failures:
-        return TheoremReport(
-            hypotheses=hypotheses,
-            trace_gap=None,
-            fixedness_residual=None,
-            f_eps_residuals=[],
-            power_residuals=[],
-            projection_residuals=[],
-            offdiag_residuals=[],
-            commutator_residuals=[],
-            verdict=False,
-            failures=failures,
-        )
+        return TheoremReport(hypotheses, verdict=False, failures=failures)
 
     dec = herm_eig(h, cfg)
     norm_h = opnorm(h)
     scale = max(1.0, norm_h)
     loose = CONCLUSION_SLACK * cfg.eq_tol
 
-    tau_a, trace_gap = _trace_gap(alg, h, dec, phi_a, rep, cfg)
+    tau_a, trace_gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
     if trace_gap < -cfg.eq_tol * max(1.0, abs(tau_a)):
         failures.append(f"trace gap negative: {trace_gap:.3e}")
 
-    fixedness = opnorm(phi_a - h)
+    fixedness = opnorm(phi_h - h)
     if fixedness > cfg.eq_tol * scale:
         failures.append(f"fixedness residual {fixedness:.3e} exceeds tolerance")
 
@@ -276,10 +278,13 @@ def theorem_verify(
     )
 
 
-def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig):
-    fix_res = opnorm(apply_map(kf, h) - h)
+def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Phi(h), once h is known to be a fixed point."""
+    phi_h = apply_map(kf, h)
+    fix_res = opnorm(phi_h - h)
     if fix_res > cfg.eq_tol * rel_scale(h):
         raise PreconditionError(f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}")
+    return phi_h
 
 
 def corollary_verify(
@@ -293,17 +298,23 @@ def corollary_verify(
 
     Runs Kadison-Schwarz to upgrade Phi(a) = a into Phi(a^2) >= a^2, hands
     a^2 to the main pipeline, and asserts the commutators of a itself
-    (positive a and a^2 share their spectral family).
+    (positive a and a^2 share their spectral family).  The report, Phi(a)
+    and Phi(a^2) are computed once and shared with the main pipeline.
     """
     h = hermitize(a, cfg)
-    if _min_eig(h) < -cfg.psd_tol:
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("corollary pipeline requires a >= 0")
-    _require_fixed_point(kf, h, cfg)
-    ks = kadison_schwarz_residual(kf, h, cfg)
-    inner = theorem_verify(kf, alg, h @ h, cfg, powers)
+    phi_h = _require_fixed_point(kf, h, cfg)
+    rep = normalization_report(kf, cfg)
+    if not rep.is_unital:
+        raise ValueError("Kadison-Schwarz check requires a unital family")
+    h2 = herm_part(h @ h)
+    phi_h2 = apply_map(kf, h2)
+    ks = psd_min_eig(herm_part(phi_h2 - phi_h @ phi_h), cfg)
+    inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers)
     failures = list(inner.failures)
-    if not ks.verdict:
-        failures.append(f"Kadison-Schwarz residual negative: {ks.min_eig:.3e}")
+    if ks < -cfg.psd_tol:
+        failures.append(f"Kadison-Schwarz residual negative: {ks:.3e}")
     comms = [opnorm(commutator(h, x)) for x in kf.operators]
     loose = CONCLUSION_SLACK * cfg.eq_tol * rel_scale(h)
     for r in comms:
@@ -382,9 +393,9 @@ def spectral_peel(
     if not rep.is_unital:
         raise PreconditionError("spectral peeling requires a unital family")
     h = hermitize(a, cfg)
-    if _min_eig(h) < -cfg.psd_tol:
+    if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("spectral peeling requires a >= 0")
-    gap0 = _min_eig(herm_part(apply_map(kf, h) - h))
+    gap0 = psd_min_eig(herm_part(apply_map(kf, h) - h), cfg)
     if gap0 < -cfg.psd_tol:
         raise PreconditionError(
             f"Phi(a) >= a fails: min eig of Phi(a) - a is {gap0:.3e}"
@@ -393,8 +404,8 @@ def spectral_peel(
     scale = rel_scale(h)
     loose = CONCLUSION_SLACK * cfg.eq_tol * scale
     steps: list[PeelStep] = []
-    failures: list[str] = []
-    failed_step = None
+    # (step, message); the failed step is the first step that recorded one
+    failures: list[tuple[int | None, str]] = []
     current = h.copy()
     total = np.zeros_like(h)
     for k in range(kf.dim + 1):
@@ -407,37 +418,32 @@ def spectral_peel(
         fix_res = opnorm(apply_map(kf, p) - p)
         steps.append(PeelStep(lam, p, comm_res, fix_res))
         if lam < -cfg.psd_tol:
-            failures.append(f"step {k}: negative eigenvalue {lam:.3e}")
-            failed_step = failed_step if failed_step is not None else k
+            failures.append((k, f"step {k}: negative eigenvalue {lam:.3e}"))
             break
         if comm_res > loose:
-            failures.append(f"step {k}: commutator residual {comm_res:.3e}")
-            failed_step = failed_step if failed_step is not None else k
+            failures.append((k, f"step {k}: commutator residual {comm_res:.3e}"))
         if fix_res > loose:
-            failures.append(f"step {k}: projection not fixed, residual {fix_res:.3e}")
-            failed_step = failed_step if failed_step is not None else k
+            failures.append((k, f"step {k}: projection not fixed, residual {fix_res:.3e}"))
         total += lam * p
         current = herm_part(current - lam * p)
-        super_gap = _min_eig(herm_part(apply_map(kf, current) - current))
+        super_gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
         if super_gap < -cfg.psd_tol:
             failures.append(
-                f"step {k}: super-fixed property lost, min eig {super_gap:.3e}"
+                (k, f"step {k}: super-fixed property lost, min eig {super_gap:.3e}")
             )
-            failed_step = failed_step if failed_step is not None else k
             break
     else:
-        failures.append("peeling did not terminate within dim + 1 steps")
-        failed_step = failed_step if failed_step is not None else len(steps)
+        failures.append((len(steps), "peeling did not terminate within dim + 1 steps"))
 
     recon = opnorm(h - total)
     if not failures and recon > cfg.eq_tol * scale:
-        failures.append(f"reconstruction residual {recon:.3e}")
+        failures.append((None, f"reconstruction residual {recon:.3e}"))
     return PeelTrace(
         steps=steps,
         reconstruction_residual=recon,
         verdict=not failures,
-        failed_step=failed_step,
-        failures=failures,
+        failed_step=failures[0][0] if failures else None,
+        failures=[msg for _, msg in failures],
     )
 
 

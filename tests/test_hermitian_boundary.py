@@ -73,6 +73,22 @@ class TestHermitize:
         with pytest.raises(HermiticityError):
             hermitize(NEAR_HERMITIAN, STRICT)
 
+    def test_exactly_hermitian_input_costs_no_norm(self, monkeypatch):
+        # herm_part output passes hermitize without the two-SVD deviation test
+        calls = []
+        real_norm = np.linalg.norm
+
+        def counting_norm(*args, **kwargs):
+            calls.append(1)
+            return real_norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        h = herm_part(random_complex(5, np.random.default_rng(1)))
+        np.testing.assert_array_equal(hermitize(h, STRICT), h)
+        assert calls == []
+        hermitize(NEAR_HERMITIAN)
+        assert len(calls) == 2
+
     def test_psd_min_eig_checks_against_cfg(self):
         assert psd_min_eig(NEAR_HERMITIAN) == pytest.approx(1.0)
         with pytest.raises(HermiticityError):

@@ -145,6 +145,19 @@ class TestCli:
         a = _matrix_file(tmp_path, "a.json", [[1, 0], [0, 3]])
         assert run(["corollary", lueders_file, a]) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "corollary"])
+    def test_operator_outside_algebra_exit_one(self, tmp_path, identity_channel, command, capsys):
+        ch = tmp_path / "identity.json"
+        io.write_channel(ch, identity_channel)
+        a = _matrix_file(tmp_path, "a.json", [[2, 1], [1, 2]])
+        alg = tmp_path / "alg.json"
+        alg.write_text('{"blocks": [1, 1], "weights": [1.0, 1.0]}')
+        assert run([command, str(ch), a, "--algebra", str(alg)]) == 1
+        captured = capsys.readouterr()
+        assert "hypothesis aInAlgebra: False" in captured.out
+        assert "failure: hypothesis failed: aInAlgebra" in captured.out
+        assert "precondition failure" not in captured.err
+
     def test_peel_precondition_exit_one(self, tmp_path, mixture_file, capsys):
         a = _matrix_file(tmp_path, "a.json", [[3, 0], [0, 1]])
         assert run(["peel", mixture_file, a]) == 1

@@ -88,9 +88,19 @@ class TestTheoremVerify:
             "unital",
             "subunitalDual",
             "invariance",
+            "aInAlgebra",
             "aPositive",
             "superFixed",
         }
+
+    def test_operator_outside_algebra_is_a_hypothesis_failure(self, identity_channel):
+        # the docstring promises hypothesis failures are reported, never raised
+        a = np.array([[2, 1], [1, 2]], dtype=complex)
+        report = theorem_verify(identity_channel, BlockAlgebra((1, 1), (1.0, 1.0)), a, CFG)
+        assert not report.verdict
+        assert report.hypotheses["invariance"] and not report.hypotheses["aInAlgebra"]
+        assert report.failures == ["hypothesis failed: aInAlgebra"]
+        assert report.trace_gap is None and report.commutator_residuals == []
 
     def test_report_and_image_computed_once(self, mixture, monkeypatch):
         # the trace gap and trace chain reuse the pipeline's report and Phi(a)
@@ -136,24 +146,40 @@ class TestTheoremVerify:
         assert calls == {"apply_map": 11, "herm_eig": 1}
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
-        # a is checked once by theorem_verify and once more by herm_eig; the
-        # internal ">= 0" tests (I - row sum, a, Phi(a) - a) check nothing
+        # the deviation test (two spectral norms: deviation and scale) runs
+        # once per not exactly Hermitian input; herm_eig, psd_min_eig, the
+        # internal ">= 0" tests (I - row sum, a, Phi(a) - a) and the
+        # corollary's a^2 run none
         import sys
 
-        calls = []
+        svds, depth = [0], [0]
+        real_norm = np.linalg.norm
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return hermitize(*args, **kwargs)
+        def counting_norm(*args, **kwargs):
+            svds[0] += depth[0] > 0
+            return real_norm(*args, **kwargs)
 
+        def counting_hermitize(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return hermitize(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("cpfix") and getattr(mod, "hermitize", None) is hermitize:
-                monkeypatch.setattr(mod, "hermitize", counting)
+                monkeypatch.setattr(mod, "hermitize", counting_hermitize)
         kf = random_bistochastic(6, 3, 0)
         normalization_report(kf, CFG)
-        assert len(calls) == 0
-        assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
-        assert len(calls) == 2
+        assert svds == [0]
+        skew = np.triu(np.full((6, 6), 1e-14j), 1)
+        a = 2.0 * np.eye(6) + skew + skew.T
+        assert not np.array_equal(a, a.conj().T)
+        assert theorem_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
+        assert svds == [2]
+        assert corollary_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
+        assert svds == [4]
 
 
 class TestCorollaryVerify:
@@ -175,6 +201,32 @@ class TestCorollaryVerify:
     def test_rejects_non_fixed_point(self, lueders):
         with pytest.raises(PreconditionError):
             corollary_verify(lueders, FULL2, np.array([[1, 1], [1, 1]], dtype=complex), CFG)
+
+    def test_rejects_non_unital_family(self):
+        # a fixed point of a non-unital map: Kadison-Schwarz needs unitality
+        kf = KrausFamily.from_operators([E11])
+        with pytest.raises(ValueError, match="Kadison-Schwarz check requires a unital family"):
+            corollary_verify(kf, FULL2, E11, CFG)
+
+    def test_report_and_images_computed_once(self, monkeypatch):
+        # one report, Phi(a) and Phi(a^2) shared with the main pipeline:
+        # Phi(a) + Phi(a^2) + 2 f_eps + 7 powers + 1 projection = 12 applications
+        import sys
+
+        calls = {"apply_map": 0, "normalization_report": 0}
+        for real in (apply_map, normalization_report):
+
+            def counting(*args, _real=real, **kwargs):
+                calls[_real.__name__] += 1
+                return _real(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("cpfix") and getattr(mod, real.__name__, None) is real:
+                    monkeypatch.setattr(mod, real.__name__, counting)
+        kf = random_bistochastic(6, 3, 0)
+        report = corollary_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
+        assert report.verdict
+        assert calls == {"apply_map": 12, "normalization_report": 1}
 
 
 class TestPowerFixedCheck:
@@ -214,6 +266,20 @@ class TestSpectralPeel:
     def test_mixture_not_super_fixed(self, mixture):
         with pytest.raises(PreconditionError, match="Phi\\(a\\) >= a"):
             spectral_peel(mixture, np.diag([3.0, 1.0]).astype(complex), CFG)
+
+    def test_failed_step_is_first_failing_step(self):
+        # exactly unital projections; an eq_tol below rounding leaves a noise
+        # remainder that is peeled until the step budget runs out, and
+        # failedStep names the first failing step, not where the loop gave up
+        x1 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        x2 = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        kf = KrausFamily.from_operators([x1, x2])
+        trace = spectral_peel(kf, 3 * x1 + x2, ToleranceConfig(eq_tol=1e-30))
+        assert not trace.verdict
+        assert trace.failures[-1] == "peeling did not terminate within dim + 1 steps"
+        assert trace.failed_step < len(trace.steps)
+        assert trace.failures[0].startswith(f"step {trace.failed_step}: ")
+        assert trace.to_dict()["failedStep"] == trace.failed_step
 
     def test_rejects_non_selfadjoint_family(self):
         kf = KrausFamily.from_operators([E12, E12.conj().T])
