@@ -20,7 +20,6 @@ from .matcore import (
 from .channel import (
     ChoiCheck,
     DimensionMismatchError,
-    FixedSpace,
     KrausFamily,
     NormalizationReport,
     Superoperator,
@@ -34,7 +33,6 @@ from .channel import (
 from .algebra import (
     BlockAlgebra,
     MembershipError,
-    OperatorBasis,
     commutant_basis,
     invariance_check,
     trace_tau,

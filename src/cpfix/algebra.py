@@ -17,9 +17,9 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    NullspaceResult,
     ToleranceConfig,
     as_cmatrix,
-    matrix_units,
     nullspace_basis,
     opnorm,
     rel_scale,
@@ -29,7 +29,6 @@ from .channel import KrausFamily
 __all__ = [
     "MembershipError",
     "BlockAlgebra",
-    "OperatorBasis",
     "commutant_basis",
     "trace_tau",
     "invariance_check",
@@ -83,60 +82,46 @@ class BlockAlgebra:
             mask[s, s] = True
         return mask
 
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Central element W with trace_tau(a) = Tr(W a) for a in the algebra."""
-        w = np.zeros(self.dim)
-        for s, wt in zip(self.slices, self.weights):
-            w[s] = wt
-        return np.diag(w).astype(np.complex128)
-
     def off_block_mass(self, a: np.ndarray) -> float:
+        """Spectral norm of a's off-block part; 0 without an SVD for one block."""
+        if len(self.block_dims) == 1:
+            return 0.0
         return opnorm(np.where(self.block_mask, 0.0, a))
 
     def contains(self, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return self.off_block_mass(a) <= cfg.eq_tol * rel_scale(a)
+        mass = self.off_block_mass(a)
+        return mass == 0.0 or mass <= cfg.eq_tol * rel_scale(a)
 
-
-@dataclass(frozen=True, eq=False)
-class OperatorBasis:
-    """HS-orthonormal list of matrices spanning some operator subspace."""
-
-    dimension: int
-    elements: list[np.ndarray]
-    rank_warning: bool = False
+    def trace(self, a: np.ndarray) -> float:
+        """sum_i w_i Re Tr(a_i) over the diagonal blocks, with no membership test."""
+        total = 0.0
+        for s, w in zip(self.slices, self.weights):
+            total += w * np.trace(a[s, s]).real
+        return float(total)
 
 
 def commutant_basis(
     family: list[np.ndarray],
     cfg: ToleranceConfig = DEFAULT_TOL,
     dim: int | None = None,
-) -> OperatorBasis:
+) -> NullspaceResult:
     """Orthonormal basis of {a : a x = x a for every x in the family}.
 
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
-    matrices; an empty family yields the full matrix space (``dim`` must
-    then be supplied).
+    matrices; an empty family is the empty system, whose kernel is the full
+    matrix space (``dim`` must then be supplied).
     """
     family = [as_cmatrix(x) for x in family]
-    if not family:
-        if dim is None:
-            raise ValueError("commutant of an empty family needs an explicit dimension")
-        return full_matrix_basis(dim)
-    d = family[0].shape[0]
+    if not family and dim is None:
+        raise ValueError("commutant of an empty family needs an explicit dimension")
+    d = family[0].shape[0] if family else dim
     for x in family:
         if x.shape != (d, d):
             raise ValueError("family members must share one dimension")
     eye = np.eye(d)
     rows = [np.kron(eye, x) - np.kron(x.T, eye) for x in family]
-    ns = nullspace_basis(np.vstack(rows), d, cfg)
-    return OperatorBasis(
-        dimension=len(ns.basis), elements=ns.basis, rank_warning=ns.rank_warning
-    )
-
-
-def full_matrix_basis(dim: int) -> OperatorBasis:
-    return OperatorBasis(dimension=dim * dim, elements=matrix_units(dim))
+    # stacks the blocks; no blocks give the (0, d*d) empty system
+    return nullspace_basis(np.reshape(rows, (-1, d * d)), d, cfg)
 
 
 def trace_tau(
@@ -144,21 +129,18 @@ def trace_tau(
 ) -> float:
     """Weighted block trace sum_i w_i Tr(a_i).
 
-    Rejects operators with off-block mass beyond tolerance.  The value is
-    real for self-adjoint arguments; the real part is returned.
+    Rejects operators that :meth:`BlockAlgebra.contains` rejects.  The value
+    is real for self-adjoint arguments; the real part is returned.
     """
     a = as_cmatrix(a)
     if a.shape != (alg.dim, alg.dim):
         raise ValueError(f"operator of shape {a.shape} fed to a dim-{alg.dim} algebra")
-    mass = alg.off_block_mass(a)
-    if mass > cfg.eq_tol * rel_scale(a):
+    if not alg.contains(a, cfg):
         raise MembershipError(
-            f"off-block mass {mass:.3e} exceeds tolerance; operator is not in the algebra"
+            f"off-block mass {alg.off_block_mass(a):.3e} exceeds tolerance; "
+            "operator is not in the algebra"
         )
-    total = 0.0
-    for s, w in zip(alg.slices, alg.weights):
-        total += w * np.trace(a[s, s]).real
-    return float(total)
+    return alg.trace(a)
 
 
 def invariance_check(

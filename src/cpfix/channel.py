@@ -15,11 +15,23 @@ Superoperators use the column-stacking convention
 so a single Kraus term contributes kron(x^T, x.conj().T).  This choice is
 arbitrary but is pinned down by tests; an untested vectorization
 convention is the classic bug source.
+
+Phi commutes with a -> a*, so it is a real map on Hermitian matrices.  The
+fixed space is solved in the HS-orthonormal Hermitian basis H_k, k = i + j*d:
+
+    e_ii,  (e_ij + e_ji)/sqrt(2) for i < j,  i(e_ij - e_ji)/sqrt(2) for i > j.
+
+With U the unitary whose columns are vec(H_k), U*(S - I)U is a real
+d^2 x d^2 matrix with the singular values of S - I, and a real coordinate
+matrix c (c[i, j] on H_k) is the Hermitian matrix
+
+    diag(c) + (triu(c, 1) + triu(c, 1)^T + i(tril(c, -1) - tril(c, -1)^T))/sqrt(2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +46,6 @@ from .matcore import (
     opnorm,
     psd_min_eig,
     rel_scale,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -44,7 +54,6 @@ __all__ = [
     "NormalizationReport",
     "Superoperator",
     "ChoiCheck",
-    "FixedSpace",
     "apply_map",
     "dual_apply",
     "normalization_report",
@@ -257,62 +266,43 @@ def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Ch
     return ChoiCheck(is_cp=m >= -cfg.psd_tol * max(1.0, float(np.abs(w).max())), min_eig=m)
 
 
-@dataclass(frozen=True, eq=False)
-class FixedSpace:
-    """Hermitian HS-orthonormal basis of {a : Phi(a) = a}."""
-
-    dimension: int
-    herm_basis: list[np.ndarray]
-    rank_warning: bool
-    unital: bool
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def _hermitian_reorthonormalize(
-    candidates: list[np.ndarray], dim: int, cfg: ToleranceConfig
-) -> list[np.ndarray]:
-    """De-duplicate and orthonormalize a real span of Hermitian matrices.
+def _pair_rows(m: np.ndarray, phase: complex) -> np.ndarray:
+    """U^T m for ``phase`` 1j, U* m for -1j, in O(d^2) work per column of m.
 
-    Hermitian matrices form a real vector space on which the HS inner
-    product equals the real dot product of the (re, im) embedding, so a
-    real SVD recovers an orthonormal Hermitian basis.
+    Row i + j*d of ``m`` belongs to the entry (i, j).  For i < j, row (i, j)
+    becomes the sum of rows (i, j) and (j, i), and row (j, i) becomes
+    ``phase`` times (row (j, i) - row (i, j)), both over sqrt(2).  Diagonal
+    rows stay.
     """
-    if not candidates:
-        return []
-    cols = np.stack(
-        [np.concatenate([vec(h).real, vec(h).imag]) for h in candidates], axis=1
-    )
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > cfg.null_tol * max(s[0], 1e-300)
-    basis = []
-    for col in u[:, keep].T:
-        m = unvec(col[: dim * dim] + 1j * col[dim * dim :], dim)
-        basis.append(herm_part(m))
-    return basis
+    d = math.isqrt(m.shape[0])
+    g = m.reshape(d, d, -1)  # g[j, i] is the row of the entry (i, j)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = g[j, i], g[i, j]
+    out = g.copy()
+    out[j, i] = (upper + lower) * _SQRT_HALF
+    out[i, j] = phase * (lower - upper) * _SQRT_HALF
+    return out.reshape(d * d, -1)
+
+
+def _hermitian(c: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix with real coordinates c in the basis H_k."""
+    lo, up = np.tril(c, -1), np.triu(c, 1)
+    return np.diag(np.diag(c)) + (up + up.T + 1j * (lo - lo.T)) * _SQRT_HALF
 
 
 def fixed_space_basis(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
-) -> FixedSpace:
-    """Kernel of (S - I), converted to a Hermitian basis.
+) -> NullspaceResult:
+    """HS-orthonormal Hermitian basis of {a : Phi(a) = a}.
 
-    Phi commutes with the adjoint, so the kernel is *-closed and splitting
-    each complex basis element into Hermitian and anti-Hermitian parts
-    stays inside the fixed space.  Non-unital families are accepted (the
-    kernel is still well defined) but flagged.
+    One rank decision: the kernel of the real matrix U*(S - I)U (module
+    docstring), whose singular values are those of S - I.  Non-unital
+    families are accepted; the kernel is still well defined.
     """
-    rep = normalization_report(kf, cfg)
-    sop = superoperator_matrix(kf)
-    ns: NullspaceResult = nullspace_basis(
-        sop.matrix - np.eye(kf.dim**2), kf.dim, cfg
-    )
-    candidates = []
-    for b in ns.basis:
-        candidates.append(herm_part(b))
-        candidates.append((b - b.conj().T) / 2.0j)
-    basis = _hermitian_reorthonormalize(candidates, kf.dim, cfg)
-    return FixedSpace(
-        dimension=len(basis),
-        herm_basis=basis,
-        rank_warning=ns.rank_warning,
-        unital=rep.is_unital,
-    )
+    a = superoperator_matrix(kf).matrix - np.eye(kf.dim**2)
+    system = _pair_rows(_pair_rows(a.T, 1j).T, -1j).real
+    ns = nullspace_basis(system, kf.dim, cfg)
+    return replace(ns, basis=[_hermitian(c) for c in ns.basis])

@@ -36,6 +36,17 @@ from .verify import (
 __all__ = ["main", "run"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count option: a usage error (exit 2) below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -63,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel")
     p.add_argument("operator")
     p.add_argument("--algebra", default=None, help="block algebra JSON (default: full algebra)")
-    p.add_argument("--powers", type=int, default=8)
+    p.add_argument("--powers", type=_positive_int, default=8)
 
     p = sub.add_parser("corollary", parents=[common], help="fixed point with finite square")
     p.add_argument("channel")
     p.add_argument("operator")
     p.add_argument("--algebra", default=None)
-    p.add_argument("--powers", type=int, default=8)
+    p.add_argument("--powers", type=_positive_int, default=8)
 
     p = sub.add_parser("peel", parents=[common], help="eigenprojection peeling pipeline")
     p.add_argument("channel")
@@ -82,9 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", parents=[common], help="hypothesis-necessity exploration")
     p.add_argument("--mode", choices=EXPLORER_MODES, required=True)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--terms", type=int, default=3)
+    p.add_argument("--dim", type=_positive_int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--terms", type=_positive_int, default=3)
 
     return parser
 
@@ -128,34 +139,25 @@ def _cmd_check(args, cfg) -> int:
     return 0 if verdict else 1
 
 
-def _cmd_fix(args, cfg) -> int:
+def _cmd_kernel(args, cfg) -> int:
+    """``fix`` and ``commutant``: a kernel basis and its rank decision."""
     kf = io.read_channel(args.channel)
-    fs = fixed_space_basis(kf, cfg)
-    obj = {
-        "dimension": fs.dimension,
-        "unital": fs.unital,
-        "rankWarning": fs.rank_warning,
-        "basis": [io.matrix_to_obj(b) for b in fs.herm_basis],
-    }
-    lines = [f"fixed-space dimension: {fs.dimension}"]
-    if not fs.unital:
-        lines.append("warning: family is not unital")
-    if fs.rank_warning:
-        lines.append("warning: rank decision is numerically ambiguous")
-    _emit(args, obj, lines)
-    return 0
-
-
-def _cmd_commutant(args, cfg) -> int:
-    kf = io.read_channel(args.channel)
-    basis = commutant_basis(kf.operators, cfg)
-    obj = {
-        "dimension": basis.dimension,
-        "rankWarning": basis.rank_warning,
-        "basis": [io.matrix_to_obj(b) for b in basis.elements],
-    }
-    lines = [f"commutant dimension: {basis.dimension}"]
-    if basis.rank_warning:
+    obj, lines = {}, []
+    if args.command == "fix":
+        ns = fixed_space_basis(kf, cfg)
+        obj["unital"] = normalization_report(kf, cfg).is_unital
+        lines.append(f"fixed-space dimension: {ns.dimension}")
+        if not obj["unital"]:
+            lines.append("warning: family is not unital")
+    else:
+        ns = commutant_basis(kf.operators, cfg)
+        lines.append(f"commutant dimension: {ns.dimension}")
+    obj.update(
+        dimension=ns.dimension,
+        rankWarning=ns.rank_warning,
+        basis=[io.matrix_to_obj(b) for b in ns.basis],
+    )
+    if ns.rank_warning:
         lines.append("warning: rank decision is numerically ambiguous")
     _emit(args, obj, lines)
     return 0
@@ -259,8 +261,8 @@ def _cmd_explore(args, cfg) -> int:
 
 _COMMANDS = {
     "check": _cmd_check,
-    "fix": _cmd_fix,
-    "commutant": _cmd_commutant,
+    "fix": _cmd_kernel,
+    "commutant": _cmd_kernel,
     "verify": _cmd_verify,
     "corollary": _cmd_verify,
     "peel": _cmd_peel,

@@ -39,7 +39,6 @@ __all__ = [
     "vec",
     "unvec",
     "commutator",
-    "matrix_units",
     "herm_eig",
     "mat_func",
     "psd_min_eig",
@@ -146,17 +145,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def matrix_units(dim: int) -> list[np.ndarray]:
-    """The e_ij basis of the full matrix algebra, HS-orthonormal."""
-    units = []
-    for j in range(dim):
-        for i in range(dim):
-            m = np.zeros((dim, dim), dtype=np.complex128)
-            m[i, j] = 1.0
-            units.append(m)
-    return units
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Clustered eigendecomposition a = sum_n lambda_n p_n.
@@ -253,7 +241,10 @@ def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NullspaceResult:
-    """Kernel basis of a linear map on matrices, plus rank diagnostics."""
+    """Kernel basis of a linear map on matrices, plus rank diagnostics.
+
+    Also the record of ``fixed_space_basis`` and ``commutant_basis``.
+    """
 
     basis: list[np.ndarray]
     rank_warning: bool
@@ -270,9 +261,10 @@ def nullspace_basis(
     """HS-orthonormal basis of {m : system @ vec(m) = 0}.
 
     ``system`` has shape (rows, dim*dim) and acts on column-stacked
-    vectorizations.  An empty system returns the full matrix space.  A
-    singular value within a factor 10 of the rank threshold sets
-    ``rank_warning``.
+    vectorizations.  A real system stays real: its SVD runs in float64 and
+    its basis is real.  An empty system returns the full matrix space, as
+    the units e_ij in column-stacked order.  A singular value within a
+    factor 10 of the rank threshold sets ``rank_warning``.
 
     A tall system A is first replaced by the square R factor of its
     Householder QR: A*A = R*R, so the singular values and right singular
@@ -281,11 +273,8 @@ def nullspace_basis(
     rank decision still sees the condition number of A; the Gram matrix
     A*A would square it and push ``null_tol`` below rounding.
     """
-    system = np.asarray(system, dtype=np.complex128)
-    if system.size == 0:
-        return NullspaceResult(
-            basis=matrix_units(dim), rank_warning=False, singular_values=np.array([])
-        )
+    system = np.asarray(system)
+    system = system.astype(np.result_type(system, np.float64), copy=False)
     if system.shape[1] != dim * dim:
         raise ValueError(
             f"system has {system.shape[1]} columns, expected {dim * dim}"

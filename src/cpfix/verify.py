@@ -46,7 +46,7 @@ from .algebra import (
     invariance_check,
     trace_tau,
 )
-from .io import channel_to_obj
+from .io import channel_to_obj, matrix_to_obj
 from .jensen import EpsFunction
 
 __all__ = [
@@ -82,8 +82,8 @@ def _trace_chain(
 ) -> float:
     # negative rounding noise in the spectrum is clamped to zero
     root = dec.apply(lambda t: np.sqrt(max(t, 0.0)))
-    # Tr(W .) with no membership check: root e root may leave the algebra
-    return abs(tau_phi - float(np.trace(alg.weight_matrix @ (root @ row_sum @ root)).real))
+    # no membership check: root e root may leave the algebra
+    return abs(tau_phi - alg.trace(root @ row_sum @ root))
 
 
 def trace_chain_residual(
@@ -103,14 +103,14 @@ def _trace_gap(
     rep: NormalizationReport,
     cfg: ToleranceConfig,
 ) -> tuple[float, float]:
-    """(tau(h), trace gap) of a positive ``h`` whose spectrum, image and report are known."""
+    """(tau(h), trace gap) of a positive ``h`` in the algebra; spectrum, image and report given."""
     if not rep.is_subunital_dual:
         raise PreconditionError("family violates sum mu x x* <= 1")
     try:
-        tau_a = trace_tau(alg, h, cfg)
         tau_phi = trace_tau(alg, phi_h, cfg)
     except MembershipError as exc:
-        raise PreconditionError(f"a or Phi(a) is not in the algebra: {exc}") from exc
+        raise PreconditionError(f"Phi(a) is not in the algebra: {exc}") from exc
+    tau_a = alg.trace(h)
     chain = _trace_chain(alg, dec, tau_phi, rep.row_sum)
     if chain > cfg.eq_tol * max(1.0, abs(tau_a)):
         raise PreconditionError(
@@ -131,6 +131,8 @@ def trace_inequality_check(
     h = hermitize(a, cfg)
     if psd_min_eig(h, cfg) < -cfg.psd_tol:
         raise PreconditionError("a must be positive semidefinite")
+    if not alg.contains(h, cfg):
+        raise PreconditionError("a is not in the algebra")
     rep = normalization_report(kf, cfg)
     return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
 
@@ -569,8 +571,8 @@ class TrialConfig:
     n_terms: int = 3
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.dim < 1 or self.trials < 1 or self.n_terms < 1:
+            raise ValueError("dim, trials and n_terms must be >= 1")
         if self.mode not in EXPLORER_MODES:
             raise ValueError(f"mode must be one of {EXPLORER_MODES}")
 
@@ -635,8 +637,7 @@ def hypothesis_explorer(
             top = float(np.linalg.eigvalsh(herm_part(row))[-1])
             ops = [x / np.sqrt(top) for x in raw]
         kf = KrausFamily.from_operators(ops)
-        fs = fixed_space_basis(kf, cfg)
-        for b in fs.herm_basis:
+        for b in fixed_space_basis(kf, cfg).basis:
             res = max(opnorm(commutator(b, x)) for x in kf.operators)
             max_res = max(max_res, res)
             if res > CONCLUSION_SLACK * cfg.eq_tol * rel_scale(b):
@@ -644,10 +645,7 @@ def hypothesis_explorer(
                     {
                         "trial": trial,
                         "commutatorResidual": res,
-                        "fixedElement": [
-                            [[float(z.real), float(z.imag)] for z in rrow]
-                            for rrow in b
-                        ],
+                        "fixedElement": matrix_to_obj(b),
                         "family": channel_to_obj(kf),
                     }
                 )

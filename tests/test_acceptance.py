@@ -60,11 +60,11 @@ def test_criterion_1_lueders_instance():
     ok = fs.dimension == 2
     worst = 0.0
     for target in (E11, E22):
-        worst = max(worst, _span_residual(target, fs.herm_basis))
-    for b in fs.herm_basis:
-        worst = max(worst, _span_residual(b, cb.elements))
-    for b in cb.elements:
-        worst = max(worst, _span_residual(b, fs.herm_basis))
+        worst = max(worst, _span_residual(target, fs.basis))
+    for b in fs.basis:
+        worst = max(worst, _span_residual(b, cb.basis))
+    for b in cb.basis:
+        worst = max(worst, _span_residual(b, fs.basis))
     elapsed = time.perf_counter() - start
     ok = ok and worst <= 1e-9 and elapsed < 1.0
     _verdict(1, ok, f"dim={fs.dimension} residual={worst:.2e} time={elapsed:.2f}s")
@@ -78,7 +78,7 @@ def _bistochastic_fixed_points(seed_base, families_per_dim, dims=(2, 3, 4)):
             n = 2 + (k % 2)
             kf = random_bistochastic(d, n, seed_base + 1000 * d + k)
             fs = fixed_space_basis(kf, CFG)
-            for b in fs.herm_basis:
+            for b in fs.basis:
                 out.append((kf, b + opnorm(b) * np.eye(d)))
     return out
 
@@ -157,7 +157,7 @@ def test_criterion_6_peel_suite():
         d = int(rng.integers(2, 6))
         n = int(rng.integers(2, d + 1))
         kf = random_selfadjoint_family(d, n, 60_000 + k)
-        basis = commutant_basis(kf.operators, CFG).elements
+        basis = commutant_basis(kf.operators, CFG).basis
         herm = []
         for b in basis:
             herm.append((b + b.conj().T) / 2.0)

@@ -41,49 +41,49 @@ class TestBlockAlgebra:
 
 class TestCommutant:
     def test_identity_family(self):
-        basis = commutant_basis([np.eye(2, dtype=complex)], CFG)
-        assert basis.dimension == 4
+        comm = commutant_basis([np.eye(2, dtype=complex)], CFG)
+        assert comm.dimension == 4
 
     def test_empty_family_full_space(self):
         assert commutant_basis([], CFG, dim=2).dimension == 4
 
     def test_sigma_x(self):
-        basis = commutant_basis([SIGMA_X], CFG)
-        assert basis.dimension == 2
+        comm = commutant_basis([SIGMA_X], CFG)
+        assert comm.dimension == 2
         for target in (np.eye(2, dtype=complex), SIGMA_X):
-            proj = sum(np.vdot(vec(b), vec(target)) * b for b in basis.elements)
+            proj = sum(np.vdot(vec(b), vec(target)) * b for b in comm.basis)
             assert opnorm(proj - target) <= 1e-10
 
     def test_pauli_pair_gives_scalars(self):
-        basis = commutant_basis([SIGMA_X, SIGMA_Z], CFG)
-        assert basis.dimension == 1
-        b = basis.elements[0]
+        comm = commutant_basis([SIGMA_X, SIGMA_Z], CFG)
+        assert comm.dimension == 1
+        b = comm.basis[0]
         assert opnorm(b - b[0, 0] * np.eye(2)) <= 1e-10
 
     def test_elements_commute(self):
         rng = np.random.default_rng(21)
         x = random_hermitian(4, rng)
-        basis = commutant_basis([x], CFG)
-        for b in basis.elements:
+        comm = commutant_basis([x], CFG)
+        for b in comm.basis:
             assert opnorm(b @ x - x @ b) <= CFG.eq_tol
 
     def test_closed_under_adjoint(self):
         rng = np.random.default_rng(22)
         x = random_hermitian(3, rng)
-        basis = commutant_basis([x], CFG)
-        for b in basis.elements:
+        comm = commutant_basis([x], CFG)
+        for b in comm.basis:
             adj = b.conj().T
-            proj = sum(np.vdot(vec(c), vec(adj)) * c for c in basis.elements)
+            proj = sum(np.vdot(vec(c), vec(adj)) * c for c in comm.basis)
             assert opnorm(proj - adj) <= 1e-9
 
     def test_closed_under_products(self):
         rng = np.random.default_rng(23)
         x = random_hermitian(4, rng)
-        basis = commutant_basis([x], CFG)
-        for b in basis.elements[:3]:
-            for c in basis.elements[:3]:
+        comm = commutant_basis([x], CFG)
+        for b in comm.basis[:3]:
+            for c in comm.basis[:3]:
                 prod = b @ c
-                proj = sum(np.vdot(vec(e), vec(prod)) * e for e in basis.elements)
+                proj = sum(np.vdot(vec(e), vec(prod)) * e for e in comm.basis)
                 assert opnorm(proj - prod) <= 1e-8
 
     def test_no_tall_svd(self, monkeypatch):
@@ -97,8 +97,8 @@ class TestCommutant:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         rng = np.random.default_rng(61)
-        basis = commutant_basis([random_complex(6, rng) for _ in range(3)], CFG)
-        assert basis.dimension == 1
+        comm = commutant_basis([random_complex(6, rng) for _ in range(3)], CFG)
+        assert comm.dimension == 1
         assert shapes == [(36, 36)]
 
 

@@ -14,8 +14,8 @@ from cpfix.channel import (
     superoperator_matrix,
 )
 from cpfix.algebra import commutant_basis
-from cpfix.matcore import ToleranceConfig, opnorm, vec
-from cpfix.verify import random_bistochastic
+from cpfix.matcore import ToleranceConfig, nullspace_basis, opnorm, vec
+from cpfix.verify import haar_unitary, random_bistochastic, random_selfadjoint_family
 
 from conftest import (
     E11,
@@ -224,19 +224,19 @@ class TestFixedSpace:
         fs = fixed_space_basis(lueders, CFG)
         assert fs.dimension == 2
         for target in (E11, E22):
-            proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.herm_basis)
+            proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.basis)
             assert opnorm(proj - target) <= 1e-10
 
     def test_mixture_span(self, mixture):
         fs = fixed_space_basis(mixture, CFG)
         assert fs.dimension == 2
         for target in (np.eye(2, dtype=complex), SIGMA_X):
-            proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.herm_basis)
+            proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.basis)
             assert opnorm(proj - target) <= 1e-10
 
     def test_basis_is_hermitian_and_fixed(self, mixture):
         fs = fixed_space_basis(mixture, CFG)
-        for b in fs.herm_basis:
+        for b in fs.basis:
             assert opnorm(b - b.conj().T) <= 1e-12
             assert opnorm(apply_map(mixture, b) - b) <= CFG.eq_tol
 
@@ -245,5 +245,84 @@ class TestFixedSpace:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             kf = random_unital_family(d, 2, rng)
-            for b in commutant_basis(kf.operators, CFG).elements:
+            for b in commutant_basis(kf.operators, CFG).basis:
                 assert opnorm(apply_map(kf, b) - b) <= 1e-9
+
+    def test_one_real_rank_decision(self, monkeypatch):
+        # one nullspace_basis call on a float64 system, and no other SVD
+        import cpfix.channel as channel_mod
+
+        systems, svds = [], []
+        real_nullspace, real_svd = channel_mod.nullspace_basis, np.linalg.svd
+
+        def recording_nullspace(system, *args, **kwargs):
+            systems.append((system.dtype, system.shape))
+            return real_nullspace(system, *args, **kwargs)
+
+        def recording_svd(a, *args, **kwargs):
+            svds.append(a.dtype)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(channel_mod, "nullspace_basis", recording_nullspace)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert fixed_space_basis(random_bistochastic(5, 3, 0), CFG).dimension == 1
+        assert systems == [(np.float64, (25, 25))]
+        assert svds == [np.float64]
+
+    def test_matches_complex_kernel_oracle(self):
+        # the oracle is the complex kernel of S - I, with its own rank decision
+        counts = dict.fromkeys(FAMILY_KINDS, 0)
+        for kind, kf in _families(np.random.default_rng(71), 120):
+            d = kf.dim
+            oracle = nullspace_basis(superoperator_matrix(kf).matrix - np.eye(d * d), d, CFG)
+            fs = fixed_space_basis(kf, CFG)
+            assert fs.dimension == oracle.dimension
+            assert fs.rank_warning == oracle.rank_warning
+            s, t = fs.singular_values, oracle.singular_values
+            assert np.max(np.abs(s - t)) <= 1e-12 * t[0]
+            got = np.reshape([vec(b) for b in fs.basis], (-1, d * d))
+            want = np.reshape([vec(b) for b in oracle.basis], (-1, d * d))
+            # distance between the orthogonal projectors onto the two spans
+            assert opnorm(got.T @ got.conj() - want.T @ want.conj()) <= 1e-10
+            assert opnorm(got.conj() @ got.T - np.eye(fs.dimension)) <= 1e-12
+            for b in fs.basis:
+                assert np.array_equal(b, b.conj().T)
+                assert opnorm(apply_map(kf, b) - b) <= CFG.eq_tol
+            counts[kind] += 1
+        assert min(counts.values()) >= 25
+
+
+FAMILY_KINDS = ("bistochastic", "selfadjoint", "block", "nonunital")
+
+
+def _families(rng, count):
+    """(kind, family) pairs, d = 2..8 and 2 or 3 terms, cycling through FAMILY_KINDS.
+
+    ``block`` is V(direct sum of Haar blocks)V*/sqrt(n), whose fixed space is
+    one scalar per block; ``nonunital`` has sum x x* = I (trace preserving,
+    so a fixed state exists) or sum x x* <= I with norm 1.
+    """
+    for k in range(count):
+        kind = FAMILY_KINDS[k % len(FAMILY_KINDS)]
+        d, n = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        seed = int(rng.integers(0, 2**32))
+        if kind == "bistochastic":
+            kf = random_bistochastic(d, n, seed)
+        elif kind == "selfadjoint":
+            kf = random_selfadjoint_family(d, min(n, d), seed)
+        elif kind == "block":
+            cuts = np.sort(rng.choice(np.arange(1, d), size=min(2, d - 1), replace=False))
+            v = haar_unitary(d, rng)
+            ops = []
+            for _ in range(n):
+                x = np.zeros((d, d), dtype=complex)
+                for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
+                    x[lo:hi, lo:hi] = haar_unitary(int(hi - lo), rng)
+                ops.append(v @ x @ v.conj().T / np.sqrt(n))
+            kf = KrausFamily.from_operators(ops)
+        else:
+            ops = [random_complex(d, rng) for _ in range(n)]
+            w, u = np.linalg.eigh(sum(x @ x.conj().T for x in ops))
+            scale = (u * w**-0.5) @ u.conj().T if k % 8 == 3 else np.eye(d) / np.sqrt(w[-1])
+            kf = KrausFamily.from_operators([scale @ x for x in ops])
+        yield kind, kf

@@ -129,6 +129,50 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["dimension"] == 2
 
+    @pytest.mark.parametrize(
+        "command, lines, keys",
+        [
+            ("fix", ["fixed-space dimension: 1", "warning: family is not unital"], {"unital"}),
+            ("commutant", ["commutant dimension: 2"], set()),
+        ],
+    )
+    def test_kernel_report(self, tmp_path, command, lines, keys, capsys):
+        # Phi(a) = e11 a e11 fixes C e11; e11 commutes with the diagonal matrices
+        path = tmp_path / "e11.json"
+        io.write_channel(path, KrausFamily.from_operators([np.diag([1.0, 0.0])]))
+        assert run([command, str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert run([command, str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"dimension", "rankWarning", "basis"} | keys
+        assert report["dimension"] == int(lines[0].split()[-1])
+        assert report.get("unital", False) is False
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--powers", "0"],
+            ["verify", "--powers", "0", "--json"],
+            ["corollary", "--powers", "-1"],
+            ["corollary", "--powers", "0", "--json"],
+            ["explore", "--dim", "0"],
+            ["explore", "--terms", "0"],
+            ["explore", "--trials", "0"],
+            ["explore", "--trials", "two"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_nonpositive_count_exit_two(self, tmp_path, lueders_file, args, capsys):
+        command, options = args[0], args[1:]
+        if command == "explore":
+            argv = ["explore", "--mode", "unital-only", *options]
+        else:
+            argv = [command, lueders_file, _matrix_file(tmp_path, "a.json", np.diag([1.0, 3.0])), *options]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{options[0]}: expected a positive integer, got '{options[1]}'" in captured.err
+
     def test_verify_mixture(self, tmp_path, mixture_file, capsys):
         a = _matrix_file(tmp_path, "a.json", [[2, 1], [1, 2]])
         assert run(["verify", mixture_file, a, "--json"]) == 0

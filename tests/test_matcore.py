@@ -8,7 +8,6 @@ from cpfix.matcore import (
     herm_eig,
     hermitize,
     mat_func,
-    matrix_units,
     nullspace_basis,
     opnorm,
     psd_min_eig,
@@ -138,6 +137,9 @@ class TestNullspace:
         res = nullspace_basis(np.zeros((0, 4)), 2, CFG)
         assert res.dimension == 4
         assert not res.rank_warning
+        # the matrix units e_ij, in column-stacked order
+        for k, b in enumerate(res.basis):
+            np.testing.assert_array_equal(vec(b), np.eye(4)[k])
 
     def test_commutant_of_identity(self):
         eye = np.eye(2)
@@ -181,6 +183,28 @@ class TestNullspace:
         smax = res.singular_values[0]
         for b in res.basis:
             assert np.linalg.norm(system @ vec(b)) <= CFG.null_tol * smax
+
+    @pytest.mark.parametrize("blocks", [1, 2], ids=["square", "tall"])
+    def test_real_system_stays_real(self, monkeypatch, blocks):
+        # a float64 SVD, with the dimension and singular values of the complex128 cast
+        dtypes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        x = random_hermitian(4, np.random.default_rng(15)).real
+        eye = np.eye(4)
+        system = np.vstack([np.kron(eye, y) - np.kron(y.T, eye) for y in (x, x @ x)[:blocks]])
+        res = nullspace_basis(system, 4, CFG)
+        cast = nullspace_basis(system.astype(np.complex128), 4, CFG)
+        assert dtypes == [np.float64, np.complex128]
+        assert res.dimension == cast.dimension == 4
+        assert all(b.dtype == np.float64 for b in res.basis)
+        s, t = res.singular_values, cast.singular_values
+        assert np.max(np.abs(s - t)) <= 1e-12 * t[0]
 
     def test_tall_system_matches_full_svd_oracle(self):
         rng = np.random.default_rng(41)
@@ -246,13 +270,6 @@ def test_vec_unvec_roundtrip():
     np.testing.assert_array_equal(unvec(vec(a), 3), a)
     # column stacking: first d entries are the first column
     np.testing.assert_array_equal(vec(a)[:3], a[:, 0])
-
-
-def test_matrix_units_orthonormal():
-    units = matrix_units(3)
-    assert len(units) == 9
-    gram = np.array([[np.vdot(vec(u), vec(v)) for v in units] for u in units])
-    np.testing.assert_allclose(gram, np.eye(9), atol=1e-15)
 
 
 def test_tolerance_config_validation():

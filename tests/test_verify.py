@@ -58,6 +58,11 @@ class TestTraceInequality:
         with pytest.raises(PreconditionError):
             trace_inequality_check(kf, FULL2, np.eye(2), CFG)
 
+    def test_rejects_operator_outside_algebra(self, identity_channel):
+        a = np.array([[2, 1], [1, 2]], dtype=complex)
+        with pytest.raises(PreconditionError, match="a is not in the algebra"):
+            trace_inequality_check(identity_channel, BlockAlgebra((1, 1), (1.0, 1.0)), a, CFG)
+
 
 class TestTheoremVerify:
     def test_identity_channel(self, identity_channel):
@@ -144,6 +149,21 @@ class TestTheoremVerify:
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
         assert calls == {"apply_map": 11, "herm_eig": 1}
+
+    def test_membership_asked_once(self, monkeypatch):
+        # on one block, aInAlgebra and tau(Phi(a)) take no SVD, and tau(a)
+        # reuses aInAlgebra's answer: 6 spectral norms fewer than 39
+        svds = [0]
+        real_norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            svds[0] += ord == 2
+            return real_norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        kf = random_bistochastic(6, 3, 0)
+        assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
+        assert svds == [33]
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
         # the deviation test (two spectral norms: deviation and scale) runs
@@ -301,7 +321,7 @@ class TestSpectralPeel:
 
 
 def _commutant_positive_element(kf, rng):
-    basis = commutant_basis(kf.operators, CFG).elements
+    basis = commutant_basis(kf.operators, CFG).basis
     herm = []
     for b in basis:
         herm.append((b + b.conj().T) / 2.0)
@@ -362,8 +382,8 @@ class TestFixCommutantCoincidence:
             fs = fixed_space_basis(kf, CFG)
             cb = commutant_basis(kf.operators, CFG)
             assert fs.dimension == cb.dimension
-            for b in fs.herm_basis:
-                proj = sum(np.vdot(vec(c), vec(b)) * c for c in cb.elements)
+            for b in fs.basis:
+                proj = sum(np.vdot(vec(c), vec(b)) * c for c in cb.basis)
                 assert opnorm(proj - b) <= 1e-8
 
     def test_super_fixed_collapse(self):
@@ -373,7 +393,7 @@ class TestFixCommutantCoincidence:
             d = int(rng.integers(2, 5))
             kf = random_bistochastic(d, 2, rng.integers(0, 2**32))
             fs = fixed_space_basis(kf, CFG)
-            for b in fs.herm_basis:
+            for b in fs.basis:
                 a = b + opnorm(b) * np.eye(d)
                 assert psd_min_eig(apply_map(kf, a) - a) >= -CFG.psd_tol
                 assert opnorm(apply_map(kf, a) - a) <= CFG.eq_tol * max(1.0, opnorm(a))
@@ -403,3 +423,9 @@ class TestExplorer:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             TrialConfig(dim=2, trials=1, seed=0, mode="nonsense")
+
+    @pytest.mark.parametrize("field", ["dim", "trials", "n_terms"])
+    def test_nonpositive_count_rejected(self, field):
+        config = {"dim": 2, "trials": 1, "seed": 0, "mode": "unital-only", "n_terms": 3}
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TrialConfig(**{**config, field: 0})
