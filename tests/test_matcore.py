@@ -137,9 +137,6 @@ class TestNullspace:
         res = nullspace_basis(np.zeros((0, 4)), 2, CFG)
         assert res.dimension == 4
         assert not res.rank_warning
-        # the matrix units e_ij, in column-stacked order
-        for k, b in enumerate(res.basis):
-            np.testing.assert_array_equal(vec(b), np.eye(4)[k])
 
     def test_commutant_of_identity(self):
         eye = np.eye(2)
@@ -270,6 +267,17 @@ def test_vec_unvec_roundtrip():
     np.testing.assert_array_equal(unvec(vec(a), 3), a)
     # column stacking: first d entries are the first column
     np.testing.assert_array_equal(vec(a)[:3], a[:, 0])
+
+
+def test_matrix_units_orthonormal():
+    # an empty system leaves the full space, as the units e_ij in
+    # column-stacked order
+    units = nullspace_basis(np.zeros((0, 9)), 3, CFG).basis
+    assert len(units) == 9
+    for k, u in enumerate(units):
+        np.testing.assert_array_equal(vec(u), np.eye(9)[k])
+    gram = np.array([[np.vdot(vec(u), vec(v)) for v in units] for u in units])
+    np.testing.assert_allclose(gram, np.eye(9), atol=1e-15)
 
 
 def test_tolerance_config_validation():
