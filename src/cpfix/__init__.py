@@ -6,6 +6,7 @@ as a checkable numerical operation.
 """
 
 from .matcore import (
+    Check,
     DomainError,
     HermiticityError,
     SpectralDecomposition,
@@ -18,7 +19,6 @@ from .matcore import (
     psd_min_eig,
 )
 from .channel import (
-    ChoiCheck,
     DimensionMismatchError,
     KrausFamily,
     NormalizationReport,

@@ -108,8 +108,9 @@ def commutant_basis(
     """Orthonormal basis of {a : a x = x a for every x in the family}.
 
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
-    matrices; an empty family is the empty system, whose kernel is the full
-    matrix space (``dim`` must then be supplied).
+    matrices, with rank cut relative to at least max ||x||; an empty family
+    is the empty system, whose kernel is the full matrix space (``dim`` must
+    then be supplied).
     """
     family = [as_cmatrix(x) for x in family]
     if not family and dim is None:
@@ -120,8 +121,9 @@ def commutant_basis(
             raise ValueError("family members must share one dimension")
     eye = np.eye(d)
     rows = [np.kron(eye, x) - np.kron(x.T, eye) for x in family]
+    scale = max((opnorm(x) for x in family), default=0.0)
     # stacks the blocks; no blocks give the (0, d*d) empty system
-    return nullspace_basis(np.reshape(rows, (-1, d * d)), d, cfg)
+    return nullspace_basis(np.reshape(rows, (-1, d * d)), d, cfg, scale)
 
 
 def trace_tau(

@@ -38,6 +38,7 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    Check,
     NullspaceResult,
     ToleranceConfig,
     as_cmatrix,
@@ -53,7 +54,6 @@ __all__ = [
     "KrausFamily",
     "NormalizationReport",
     "Superoperator",
-    "ChoiCheck",
     "apply_map",
     "dual_apply",
     "normalization_report",
@@ -253,17 +253,12 @@ def choi_matrix(sop: Superoperator) -> np.ndarray:
     return sop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
-class ChoiCheck:
-    is_cp: bool
-    min_eig: float
-
-
-def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ChoiCheck:
+def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Check:
     """CP certificate: the Choi min eig must be >= -psd_tol * max(1, ||C||)."""
     w = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
     m = float(w[0])
-    return ChoiCheck(is_cp=m >= -cfg.psd_tol * max(1.0, float(np.abs(w).max())), min_eig=m)
+    bound = -cfg.psd_tol * max(1.0, float(np.abs(w).max()))
+    return Check("choiMinEig", m, bound, f"Choi min eigenvalue {m:.3e}", lower=True)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -299,10 +294,11 @@ def fixed_space_basis(
     """HS-orthonormal Hermitian basis of {a : Phi(a) = a}.
 
     One rank decision: the kernel of the real matrix U*(S - I)U (module
-    docstring), whose singular values are those of S - I.  Non-unital
-    families are accepted; the kernel is still well defined.
+    docstring), whose singular values are those of S - I, cut relative to
+    at least the scale 1 of its identity part.  Non-unital families are
+    accepted; the kernel is still well defined.
     """
     a = superoperator_matrix(kf).matrix - np.eye(kf.dim**2)
     system = _pair_rows(_pair_rows(a.T, 1j).T, -1j).real
-    ns = nullspace_basis(system, kf.dim, cfg)
+    ns = nullspace_basis(system, kf.dim, cfg, scale=1.0)
     return replace(ns, basis=[_hermitian(c) for c in ns.basis])

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 from . import io
-from .matcore import DomainError, HermiticityError, ToleranceConfig
+from .matcore import DEFAULT_TOL, DomainError, HermiticityError, ToleranceConfig
 from .algebra import BlockAlgebra, commutant_basis
 from .channel import (
     DimensionMismatchError,
@@ -36,23 +37,46 @@ from .verify import (
 __all__ = ["main", "run"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count option: a usage error (exit 2) below 1."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every count option: a usage error (exit 2) below 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``, also applied to $CPFIX_SEED."""
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="equality tolerance (default 1e-9)")
-    common.add_argument("--psd-tol", type=float, default=1e-8, help="positivity tolerance (default 1e-8)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to $CPFIX_SEED, then 0)")
+    common.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL.eq_tol, help="equality tolerance (default %(default)g)"
+    )
+    common.add_argument(
+        "--psd-tol", type=float, default=DEFAULT_TOL.psd_tol, help="positivity tolerance (default %(default)g)"
+    )
+    common.add_argument("--seed", type=_seed, default=None, help="RNG seed (falls back to $CPFIX_SEED, then 0)")
     common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
 
     parser = argparse.ArgumentParser(
@@ -89,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jensen", parents=[common], help="Jensen operator inequality residual")
     p.add_argument("channel")
     p.add_argument("operator")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
 
     p = sub.add_parser("explore", parents=[common], help="hypothesis-necessity exploration")
     p.add_argument("--mode", choices=EXPLORER_MODES, required=True)
@@ -106,40 +130,35 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("CPFIX_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise io.SchemaError(f"CPFIX_SEED is not an integer: {env!r}") from exc
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise io.SchemaError(f"CPFIX_SEED: {exc}") from exc
     return 0
 
 
-def _emit(args, obj: dict, human_lines: list[str]):
-    if args.json:
-        sys.stdout.write(io.canonical_dumps(obj))
-    else:
-        for line in human_lines:
-            print(line)
+# Each handler returns (verdict, JSON object, human-readable lines); run
+# emits one of the two and maps the verdict to the exit code.
 
 
-def _cmd_check(args, cfg) -> int:
+def _cmd_check(args, cfg):
     kf = io.read_channel(args.channel)
     rep = normalization_report(kf, cfg)
     choi = choi_psd_check(superoperator_matrix(kf), cfg)
     verdict = (
-        rep.is_unital and rep.is_subunital_dual and rep.rigidity_holds and choi.is_cp
+        rep.is_unital and rep.is_subunital_dual and rep.rigidity_holds and choi.passed
     )
     obj = {
         "verdict": verdict,
         "flags": rep.flags(),
-        "choiMinEig": choi.min_eig,
+        "choiMinEig": choi.value,
     }
     lines = [f"{k}: {v}" for k, v in rep.flags().items()]
-    lines.append(f"choi min eigenvalue: {choi.min_eig:.3e} (CP: {choi.is_cp})")
+    lines.append(f"choi min eigenvalue: {choi.value:.3e} (CP: {choi.passed})")
     lines.append(f"verdict: {verdict}")
-    _emit(args, obj, lines)
-    return 0 if verdict else 1
+    return verdict, obj, lines
 
 
-def _cmd_kernel(args, cfg) -> int:
+def _cmd_kernel(args, cfg):
     """``fix`` and ``commutant``: a kernel basis and its rank decision."""
     kf = io.read_channel(args.channel)
     obj, lines = {}, []
@@ -159,8 +178,7 @@ def _cmd_kernel(args, cfg) -> int:
     )
     if ns.rank_warning:
         lines.append("warning: rank decision is numerically ambiguous")
-    _emit(args, obj, lines)
-    return 0
+    return True, obj, lines
 
 
 def _load_algebra(args, dim: int) -> BlockAlgebra:
@@ -174,54 +192,43 @@ def _load_algebra(args, dim: int) -> BlockAlgebra:
     return alg
 
 
-def _report_lines(report) -> list[str]:
-    d = report.to_dict()
-    lines = [f"verdict: {d['verdict']}"]
-    for k, v in d["hypotheses"].items():
-        lines.append(f"hypothesis {k}: {v}")
-    res = d["residuals"]
-    if res["fixedness"] is not None:
-        lines.append(f"trace gap: {res['traceGap']:.3e}")
-        lines.append(f"fixedness residual: {res['fixedness']:.3e}")
-        lines.append(f"max power residual: {max(res['powers']):.3e}")
-        lines.append(f"max projection residual: {max(res['projections']):.3e}")
-        lines.append(f"max commutator residual: {max(res['commutators']):.3e}")
-    for msg in d["failures"]:
-        lines.append(f"failure: {msg}")
-    return lines
-
-
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args, cfg):
     """``verify`` and ``corollary``: the same I/O around two pipelines."""
     kf = io.read_channel(args.channel)
     a = io.read_matrix(args.operator)
     alg = _load_algebra(args, kf.dim)
     pipeline = corollary_verify if args.command == "corollary" else theorem_verify
     report = pipeline(kf, alg, a, cfg, powers=args.powers)
-    _emit(args, report.to_dict(), _report_lines(report))
-    return 0 if report.verdict else 1
+    lines = [f"verdict: {report.verdict}"]
+    lines += [f"hypothesis {k}: {v}" for k, v in report.hypotheses.items()]
+    res = report.residuals
+    if res("fixedness"):
+        lines.append(f"trace gap: {res('traceGap')[0]:.3e}")
+        lines.append(f"fixedness residual: {res('fixedness')[0]:.3e}")
+        lines.append(f"max power residual: {max(res('powers')):.3e}")
+        lines.append(f"max projection residual: {max(res('projections')):.3e}")
+        lines.append(f"max commutator residual: {max(res('commutators')):.3e}")
+    lines += [f"failure: {msg}" for msg in report.failures]
+    return report.verdict, report.to_dict(), lines
 
 
-def _cmd_peel(args, cfg) -> int:
+def _cmd_peel(args, cfg):
     kf = io.read_channel(args.channel)
     a = io.read_matrix(args.operator)
     trace = spectral_peel(kf, a, cfg)
-    d = trace.to_dict()
-    lines = [f"verdict: {d['verdict']}"]
-    for k, step in enumerate(d["steps"]):
+    lines = [f"verdict: {trace.verdict}"]
+    for k, step in enumerate(trace.steps):
         lines.append(
-            f"step {k}: eigenvalue {step['eigenvalue']:.6g}, "
-            f"commutator {step['commutatorResidual']:.3e}, "
-            f"fixedness {step['fixednessResidual']:.3e}"
+            f"step {k}: eigenvalue {step.eigenvalue:.6g}, "
+            f"commutator {step.commutator_residual:.3e}, "
+            f"fixedness {step.fixedness_residual:.3e}"
         )
-    lines.append(f"reconstruction residual: {d['reconstructionResidual']:.3e}")
-    for msg in d["failures"]:
-        lines.append(f"failure: {msg}")
-    _emit(args, d, lines)
-    return 0 if trace.verdict else 1
+    lines.append(f"reconstruction residual: {trace.reconstruction_residual:.3e}")
+    lines += [f"failure: {msg}" for msg in trace.failures]
+    return trace.verdict, trace.to_dict(), lines
 
 
-def _cmd_jensen(args, cfg) -> int:
+def _cmd_jensen(args, cfg):
     kf = io.read_channel(args.channel)
     a = io.read_matrix(args.operator)
     res = jensen_residual(kf, EpsFunction(args.eps), a, cfg)
@@ -236,11 +243,10 @@ def _cmd_jensen(args, cfg) -> int:
         f"min eigenvalue of (Phi(f(a)) - f(Phi(a))): {res.min_eig:.3e}",
         f"verdict: {res.verdict}",
     ]
-    _emit(args, obj, lines)
-    return 0 if res.verdict else 1
+    return res.verdict, obj, lines
 
 
-def _cmd_explore(args, cfg) -> int:
+def _cmd_explore(args, cfg):
     trial_cfg = TrialConfig(
         dim=args.dim,
         trials=args.trials,
@@ -249,14 +255,12 @@ def _cmd_explore(args, cfg) -> int:
         n_terms=args.terms,
     )
     report = hypothesis_explorer(trial_cfg, cfg)
-    d = report.to_dict()
     lines = [
         f"mode: {report.mode}, dim {report.dim}, trials {report.trials}, seed {report.seed}",
         f"violations: {len(report.violations)}",
         f"max commutator residual: {report.max_commutator_residual:.3e}",
     ]
-    _emit(args, d, lines)
-    return 0 if report.clean else 1
+    return report.clean, report.to_dict(), lines
 
 
 _COMMANDS = {
@@ -283,7 +287,13 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, cfg)
+        verdict, obj, lines = _COMMANDS[args.command](args, cfg)
+        if args.json:
+            sys.stdout.write(io.canonical_dumps(obj))
+        else:
+            for line in lines:
+                print(line)
+        return 0 if verdict else 1
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -29,6 +29,7 @@ __all__ = [
     "HermiticityError",
     "EigenConvergenceError",
     "ToleranceConfig",
+    "Check",
     "SpectralDecomposition",
     "NullspaceResult",
     "as_cmatrix",
@@ -80,6 +81,30 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+@dataclass(frozen=True)
+class Check:
+    """One asserted inequality: a residual ``value`` against its ``bound``.
+
+    An upper bound passes when value <= bound, a ``lower`` one when
+    value >= bound.  ``margin`` is the signed distance on the passing side,
+    so a NaN residual fails.  ``failure`` is the message shown when it fails.
+    """
+
+    name: str
+    value: float
+    bound: float
+    failure: str = ""
+    lower: bool = False
+
+    @property
+    def margin(self) -> float:
+        return self.value - self.bound if self.lower else self.bound - self.value
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -256,12 +281,15 @@ class NullspaceResult:
 
 
 def nullspace_basis(
-    system: np.ndarray, dim: int, cfg: ToleranceConfig = DEFAULT_TOL
+    system: np.ndarray, dim: int, cfg: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
 ) -> NullspaceResult:
     """HS-orthonormal basis of {m : system @ vec(m) = 0}.
 
     ``system`` has shape (rows, dim*dim) and acts on column-stacked
-    vectorizations.  A real system stays real: its SVD runs in float64 and
+    vectorizations.  The rank threshold is ``null_tol * max(s_max, scale)``:
+    the caller's ``scale`` is the size of the map the system represents, so
+    a system that is all rounding noise (s_max itself tiny) has full
+    nullity.  A real system stays real: its SVD runs in float64 and
     its basis is real.  An empty system returns the full matrix space, as
     the units e_ij in column-stacked order.  A singular value within a
     factor 10 of the rank threshold sets ``rank_warning``.
@@ -282,8 +310,7 @@ def nullspace_basis(
     if system.shape[0] > system.shape[1]:
         system = np.linalg.qr(system, mode="r")
     _, s, vh = np.linalg.svd(system)
-    smax = s[0] if s.size else 0.0
-    threshold = cfg.null_tol * max(smax, 1e-300)
+    threshold = cfg.null_tol * max(s[0] if s.size else 0.0, scale)
     rank = int(np.sum(s > threshold))
     warning = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
     kernel = vh[rank:].conj()

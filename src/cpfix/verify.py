@@ -16,12 +16,13 @@ must sit far above rounding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    Check,
     SpectralDecomposition,
     ToleranceConfig,
     commutator,
@@ -141,35 +142,36 @@ def trace_inequality_check(
 class TheoremReport:
     """Structured verdict of the main verification pipeline.
 
-    Residuals stay None or empty when the hypotheses already fail: the
-    conclusion is then not asserted at all.
+    ``checks`` are the conclusion stages in proof order; they stay empty
+    when a hypothesis already fails, since the conclusion is then not
+    asserted at all.  Everything else is derived from the two fields.
     """
 
     hypotheses: dict[str, bool]
-    trace_gap: float | None = None
-    fixedness_residual: float | None = None
-    f_eps_residuals: list[float] = field(default_factory=list)
-    power_residuals: list[float] = field(default_factory=list)
-    projection_residuals: list[float] = field(default_factory=list)
-    offdiag_residuals: list[float] = field(default_factory=list)
-    commutator_residuals: list[float] = field(default_factory=list)
-    verdict: bool = False
-    failures: list[str] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
+
+    def residuals(self, name: str) -> list[float]:
+        """Values of the checks called ``name``, in stage order."""
+        return [c.value for c in self.checks if c.name == name]
+
+    @property
+    def failures(self) -> list[str]:
+        hyp = [f"hypothesis failed: {k}" for k, v in self.hypotheses.items() if not v]
+        return hyp + [c.failure for c in self.checks if not c.passed]
+
+    @property
+    def verdict(self) -> bool:
+        return all(self.hypotheses.values()) and all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        res = {k: (self.residuals(k) or [None])[0] for k in ("traceGap", "fixedness")}
+        for k in ("fEps", "powers", "projections", "offDiagonal", "commutators"):
+            res[k] = self.residuals(k)
         return {
-            "verdict": bool(self.verdict),
+            "verdict": self.verdict,
             "hypotheses": {k: bool(v) for k, v in self.hypotheses.items()},
-            "residuals": {
-                "traceGap": self.trace_gap,
-                "fixedness": self.fixedness_residual,
-                "fEps": list(self.f_eps_residuals),
-                "powers": list(self.power_residuals),
-                "projections": list(self.projection_residuals),
-                "offDiagonal": list(self.offdiag_residuals),
-                "commutators": list(self.commutator_residuals),
-            },
-            "failures": list(self.failures),
+            "residuals": res,
+            "failures": self.failures,
         }
 
 
@@ -187,7 +189,7 @@ def theorem_verify(
     """
     h = hermitize(a, cfg)
     rep = normalization_report(kf, cfg)
-    return _theorem(kf, alg, h, apply_map(kf, h), rep, cfg, powers)
+    return _theorem(kf, alg, h, apply_map(kf, h), rep, cfg, powers, "commutators")
 
 
 def _theorem(
@@ -198,6 +200,7 @@ def _theorem(
     rep: NormalizationReport,
     cfg: ToleranceConfig,
     powers: int,
+    commutator_name: str,
 ) -> TheoremReport:
     """Hypotheses and conclusion stages for a hermitized ``h``, its image and the report."""
     hypotheses = {
@@ -208,76 +211,56 @@ def _theorem(
         "aPositive": psd_min_eig(h, cfg) >= -cfg.psd_tol,
         "superFixed": psd_min_eig(herm_part(phi_h - h), cfg) >= -cfg.psd_tol,
     }
-    failures = [f"hypothesis failed: {k}" for k, v in hypotheses.items() if not v]
-    if failures:
-        return TheoremReport(hypotheses, verdict=False, failures=failures)
+    if not all(hypotheses.values()):
+        return TheoremReport(hypotheses)
 
     dec = herm_eig(h, cfg)
     norm_h = opnorm(h)
     scale = max(1.0, norm_h)
     loose = CONCLUSION_SLACK * cfg.eq_tol
 
-    tau_a, trace_gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
-    if trace_gap < -cfg.eq_tol * max(1.0, abs(tau_a)):
-        failures.append(f"trace gap negative: {trace_gap:.3e}")
+    tau_a, gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
+    gap_bound = -cfg.eq_tol * max(1.0, abs(tau_a))
+    checks = [Check("traceGap", gap, gap_bound, f"trace gap negative: {gap:.3e}", lower=True)]
 
     fixedness = opnorm(phi_h - h)
-    if fixedness > cfg.eq_tol * scale:
-        failures.append(f"fixedness residual {fixedness:.3e} exceeds tolerance")
+    msg = f"fixedness residual {fixedness:.3e} exceeds tolerance"
+    checks.append(Check("fixedness", fixedness, cfg.eq_tol * scale, msg))
 
-    f_eps_residuals = []
     for eps in (0.5 / scale, -0.5 / scale):
         # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
         fa = dec.apply(EpsFunction(eps))
         r = opnorm(apply_map(kf, fa) - fa)
-        f_eps_residuals.append(r)
-        if r > loose * rel_scale(fa):
-            failures.append(f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})")
+        msg = f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})"
+        checks.append(Check("fEps", r, loose * rel_scale(fa), msg))
 
-    power_residuals = []
     power = h.copy()
     for n in range(1, powers + 1):
         r = fixedness if n == 1 else opnorm(apply_map(kf, power) - power)
-        power_residuals.append(r)
-        if r > cfg.eq_tol * max(1.0, norm_h**n):
-            failures.append(f"power residual at n={n}: {r:.3e}")
+        bound = cfg.eq_tol * max(1.0, norm_h**n)
+        checks.append(Check("powers", r, bound, f"power residual at n={n}: {r:.3e}"))
         power = power @ h
 
-    eye = np.eye(kf.dim)
-    projection_residuals = []
-    offdiag_residuals = []
     for p in dec.projections:
-        projection_residuals.append(opnorm(apply_map(kf, p) - p))
+        r = opnorm(apply_map(kf, p) - p)
+        checks.append(Check("projections", r, loose, f"projection fixedness residual {r:.3e}"))
+    eye = np.eye(kf.dim)
+    op_bound = loose * max(1.0, max(opnorm(x) for x in kf.operators))
+    for p in dec.projections:
         q = eye - p
-        off = 0.0
-        for x in kf.operators:
-            off = max(off, opnorm(p @ x @ q), opnorm(q @ x @ p))
-        offdiag_residuals.append(off)
-    for r in projection_residuals:
-        if r > loose:
-            failures.append(f"projection fixedness residual {r:.3e}")
-    op_scale = max(1.0, max(opnorm(x) for x in kf.operators))
-    for r in offdiag_residuals:
-        if r > loose * op_scale:
-            failures.append(f"off-diagonal block residual {r:.3e}")
+        r = max(max(opnorm(p @ x @ q), opnorm(q @ x @ p)) for x in kf.operators)
+        checks.append(Check("offDiagonal", r, op_bound, f"off-diagonal block residual {r:.3e}"))
 
-    commutator_residuals = [opnorm(commutator(h, x)) for x in kf.operators]
-    for r in commutator_residuals:
-        if r > loose * scale:
-            failures.append(f"commutator residual {r:.3e}")
+    checks += _commutator_checks(h, kf, loose * scale, commutator_name, "commutator residual")
+    return TheoremReport(hypotheses, checks)
 
-    return TheoremReport(
-        hypotheses=hypotheses,
-        trace_gap=trace_gap,
-        fixedness_residual=fixedness,
-        f_eps_residuals=f_eps_residuals,
-        power_residuals=power_residuals,
-        projection_residuals=projection_residuals,
-        offdiag_residuals=offdiag_residuals,
-        commutator_residuals=commutator_residuals,
-        verdict=not failures,
-        failures=failures,
-    )
+
+def _commutator_checks(
+    h: np.ndarray, kf: KrausFamily, bound: float, name: str, label: str
+) -> list[Check]:
+    """||[h, x_t]|| <= bound for each family member."""
+    residuals = [opnorm(commutator(h, x)) for x in kf.operators]
+    return [Check(name, r, bound, f"{label} {r:.3e}") for r in residuals]
 
 
 def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -313,21 +296,13 @@ def corollary_verify(
     h2 = herm_part(h @ h)
     phi_h2 = apply_map(kf, h2)
     ks = psd_min_eig(herm_part(phi_h2 - phi_h @ phi_h), cfg)
-    inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers)
-    failures = list(inner.failures)
-    if ks < -cfg.psd_tol:
-        failures.append(f"Kadison-Schwarz residual negative: {ks:.3e}")
-    comms = [opnorm(commutator(h, x)) for x in kf.operators]
+    # a^2's commutator checks count under their own name; "commutators" are a's
+    inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers, "squareCommutators")
+    msg = f"Kadison-Schwarz residual negative: {ks:.3e}"
+    ks_check = Check("kadisonSchwarz", ks, -cfg.psd_tol, msg, lower=True)
     loose = CONCLUSION_SLACK * cfg.eq_tol * rel_scale(h)
-    for r in comms:
-        if r > loose:
-            failures.append(f"commutator of a residual {r:.3e}")
-    return replace(
-        inner,
-        commutator_residuals=comms,
-        verdict=not failures,
-        failures=failures,
-    )
+    comms = _commutator_checks(h, kf, loose, "commutators", "commutator of a residual")
+    return TheoremReport(inner.hypotheses, [*inner.checks, ks_check, *comms])
 
 
 def power_fixed_check(
@@ -354,17 +329,32 @@ class PeelStep:
 
 @dataclass(frozen=True, eq=False)
 class PeelTrace:
-    """Record of the eigenprojection peeling argument, step by step."""
+    """Record of the eigenprojection peeling argument, step by step.
+
+    ``checks`` pairs each check with the step it belongs to (None for the
+    final reconstruction); the failed step is the first step with a
+    failing check.
+    """
 
     steps: list[PeelStep]
     reconstruction_residual: float
-    verdict: bool
-    failed_step: int | None = None
-    failures: list[str] = field(default_factory=list)
+    checks: list[tuple[int | None, Check]]
+
+    @property
+    def failures(self) -> list[str]:
+        return [c.failure for _, c in self.checks if not c.passed]
+
+    @property
+    def verdict(self) -> bool:
+        return all(c.passed for _, c in self.checks)
+
+    @property
+    def failed_step(self) -> int | None:
+        return next((k for k, c in self.checks if not c.passed), None)
 
     def to_dict(self) -> dict:
         return {
-            "verdict": bool(self.verdict),
+            "verdict": self.verdict,
             "steps": [
                 {
                     "eigenvalue": s.eigenvalue,
@@ -375,7 +365,7 @@ class PeelTrace:
             ],
             "reconstructionResidual": self.reconstruction_residual,
             "failedStep": self.failed_step,
-            "failures": list(self.failures),
+            "failures": self.failures,
         }
 
 
@@ -405,13 +395,13 @@ def spectral_peel(
 
     scale = rel_scale(h)
     loose = CONCLUSION_SLACK * cfg.eq_tol * scale
+    tol = cfg.eq_tol * scale
     steps: list[PeelStep] = []
-    # (step, message); the failed step is the first step that recorded one
-    failures: list[tuple[int | None, str]] = []
+    checks: list[tuple[int | None, Check]] = []
     current = h.copy()
     total = np.zeros_like(h)
     for k in range(kf.dim + 1):
-        if opnorm(current) <= cfg.eq_tol * scale:
+        if opnorm(current) <= tol:
             break
         dec = herm_eig(current, cfg)
         lam = float(dec.eigenvalues[0])
@@ -419,34 +409,31 @@ def spectral_peel(
         comm_res = max(opnorm(commutator(x, p)) for x in kf.operators)
         fix_res = opnorm(apply_map(kf, p) - p)
         steps.append(PeelStep(lam, p, comm_res, fix_res))
-        if lam < -cfg.psd_tol:
-            failures.append((k, f"step {k}: negative eigenvalue {lam:.3e}"))
+        msg = f"step {k}: negative eigenvalue {lam:.3e}"
+        checks.append((k, Check("eigenvalue", lam, -cfg.psd_tol, msg, lower=True)))
+        if not checks[-1][1].passed:
             break
-        if comm_res > loose:
-            failures.append((k, f"step {k}: commutator residual {comm_res:.3e}"))
-        if fix_res > loose:
-            failures.append((k, f"step {k}: projection not fixed, residual {fix_res:.3e}"))
+        msg = f"step {k}: commutator residual {comm_res:.3e}"
+        checks.append((k, Check("commutator", comm_res, loose, msg)))
+        msg = f"step {k}: projection not fixed, residual {fix_res:.3e}"
+        checks.append((k, Check("fixedness", fix_res, loose, msg)))
         total += lam * p
         current = herm_part(current - lam * p)
-        super_gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
-        if super_gap < -cfg.psd_tol:
-            failures.append(
-                (k, f"step {k}: super-fixed property lost, min eig {super_gap:.3e}")
-            )
+        gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
+        msg = f"step {k}: super-fixed property lost, min eig {gap:.3e}"
+        checks.append((k, Check("superFixed", gap, -cfg.psd_tol, msg, lower=True)))
+        if not checks[-1][1].passed:
             break
     else:
-        failures.append((len(steps), "peeling did not terminate within dim + 1 steps"))
+        # a (dim + 1)-th step ran: dim steps peel at most dim distinct eigenvalues
+        msg = "peeling did not terminate within dim + 1 steps"
+        checks.append((len(steps), Check("steps", len(steps), kf.dim, msg)))
 
     recon = opnorm(h - total)
-    if not failures and recon > cfg.eq_tol * scale:
-        failures.append((None, f"reconstruction residual {recon:.3e}"))
-    return PeelTrace(
-        steps=steps,
-        reconstruction_residual=recon,
-        verdict=not failures,
-        failed_step=failures[0][0] if failures else None,
-        failures=[msg for _, msg in failures],
-    )
+    if all(c.passed for _, c in checks):
+        msg = f"reconstruction residual {recon:.3e}"
+        checks.append((None, Check("reconstruction", recon, tol, msg)))
+    return PeelTrace(steps=steps, reconstruction_residual=recon, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -488,65 +475,18 @@ def _random_projective_partition(
     return out
 
 
-def random_selfadjoint_family(
-    dim: int,
-    n_terms: int,
-    seed,
-    strategy: str = "projective",
-    max_retries: int = 20,
-) -> KrausFamily:
+def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
     """Self-adjoint unital family (so both setup conditions hold with e = 1).
 
-    ``projective`` (default) draws a random orthogonal partition of the
-    identity: exactly Hermitian, exactly unital.  ``perturbed`` adds a
-    Hermitian perturbation and renormalizes iteratively; Hermiticity is
-    exact but unitality only holds to ~1e-12.
+    A random orthogonal partition of the identity into ``n_terms``
+    projections: exactly Hermitian, exactly unital.
     """
     if dim < 1 or n_terms < 1:
         raise ValueError("dim and n_terms must be >= 1")
     if n_terms > dim:
         raise ValueError("at most dim nonzero orthogonal projections exist")
     rng = np.random.default_rng(seed)
-    if strategy == "projective":
-        return KrausFamily.from_operators(
-            _random_projective_partition(dim, n_terms, rng)
-        )
-    if strategy != "perturbed":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for _ in range(max_retries):
-        ops = _random_projective_partition(dim, n_terms, rng)
-        ops = [
-            p + 0.05 * _random_hermitian(dim, rng) for p in ops
-        ]
-        ok = True
-        # fixed-point iteration x <- s^{-1/4} x s^{-1/4}, s = sum x^2,
-        # keeps every x exactly Hermitian while driving s to I; the
-        # eigendecomposition is unclustered here, clustering would floor
-        # the achievable slack at cluster_gap
-        for _ in range(200):
-            s = sum(x @ x for x in ops)
-            dev = opnorm(s - np.eye(dim))
-            if dev <= 1e-13:
-                break
-            if not np.isfinite(dev) or dev > 1e3:
-                ok = False
-                break
-            w, v = np.linalg.eigh(herm_part(s))
-            if w[0] <= 0.0:
-                ok = False
-                break
-            s_inv_quarter = (v * w ** (-0.25)) @ v.conj().T
-            ops = [herm_part(s_inv_quarter @ x @ s_inv_quarter) for x in ops]
-        else:
-            ok = False
-        if ok:
-            return KrausFamily.from_operators(ops)
-    raise RuntimeError("perturbed self-adjoint normalization failed to converge")
-
-
-def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return herm_part(z)
+    return KrausFamily.from_operators(_random_projective_partition(dim, n_terms, rng))
 
 
 def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:

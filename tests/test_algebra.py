@@ -54,6 +54,11 @@ class TestCommutant:
             proj = sum(np.vdot(vec(b), vec(target)) * b for b in comm.basis)
             assert opnorm(proj - target) <= 1e-10
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e9])
+    def test_rank_cut_follows_family_scale(self, c):
+        # a floor of 1 in place of max ||x|| would make 1e-12 sigma_x commute with everything
+        assert commutant_basis([c * SIGMA_X], CFG).dimension == 2
+
     def test_pauli_pair_gives_scalars(self):
         comm = commutant_basis([SIGMA_X, SIGMA_Z], CFG)
         assert comm.dimension == 1

@@ -192,22 +192,22 @@ class TestChoi:
             check = choi_psd_check(
                 superoperator_matrix(KrausFamily.from_operators(ops)), CFG
             )
-            assert check.is_cp
-            assert check.min_eig >= -1e-10
+            assert check.passed
+            assert check.value >= -1e-10
 
     def test_transpose_map_not_cp(self):
         check = choi_psd_check(Superoperator(dim=2, matrix=SWAP), CFG)
-        assert not check.is_cp
-        assert check.min_eig == pytest.approx(-1.0)
+        assert not check.passed
+        assert check.value == pytest.approx(-1.0)
 
     def test_tolerance_relative_to_choi_norm(self):
         # CP by construction at every scale; the Choi matrix grows as c^2
         kf = random_bistochastic(6, 3, 1)
         for c in (1.0, 1e2, 1e4, 1e5):
             scaled = KrausFamily.from_operators([c * x for x in kf.operators])
-            assert choi_psd_check(superoperator_matrix(scaled), CFG).is_cp
+            assert choi_psd_check(superoperator_matrix(scaled), CFG).passed
         for c in (1.0, 1e4):
-            assert not choi_psd_check(Superoperator(dim=2, matrix=c * SWAP), CFG).is_cp
+            assert not choi_psd_check(Superoperator(dim=2, matrix=c * SWAP), CFG).passed
 
     def test_identity_choi_rank_one(self, identity_channel):
         c = choi_matrix(superoperator_matrix(identity_channel))
@@ -233,6 +233,15 @@ class TestFixedSpace:
         for target in (np.eye(2, dtype=complex), SIGMA_X):
             proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.basis)
             assert opnorm(proj - target) <= 1e-10
+
+    def test_noise_level_map_keeps_full_space(self):
+        # the one Kraus operator V V* is I up to rounding, so S - I and the
+        # commutant system are all noise: both kernels are all of M_5
+        v = haar_unitary(5, np.random.default_rng(0))
+        x = v @ v.conj().T
+        assert 0 < opnorm(x - np.eye(5)) < 1e-14
+        assert fixed_space_basis(KrausFamily.from_operators([x]), CFG).dimension == 25
+        assert commutant_basis([x], CFG).dimension == 25
 
     def test_basis_is_hermitian_and_fixed(self, mixture):
         fs = fixed_space_basis(mixture, CFG)

@@ -173,6 +173,31 @@ class TestCli:
         assert captured.out == ""
         assert f"{options[0]}: expected a positive integer, got '{options[1]}'" in captured.err
 
+    @pytest.mark.parametrize(
+        "options, env, message",
+        [
+            (["--seed", "-1"], None, "argument --seed: expected a non-negative integer, got '-1'"),
+            (["--seed", "x", "--json"], None, "argument --seed: expected a non-negative integer, got 'x'"),
+            ([], "-1", "error: CPFIX_SEED: expected a non-negative integer, got '-1'"),
+            (["--eps", "nan"], None, "argument --eps: expected a finite number, got 'nan'"),
+            (["--eps", "inf", "--json"], None, "argument --eps: expected a finite number, got 'inf'"),
+        ],
+        ids=["seed", "seed-text", "seed-env", "eps-nan", "eps-inf"],
+    )
+    def test_out_of_range_value_exit_two(
+        self, tmp_path, mixture_file, monkeypatch, capsys, options, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("CPFIX_SEED", env)
+        if "--eps" in options:
+            argv = ["jensen", mixture_file, _matrix_file(tmp_path, "a.json", [[2, 1], [1, 2]]), *options]
+        else:
+            argv = ["explore", "--mode", "unital-only", "--trials", "1", *options]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_verify_mixture(self, tmp_path, mixture_file, capsys):
         a = _matrix_file(tmp_path, "a.json", [[2, 1], [1, 2]])
         assert run(["verify", mixture_file, a, "--json"]) == 0

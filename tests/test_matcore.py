@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpfix.matcore import (
+    Check,
     DomainError,
     HermiticityError,
     ToleranceConfig,
@@ -19,6 +20,19 @@ from cpfix.verify import haar_unitary
 from conftest import SIGMA_X, random_complex, random_hermitian
 
 CFG = ToleranceConfig()
+
+
+class TestCheck:
+    def test_upper_and_lower_bounds(self):
+        upper = Check("r", 2.0, 3.0, "r too large")
+        lower = Check("gap", 2.0, 3.0, "gap too small", lower=True)
+        assert upper.passed and upper.margin == 1.0
+        assert not lower.passed and lower.margin == -1.0
+        assert Check("r", 3.0, 3.0).passed and Check("gap", 3.0, 3.0, lower=True).passed
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_nan_residual_fails(self, lower):
+        assert not Check("r", float("nan"), 1.0, lower=lower).passed
 
 
 class TestHermitize:
