@@ -110,7 +110,9 @@ def commutant_basis(
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
     matrices, with rank cut relative to at least max ||x||; an empty family
     is the empty system, whose kernel is the full matrix space (``dim`` must
-    then be supplied).
+    then be supplied).  Block t of the system is kron(I, x_t) - kron(x_t^T, I),
+    written entry by entry: as a (d, d, d, d) array indexed [i, k, j, l] it is
+    x_t[k, l] on i = j minus x_t[j, i] on k = l.
     """
     family = [as_cmatrix(x) for x in family]
     if not family and dim is None:
@@ -119,11 +121,14 @@ def commutant_basis(
     for x in family:
         if x.shape != (d, d):
             raise ValueError("family members must share one dimension")
-    eye = np.eye(d)
-    rows = [np.kron(eye, x) - np.kron(x.T, eye) for x in family]
+    xs = np.array(family, dtype=np.complex128).reshape(-1, d, d)
+    system = np.zeros((len(xs), d, d, d, d), dtype=np.complex128)
+    r = np.arange(d)
+    system[:, r, :, r, :] = xs
+    system[:, :, r, :, r] -= xs.transpose(0, 2, 1)
     scale = max((opnorm(x) for x in family), default=0.0)
-    # stacks the blocks; no blocks give the (0, d*d) empty system
-    return nullspace_basis(np.reshape(rows, (-1, d * d)), d, cfg, scale)
+    # no blocks give the (0, d*d) empty system
+    return nullspace_basis(system.reshape(-1, d * d), d, cfg, scale)
 
 
 def trace_tau(

@@ -235,11 +235,19 @@ class Superoperator:
 
 
 def superoperator_matrix(kf: KrausFamily) -> Superoperator:
+    """S = sum_t kron(s_t^T, s_t*), summed in term order into one buffer.
+
+    Each term is the broadcast product that ``np.kron`` forms, written into
+    a reused (d, d, d, d) array, so S is bit for bit the kron sum.
+    """
     d = kf.dim
-    s_mat = np.zeros((d * d, d * d), dtype=np.complex128)
+    s_mat = np.zeros((d, d, d, d), dtype=np.complex128)
+    term = np.empty_like(s_mat)
     for s in kf.scaled_operators:
-        s_mat += np.kron(s.T, s.conj().T)
-    return Superoperator(dim=d, matrix=s_mat)
+        left = np.ascontiguousarray(s.T)[:, None, :, None]
+        right = np.ascontiguousarray(s.conj().T)[None, :, None, :]
+        s_mat += np.multiply(left, right, out=term)
+    return Superoperator(dim=d, matrix=s_mat.reshape(d * d, d * d))
 
 
 def choi_matrix(sop: Superoperator) -> np.ndarray:

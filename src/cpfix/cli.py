@@ -57,24 +57,33 @@ def _seed(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
-def _finite_float(text: str) -> float:
+def _float_where(text: str, accept, kind: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not accept(value):
+        raise argparse.ArgumentTypeError(f"expected a {kind} number, got {text!r}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    return _float_where(text, math.isfinite, "finite")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol`` and ``--psd-tol``."""
+    return _float_where(text, lambda v: 0.0 < v < math.inf, "finite positive")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL.eq_tol, help="equality tolerance (default %(default)g)"
+        "--tol", type=_tolerance, default=DEFAULT_TOL.eq_tol, help="equality tolerance (default %(default)g)"
     )
     common.add_argument(
-        "--psd-tol", type=float, default=DEFAULT_TOL.psd_tol, help="positivity tolerance (default %(default)g)"
+        "--psd-tol", type=_tolerance, default=DEFAULT_TOL.psd_tol, help="positivity tolerance (default %(default)g)"
     )
     common.add_argument("--seed", type=_seed, default=None, help="RNG seed (falls back to $CPFIX_SEED, then 0)")
     common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
@@ -174,7 +183,7 @@ def _cmd_kernel(args, cfg):
     obj.update(
         dimension=ns.dimension,
         rankWarning=ns.rank_warning,
-        basis=[io.matrix_to_obj(b) for b in ns.basis],
+        basis=ns.basis,
     )
     if ns.rank_warning:
         lines.append("warning: rank decision is numerically ambiguous")
@@ -300,10 +309,15 @@ def run(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    except (io.SchemaError, DimensionMismatchError, DomainError, HermiticityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        io.SchemaError,
+        DimensionMismatchError,
+        DomainError,
+        HermiticityError,
+        OSError,
+        # a ValueError, so it is caught before the precondition branch
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, ValueError) as exc:

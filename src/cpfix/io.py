@@ -9,11 +9,17 @@ Wire formats (bit-exact contracts):
 Matrices are row-major; complex entries are two-element [re, im] arrays.
 Writing uses sorted keys and Python's shortest round-trip float
 formatting, so write(read(x)) is byte-stable and files stay diffable.
+``canonical_dumps`` writes 2-D numpy arrays in the matrix wire format
+directly, byte for byte as json would write their ``matrix_to_obj`` lists.
+Reading rejects non-finite numbers (json's ``NaN``, ``Infinity``, 1e400)
+with a ``SchemaError`` that names the field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -43,8 +49,68 @@ class SchemaError(ValueError):
     """Input JSON violates the wire format; message names the field path."""
 
 
+# Stands in for a matrix in the json text until the matrix is spliced in.
+_PLACEHOLDER = "\x00cpfix-matrix\x00"
+_ENCODED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix_template(rows: int, cols: int, level: int) -> str:
+    """The indent=2 json text of a rows x cols [re, im] matrix, with %s numbers."""
+    nl = ["\n" + "  " * (level + k) for k in range(4)]
+    entry = "[" + nl[3] + "%s," + nl[3] + "%s" + nl[2] + "]"
+    row = "[" + nl[2] + ("," + nl[2]).join([entry] * cols) + nl[1] + "]"
+    return "[" + nl[1] + ("," + nl[1]).join([row] * rows) + nl[0] + "]"
+
+
+def _render_matrix(m: np.ndarray, level: int) -> str:
+    """json.dumps(matrix_to_obj(m), indent=2) at indent ``level``, in bulk."""
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
+    # repr of a list of floats takes each float's repr, as json does
+    numbers = repr(parts.tolist())[1:-1].split(", ")
+    if not np.isfinite(parts).all():
+        numbers = [_NON_FINITE.get(x, x) for x in numbers]
+    return _matrix_template(*m.shape, level) % tuple(numbers)
+
+
+def _is_matrix(o) -> bool:
+    return isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind in "biufc"
+
+
+def _matrix_list(o):
+    """json ``default`` hook: a 2-D array as its ``matrix_to_obj`` lists."""
+    if _is_matrix(o):
+        return matrix_to_obj(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted-key, indent-2 json of ``obj`` plus a newline.
+
+    2-D numpy arrays are written as matrices in the wire format, byte for
+    byte as their ``matrix_to_obj`` lists would be, but rendered in bulk: a
+    placeholder string holds each one's place in the json text and is
+    replaced by the matrix at that line's indentation.
+    """
+    matrices = []
+
+    def placeholder(o):
+        if _is_matrix(o) and o.size:
+            matrices.append(o)
+            return _PLACEHOLDER
+        return _matrix_list(o)
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=placeholder)
+    pieces = text.split(_ENCODED_PLACEHOLDER)
+    if len(pieces) != len(matrices) + 1:
+        # a string in obj spells the placeholder: write every matrix as lists
+        pieces = [json.dumps(obj, sort_keys=True, indent=2, default=_matrix_list)]
+    out = [pieces[0]]
+    for m, piece in zip(matrices, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out += [_render_matrix(m, (len(line) - len(line.lstrip(" "))) // 2), piece]
+    return "".join(out) + "\n"
 
 
 def matrix_to_obj(m: np.ndarray) -> list:
@@ -53,9 +119,12 @@ def matrix_to_obj(m: np.ndarray) -> list:
 
 def _as_float(v, path: str) -> float:
     try:
-        return float(v)
+        f = float(v)
     except OverflowError:
         raise SchemaError(f"{path}: number too large for a float") from None
+    if not math.isfinite(f):
+        raise SchemaError(f"{path}: expected a finite number, got {f!r}")
+    return f
 
 
 def _as_complex_entry(entry, path: str) -> complex:
@@ -75,12 +144,14 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     # Fast path for JSON-parsed input: one conversion of the whole nested
     # list; the float64 (re, im) pairs reinterpreted as complex128 keep every
     # bit, signed zeros included.  Anything else takes the per-entry loop,
-    # which names the offending field.
+    # which names the offending field (a non-finite entry among them).
     if set(map(type, obj)) == {list} and set(map(type, chain.from_iterable(obj))) == {list}:
         try:
             pairs = np.array(obj, dtype=object)
             if pairs.shape == (n, n, 2) and set(map(type, pairs.flat)) <= {int, float}:
-                return pairs.astype(np.float64).view(np.complex128).reshape(n, n)
+                pairs = pairs.astype(np.float64)
+                if np.isfinite(pairs).all():
+                    return pairs.view(np.complex128).reshape(n, n)
         except (ValueError, OverflowError):
             pass
     out = np.zeros((n, n), dtype=np.complex128)
@@ -151,7 +222,7 @@ def algebra_from_obj(obj) -> BlockAlgebra:
 
 
 def read_json(path):
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return json.loads(text)
 
 

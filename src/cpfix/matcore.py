@@ -20,6 +20,7 @@ spectral norms throughout, and every equality tolerance is relative to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eq_tol", "psd_tol", "cluster_gap", "null_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.cluster_gap >= 1.0:
             raise ValueError("cluster_gap must be < 1")
 

@@ -59,6 +59,28 @@ class TestCommutant:
         # a floor of 1 in place of max ||x|| would make 1e-12 sigma_x commute with everything
         assert commutant_basis([c * SIGMA_X], CFG).dimension == 2
 
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 2), (5, 4), (7, 1)])
+    def test_system_equals_kron_blocks(self, monkeypatch, d, n):
+        import cpfix.algebra as algebra_mod
+
+        systems = []
+        real_nullspace = algebra_mod.nullspace_basis
+
+        def recording_nullspace(system, *args, **kwargs):
+            systems.append(system)
+            return real_nullspace(system, *args, **kwargs)
+
+        monkeypatch.setattr(algebra_mod, "nullspace_basis", recording_nullspace)
+        rng = np.random.default_rng(40 + d)
+        family = [random_complex(d, rng) for _ in range(n)]
+        family[0][0, :] = -0.0
+        commutant_basis(family, CFG)
+        eye = np.eye(d)
+        want = np.concatenate([np.kron(eye, x) - np.kron(x.T, eye) for x in family])
+        (got,) = systems
+        assert got.shape == want.shape == (n * d * d, d * d)
+        assert np.array_equal(got, want)
+
     def test_pauli_pair_gives_scalars(self):
         comm = commutant_basis([SIGMA_X, SIGMA_Z], CFG)
         assert comm.dimension == 1

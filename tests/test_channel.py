@@ -156,6 +156,26 @@ class TestSuperoperator:
         with pytest.raises(ValueError):
             Superoperator(dim=2, matrix=np.eye(3))
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_identical_to_kron_sum(self, d):
+        # same products in the same order: equal bits, signed zeros included
+        rng = np.random.default_rng(90 + d)
+        for n in range(1, 5):
+            ops = [random_complex(d, rng) for _ in range(n)]
+            for x in ops:
+                x.real[rng.random((d, d)) < 0.3] = 0.0
+                x.imag[rng.random((d, d)) < 0.3] = -0.0
+                x.real[rng.random((d, d)) < 0.2] = -0.0
+            kf = KrausFamily.from_operators(ops, rng.uniform(0.1, 2.0, size=n))
+            want = np.zeros((d * d, d * d), dtype=np.complex128)
+            for s in kf.scaled_operators:
+                want += np.kron(s.T, s.conj().T)
+            got = superoperator_matrix(kf).matrix
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
 
 # Superoperator of the transpose map on M_2; its Choi matrix is the swap
 # operator, with eigenvalue -1

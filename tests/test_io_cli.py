@@ -7,7 +7,7 @@ from cpfix import io
 from cpfix.channel import KrausFamily
 from cpfix.cli import run
 
-from conftest import SIGMA_X
+from conftest import SIGMA_X, random_unital_family
 
 
 @pytest.fixture
@@ -100,11 +100,106 @@ class TestIo:
             io.matrix_from_obj(obj)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[[1e400, 0]]]", "matrix[0][0]: expected a finite number, got inf"),
+            ("[[[1, 0], [0, NaN]], [[0, 0], [1, 0]]]", "matrix[0][1]: expected a finite number, got nan"),
+            ('{"matrix": [[[-Infinity, 0]]]}', "matrix[0][0]: expected a finite number, got -inf"),
+        ],
+        ids=["overflow", "nan", "minus-infinity"],
+    )
+    def test_non_finite_matrix_entry_names_field(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(io.SchemaError) as exc:
+            io.read_matrix(path)
+        assert str(exc.value) == message
+
     def test_algebra_parsing(self):
         alg = io.algebra_from_obj({"blocks": [2, 1], "weights": [1.0, 2.0]})
         assert alg.block_dims == (2, 1)
         with pytest.raises(io.SchemaError):
             io.algebra_from_obj({"blocks": [2, 0], "weights": [1.0, 2.0]})
+
+
+# Values whose shortest repr, sign or json spelling a bulk writer could get wrong
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, np.nan, np.inf, -np.inf, 0.0, -2.5]
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return io.matrix_to_obj(obj)
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+def _old_dumps(doc):
+    """canonical_dumps as it was before arrays: json's own writer on the lists."""
+    return json.dumps(_as_lists(doc), sort_keys=True, indent=2) + "\n"
+
+
+def _edge_matrix(rows, cols, rng):
+    values = np.array(EDGE_VALUES)
+    m = np.empty((rows, cols), dtype=np.complex128)
+    m.real = rng.choice(values, size=(rows, cols))
+    m.imag = rng.choice(values, size=(rows, cols))
+    return m
+
+
+class TestCanonicalDumps:
+    def _documents(self):
+        rng = np.random.default_rng(5)
+        m = _edge_matrix(3, 3, rng)
+        one = np.array([[-0.0 + 5e-324j]])
+        real = rng.choice(np.array(EDGE_VALUES), size=(2, 2))
+        wide = _edge_matrix(2, 4, rng)
+        return [
+            m,  # depth 0
+            {"matrix": m},
+            [one, real],
+            {"basis": [m, one], "dimension": 2, "rankWarning": False},  # depth 2
+            [{"z": real, "a": [wide]}],
+            {"a": {"b": [m, {"c": one}]}, "n": None},  # depth 3
+            [[[real]]],
+            {"basis": [], "dimension": 0, "rankWarning": True},
+        ]
+
+    def test_arrays_byte_identical_to_lists(self):
+        for doc in self._documents():
+            want = _old_dumps(doc)
+            assert io.canonical_dumps(doc) == want
+            assert io.canonical_dumps(_as_lists(doc)) == want
+
+    def test_every_entry_value(self):
+        for value in EDGE_VALUES:
+            m = np.array([[value, 1.0], [complex(0.5, value), value]])
+            assert m.dtype == np.complex128
+            doc = {"m": m}
+            assert io.canonical_dumps(doc) == _old_dumps(doc)
+
+    def test_non_finite_spelled_as_json(self):
+        out = io.canonical_dumps(np.array([[complex(np.nan, np.inf), -np.inf]]))
+        assert out.split() == "[ [ [ NaN, Infinity ], [ -Infinity, 0.0 ] ] ]".split()
+
+    def test_string_spelling_the_placeholder(self):
+        # a string that collides with the splice marker does not move a matrix
+        m = _edge_matrix(2, 2, np.random.default_rng(6))
+        doc = {"note": io._PLACEHOLDER, "m": [m, io._PLACEHOLDER]}
+        assert io.canonical_dumps(doc) == _old_dumps(doc)
+        assert io.canonical_dumps(_as_lists(doc)) == _old_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [object(), np.zeros(3), np.zeros((2, 2, 2)), np.array([["a"]])],
+        ids=["object", "1-d", "3-d", "strings"],
+    )
+    def test_other_objects_still_rejected(self, obj):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            io.canonical_dumps({"x": obj})
 
 
 class TestCli:
@@ -181,8 +276,13 @@ class TestCli:
             ([], "-1", "error: CPFIX_SEED: expected a non-negative integer, got '-1'"),
             (["--eps", "nan"], None, "argument --eps: expected a finite number, got 'nan'"),
             (["--eps", "inf", "--json"], None, "argument --eps: expected a finite number, got 'inf'"),
+            (["--tol", "inf", "--psd-tol", "1e-8"], None, "argument --tol: expected a finite positive number, got 'inf'"),
+            (["--tol", "1e400"], None, "argument --tol: expected a finite positive number, got '1e400'"),
+            (["--psd-tol", "nan"], None, "argument --psd-tol: expected a finite positive number, got 'nan'"),
+            (["--tol", "0"], None, "argument --tol: expected a finite positive number, got '0'"),
+            (["--psd-tol", "-1", "--json"], None, "argument --psd-tol: expected a finite positive number, got '-1'"),
         ],
-        ids=["seed", "seed-text", "seed-env", "eps-nan", "eps-inf"],
+        ids=["seed", "seed-text", "seed-env", "eps-nan", "eps-inf", "tol-inf", "tol-overflow", "psd-tol-nan", "tol-zero", "psd-tol-negative"],
     )
     def test_out_of_range_value_exit_two(
         self, tmp_path, mixture_file, monkeypatch, capsys, options, env, message
@@ -191,6 +291,9 @@ class TestCli:
             monkeypatch.setenv("CPFIX_SEED", env)
         if "--eps" in options:
             argv = ["jensen", mixture_file, _matrix_file(tmp_path, "a.json", [[2, 1], [1, 2]]), *options]
+        elif "--tol" in options or "--psd-tol" in options:
+            # the mixture fails superFixed for diag(2, 1); infinite tolerances passed it
+            argv = ["verify", mixture_file, _matrix_file(tmp_path, "a.json", np.diag([2.0, 1.0])), *options]
         else:
             argv = ["explore", "--mode", "unital-only", "--trials", "1", *options]
         assert run(argv) == 2
@@ -289,6 +392,37 @@ class TestCli:
         assert run(["check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {field}: number too large for a float\n"
 
+    @pytest.mark.parametrize(
+        "text, field, value",
+        [
+            ('{"dim": 1, "terms": [{"weight": 1.0, "matrix": [[[1e400, 0]]]}]}', "terms[0].matrix[0][0]", "inf"),
+            ('{"dim": 1, "terms": [{"weight": 1.0, "matrix": [[[1.0, NaN]]]}]}', "terms[0].matrix[0][0]", "nan"),
+            ('{"dim": 1, "terms": [{"weight": 1e400, "matrix": [[[1.0, 0.0]]]}]}', "terms[0].weight", "inf"),
+        ],
+        ids=["matrix-entry-overflow", "matrix-entry-nan", "weight-overflow"],
+    )
+    @pytest.mark.parametrize("command", ["check", "fix", "commutant"])
+    def test_non_finite_channel_number_exit_two(self, tmp_path, capsys, command, text, field, value):
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: expected a finite number, got {value}\n"
+
+    def test_non_finite_operator_entry_exit_two(self, tmp_path, lueders_file, capsys):
+        a = tmp_path / "a.json"
+        a.write_text("[[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]")
+        assert run(["verify", lueders_file, str(a)]) == 2
+        assert capsys.readouterr().err == "error: matrix[1][1]: expected a finite number, got inf\n"
+
+    def test_non_finite_algebra_weight_exit_two(self, tmp_path, lueders_file, capsys):
+        a = _matrix_file(tmp_path, "a.json", np.eye(2))
+        alg = tmp_path / "alg.json"
+        alg.write_text('{"blocks": [1, 1], "weights": [1.0, 1e400]}')
+        assert run(["verify", lueders_file, a, "--algebra", str(alg)]) == 2
+        assert capsys.readouterr().err == "error: weights[1]: expected a finite number, got inf\n"
+
     def test_oversized_algebra_weight_exit_two(self, tmp_path, lueders_file, capsys):
         a = _matrix_file(tmp_path, "a.json", np.eye(2))
         alg = tmp_path / "alg.json"
@@ -304,3 +438,28 @@ class TestCli:
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["check", "/nonexistent/channel.json"]) == 2
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert run(["check", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 1, "terms": [], "note": "caf\u00e9"}'.encode("latin-1"))
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["fix", "commutant"])
+    def test_kernel_json_is_canonical(self, tmp_path, lueders_file, mixture_file, command, capsys):
+        random_path = tmp_path / "random.json"
+        io.write_channel(random_path, random_unital_family(4, 3, np.random.default_rng(8)))
+        for path in (lueders_file, mixture_file, str(random_path)):
+            assert run([command, path, "--json"]) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert report["dimension"] == len(report["basis"]) >= 1
+            assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"

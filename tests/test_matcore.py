@@ -35,6 +35,13 @@ class TestCheck:
         assert not Check("r", float("nan"), 1.0, lower=lower).passed
 
 
+@pytest.mark.parametrize("field", ["eq_tol", "psd_tol", "cluster_gap", "null_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+def test_tolerances_finite_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and strictly positive"):
+        ToleranceConfig(**{field: value})
+
+
 class TestHermitize:
     def test_symmetrizes(self):
         a = np.array([[1.0, 1 + 1e-12j], [1 - 1e-12j, 2.0]])
