@@ -22,7 +22,6 @@ from .matcore import (
     as_cmatrix,
     nullspace_basis,
     opnorm,
-    rel_scale,
 )
 from .channel import KrausFamily
 
@@ -55,8 +54,8 @@ class BlockAlgebra:
             raise ValueError("block dimensions must be positive")
         if len(self.weights) != len(self.block_dims):
             raise ValueError("one trace weight per block required")
-        if any(not w > 0.0 for w in self.weights):
-            raise ValueError("trace weights must be strictly positive")
+        if any(not 0.0 < w < np.inf for w in self.weights):
+            raise ValueError("trace weights must be finite and strictly positive")
 
     @classmethod
     def full(cls, dim: int, weight: float = 1.0) -> "BlockAlgebra":
@@ -90,7 +89,7 @@ class BlockAlgebra:
 
     def contains(self, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         mass = self.off_block_mass(a)
-        return mass == 0.0 or mass <= cfg.eq_tol * rel_scale(a)
+        return mass == 0.0 or mass <= cfg.eq_bound(opnorm(a))
 
     def trace(self, a: np.ndarray) -> float:
         """sum_i w_i Re Tr(a_i) over the diagonal blocks, with no membership test."""
@@ -110,17 +109,18 @@ def commutant_basis(
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
     matrices, with rank cut relative to at least max ||x||; an empty family
     is the empty system, whose kernel is the full matrix space (``dim`` must
-    then be supplied).  Block t of the system is kron(I, x_t) - kron(x_t^T, I),
-    written entry by entry: as a (d, d, d, d) array indexed [i, k, j, l] it is
-    x_t[k, l] on i = j minus x_t[j, i] on k = l.
+    then be supplied; otherwise it must agree with the members).  Block t of the
+    system is kron(I, x_t) - kron(x_t^T, I), written entry by entry: as a
+    (d, d, d, d) array indexed [i, k, j, l] it is x_t[k, l] on i = j minus
+    x_t[j, i] on k = l.
     """
     family = [as_cmatrix(x) for x in family]
     if not family and dim is None:
         raise ValueError("commutant of an empty family needs an explicit dimension")
-    d = family[0].shape[0] if family else dim
+    d = family[0].shape[0] if dim is None else dim
     for x in family:
         if x.shape != (d, d):
-            raise ValueError("family members must share one dimension")
+            raise ValueError(f"family members must share the dimension {d}, got {x.shape}")
     xs = np.array(family, dtype=np.complex128).reshape(-1, d, d)
     system = np.zeros((len(xs), d, d, d, d), dtype=np.complex128)
     r = np.arange(d)
@@ -156,7 +156,7 @@ def invariance_check(
     """Whether the map sends the block algebra into itself.
 
     Each block matrix unit e_ij passes :meth:`BlockAlgebra.contains`'s test:
-    off-block norm of Phi(e_ij) <= eq_tol * max(1, ||Phi(e_ij)||).  A one-block
+    off-block norm of Phi(e_ij) <= ``cfg.eq_bound(||Phi(e_ij)||)``.  A one-block
     algebra passes at once.  No map is applied: Phi(e_ij) = sum_t conj(s_t[i])^T
     s_t[j] from rows of the scaled operators, for all j of a k-block at once
     (k * d^2 entries per batch).
@@ -170,7 +170,7 @@ def invariance_check(
         for i in range(s.start, s.stop):
             images = np.einsum("tp,tjq->jpq", ops[:, i, :].conj(), ops[:, s, :])
             off = np.linalg.norm(np.where(alg.block_mask, 0.0, images), 2, axis=(1, 2))
-            scale = np.maximum(1.0, np.linalg.norm(images, 2, axis=(1, 2)))
-            if np.any(off > cfg.eq_tol * scale):
+            norms = np.linalg.norm(images, 2, axis=(1, 2))
+            if any(o > cfg.eq_bound(n) for o, n in zip(off, norms)):
                 return False
     return True

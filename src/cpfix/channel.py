@@ -45,8 +45,6 @@ from .matcore import (
     herm_part,
     nullspace_basis,
     opnorm,
-    psd_min_eig,
-    rel_scale,
 )
 
 __all__ = [
@@ -83,8 +81,8 @@ class KrausFamily:
         checked = []
         for k, (w, x) in enumerate(self.terms):
             w = float(w)
-            if not w > 0.0:
-                raise ValueError(f"term {k}: weight must be strictly positive")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"term {k}: weight must be finite and strictly positive")
             m = as_cmatrix(x)
             if m.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
@@ -194,17 +192,17 @@ def normalization_report(
         row += s @ s.conj().T
     col = herm_part(col)
     row = herm_part(row)
-    is_unital = opnorm(col - eye) <= cfg.eq_tol * rel_scale(col)
-    is_subunital = psd_min_eig(eye - row, cfg) >= -cfg.psd_tol
-    row_dev, row_scale = opnorm(row - eye), rel_scale(row)
-    is_tp = row_dev <= cfg.eq_tol * row_scale
+    is_unital = opnorm(col - eye) <= cfg.eq_bound(opnorm(col))
+    is_subunital = cfg.psd_check("subunitalDual", eye - row).passed
+    row_dev, row_norm = opnorm(row - eye), opnorm(row)
+    is_tp = row_dev <= cfg.eq_bound(row_norm)
     self_adjoint = all(
-        opnorm(x - x.conj().T) <= cfg.eq_tol * rel_scale(x) for x in kf.operators
+        opnorm(x - x.conj().T) <= cfg.eq_bound(opnorm(x)) for x in kf.operators
     )
     # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
     # forces row_sum = I; numerically we grant a 10x slack on eq_tol.
     rigidity = (not (is_unital and is_subunital)) or (
-        row_dev <= 10.0 * cfg.eq_tol * row_scale
+        row_dev <= cfg.eq_bound(row_norm, slack=10.0)
     )
     return NormalizationReport(
         column_sum=col,
@@ -262,10 +260,10 @@ def choi_matrix(sop: Superoperator) -> np.ndarray:
 
 
 def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Check:
-    """CP certificate: the Choi min eig must be >= -psd_tol * max(1, ||C||)."""
+    """CP certificate: the Choi min eig must be >= ``cfg.psd_bound(||C||)``."""
     w = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
     m = float(w[0])
-    bound = -cfg.psd_tol * max(1.0, float(np.abs(w).max()))
+    bound = cfg.psd_bound(float(np.abs(w).max()))
     return Check("choiMinEig", m, bound, f"Choi min eigenvalue {m:.3e}", lower=True)
 
 

@@ -26,7 +26,6 @@ from .matcore import (
     hermitize,
     mat_func,
     opnorm,
-    psd_min_eig,
 )
 from .channel import KrausFamily, apply_map, normalization_report
 
@@ -68,7 +67,7 @@ class EpsFunction:
 
 @dataclass(frozen=True)
 class IneqResidual:
-    """min eig of (rhs - lhs); verdict is min_eig >= -psd_tol."""
+    """min eig of (rhs - lhs); verdict is min_eig >= ``cfg.psd_bound()``."""
 
     min_eig: float
     lhs_norm: float
@@ -77,12 +76,12 @@ class IneqResidual:
 
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
-    m = psd_min_eig(herm_part(rhs - lhs), cfg)
+    check = cfg.psd_check("residual", herm_part(rhs - lhs))
     return IneqResidual(
-        min_eig=m,
+        min_eig=check.value,
         lhs_norm=opnorm(lhs),
         rhs_norm=opnorm(rhs),
-        verdict=m >= -cfg.psd_tol,
+        verdict=check.passed,
     )
 
 
@@ -134,11 +133,8 @@ def jensen_residual(
     the left argument is automatically inside the domain.
     """
     rep = normalization_report(kf, cfg)
-    contraction = psd_min_eig(np.eye(kf.dim) - rep.column_sum, cfg)
-    if contraction < -cfg.psd_tol:
-        raise ValueError(
-            f"family is not contractive: min eig of (I - sum mu x*x) = {contraction:.3e}"
-        )
+    msg = "family is not contractive: min eig of (I - sum mu x*x) = {:.3e}"
+    cfg.psd_check("contractive", np.eye(kf.dim) - rep.column_sum, msg).require()
     h = hermitize(a, cfg)
     # operator convexity of f_eps lives on the symmetric interval
     f.require_margin(opnorm(h))
@@ -181,8 +177,8 @@ def lambda_domination_check(
     Valid for positive semidefinite a inside the pole margin.
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
-        raise ValueError("lambda domination requires a positive semidefinite operator")
+    msg = "lambda domination requires a positive semidefinite operator"
+    cfg.psd_check("aPositive", h, msg).require()
     norm = opnorm(h)
     f.require_margin(norm)
     lam = norm / (1.0 - abs(f.eps) * norm)

@@ -14,8 +14,7 @@ treated as immutable.  The Hermitian boundary is two functions:
   passes through ``herm_eig``, ``mat_func`` and ``psd_min_eig`` for free.
 
 Downstream code assumes exact self-adjointness after that.  Norms are
-spectral norms throughout, and every equality tolerance is relative to
-``max(1, norm)`` of the input.
+spectral norms throughout; every threshold is a :class:`ToleranceConfig` bound.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ __all__ = [
     "DomainError",
     "HermiticityError",
     "EigenConvergenceError",
+    "PreconditionError",
     "ToleranceConfig",
     "Check",
     "SpectralDecomposition",
@@ -37,7 +37,6 @@ __all__ = [
     "herm_part",
     "hermitize",
     "opnorm",
-    "rel_scale",
     "vec",
     "unvec",
     "commutator",
@@ -60,12 +59,16 @@ class EigenConvergenceError(RuntimeError):
     """The eigensolver did not converge within its iteration budget."""
 
 
+class PreconditionError(ValueError):
+    """A named hypothesis of a verification pipeline is violated."""
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical thresholds used by every check in the package.
 
-    All values are dimensionless and are applied relative to
-    ``max(1, norm)`` of whatever they are compared against.
+    All values are dimensionless and relative to ``max(1, scale)``; only
+    the bound methods below read ``eq_tol`` and ``psd_tol``.
     """
 
     eq_tol: float = 1e-9
@@ -79,6 +82,19 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if self.cluster_gap >= 1.0:
             raise ValueError("cluster_gap must be < 1")
+
+    def eq_bound(self, scale: float = 0.0, slack: float = 1.0) -> float:
+        """Upper bound slack * eq_tol * max(1, scale) on an equality residual."""
+        return slack * self.eq_tol * max(1.0, scale)
+
+    def psd_bound(self, scale: float = 0.0) -> float:
+        """Lower bound -psd_tol * max(1, scale) on a smallest eigenvalue."""
+        return -self.psd_tol * max(1.0, scale)
+
+    def psd_check(self, name: str, m, failure: str = "") -> Check:
+        """``m >= 0`` as a Check; ``failure``'s ``{:.3e}`` field gets the min eig."""
+        value = psd_min_eig(m, self)
+        return Check(name, value, self.psd_bound(), failure.format(value), lower=True)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -107,6 +123,11 @@ class Check:
     def passed(self) -> bool:
         return self.margin >= 0.0
 
+    def require(self) -> None:
+        """Raise :class:`PreconditionError` with ``failure`` unless the check passed."""
+        if not self.passed:
+            raise PreconditionError(self.failure)
+
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a finite square complex matrix."""
@@ -125,11 +146,6 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def rel_scale(a: np.ndarray) -> float:
-    """max(1, ||a||), the scale all relative tolerances refer to."""
-    return max(1.0, opnorm(a))
-
-
 def herm_part(m: np.ndarray) -> np.ndarray:
     """(m + m*)/2, for a value that is Hermitian by construction."""
     return (m + m.conj().T) / 2.0
@@ -143,7 +159,7 @@ def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     m = as_cmatrix(a)
     if not np.array_equal(m, m.conj().T):
         dev = opnorm(m - m.conj().T)
-        tol = cfg.eq_tol * rel_scale(m)
+        tol = cfg.eq_bound(opnorm(m))
         if dev > tol:
             raise HermiticityError(
                 f"matrix deviates from self-adjointness by {dev:.3e} "
@@ -225,7 +241,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     # descending order
     w = w[::-1]
     v = v[:, ::-1]
-    gap = cfg.cluster_gap * rel_scale(h)
+    gap = cfg.cluster_gap * max(1.0, opnorm(h))
     eigenvalues = []
     projections = []
     multiplicities = []
@@ -259,8 +275,8 @@ def mat_func(
 def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
-    Realizes every ">= 0" assertion as a number the caller compares
-    against ``-psd_tol``.  ``a`` is checked by :func:`hermitize`.
+    Realizes every ">= 0" assertion as a number; ``cfg.psd_check`` compares
+    it against ``cfg.psd_bound()``.  ``a`` is checked by :func:`hermitize`.
     """
     return float(np.linalg.eigvalsh(hermitize(a, cfg))[0])
 

@@ -8,10 +8,10 @@ the eigenprojection-by-eigenprojection argument for self-adjoint
 families, and an explorer probes what happens when hypotheses are
 dropped.
 
-Conclusion residuals (projections, off-diagonal blocks, commutators) are
-allowed a 100x slack over eq_tol: eigenprojections of a computed matrix
-carry more noise than direct arithmetic, and a claimed counterexample
-must sit far above rounding level.
+Conclusion residuals (f_eps(a), projections, off-diagonal blocks,
+commutators) get ``slack=CONCLUSION_SLACK``, 100x, in ``cfg.eq_bound``:
+eigenprojections of a computed matrix carry more noise than direct
+arithmetic, and a claimed counterexample must sit far above rounding level.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     Check,
+    PreconditionError,
     SpectralDecomposition,
     ToleranceConfig,
     commutator,
@@ -31,8 +32,6 @@ from .matcore import (
     hermitize,
     mat_func,
     opnorm,
-    psd_min_eig,
-    rel_scale,
 )
 from .channel import (
     KrausFamily,
@@ -74,10 +73,6 @@ __all__ = [
 CONCLUSION_SLACK = 100.0
 
 
-class PreconditionError(ValueError):
-    """A named hypothesis of a verification pipeline is violated."""
-
-
 def _trace_chain(
     alg: BlockAlgebra, dec: SpectralDecomposition, tau_phi: float, row_sum: np.ndarray
 ) -> float:
@@ -104,19 +99,15 @@ def _trace_gap(
     rep: NormalizationReport,
     cfg: ToleranceConfig,
 ) -> tuple[float, float]:
-    """(tau(h), trace gap) of a positive ``h`` in the algebra; spectrum, image and report given."""
-    if not rep.is_subunital_dual:
-        raise PreconditionError("family violates sum mu x x* <= 1")
+    """(tau(h), trace gap) of a positive ``h`` in the algebra, for a sub-unital dual family."""
     try:
         tau_phi = trace_tau(alg, phi_h, cfg)
     except MembershipError as exc:
         raise PreconditionError(f"Phi(a) is not in the algebra: {exc}") from exc
     tau_a = alg.trace(h)
     chain = _trace_chain(alg, dec, tau_phi, rep.row_sum)
-    if chain > cfg.eq_tol * max(1.0, abs(tau_a)):
-        raise PreconditionError(
-            f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
-        )
+    msg = f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
+    Check("traceChain", chain, cfg.eq_bound(abs(tau_a)), msg).require()
     return tau_a, tau_a - tau_phi
 
 
@@ -130,11 +121,12 @@ def trace_inequality_check(
     and is raised rather than returned.
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
-        raise PreconditionError("a must be positive semidefinite")
+    cfg.psd_check("aPositive", h, "a must be positive semidefinite").require()
     if not alg.contains(h, cfg):
         raise PreconditionError("a is not in the algebra")
     rep = normalization_report(kf, cfg)
+    if not rep.is_subunital_dual:
+        raise PreconditionError("family violates sum mu x x* <= 1")
     return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
 
 
@@ -208,57 +200,66 @@ def _theorem(
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
         "aInAlgebra": alg.contains(h, cfg),
-        "aPositive": psd_min_eig(h, cfg) >= -cfg.psd_tol,
-        "superFixed": psd_min_eig(herm_part(phi_h - h), cfg) >= -cfg.psd_tol,
+        "aPositive": cfg.psd_check("aPositive", h).passed,
+        "superFixed": cfg.psd_check("superFixed", herm_part(phi_h - h)).passed,
     }
     if not all(hypotheses.values()):
         return TheoremReport(hypotheses)
 
     dec = herm_eig(h, cfg)
     norm_h = opnorm(h)
-    scale = max(1.0, norm_h)
-    loose = CONCLUSION_SLACK * cfg.eq_tol
 
     tau_a, gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
-    gap_bound = -cfg.eq_tol * max(1.0, abs(tau_a))
+    gap_bound = -cfg.eq_bound(abs(tau_a))
     checks = [Check("traceGap", gap, gap_bound, f"trace gap negative: {gap:.3e}", lower=True)]
 
     fixedness = opnorm(phi_h - h)
     msg = f"fixedness residual {fixedness:.3e} exceeds tolerance"
-    checks.append(Check("fixedness", fixedness, cfg.eq_tol * scale, msg))
+    checks.append(Check("fixedness", fixedness, cfg.eq_bound(norm_h), msg))
 
-    for eps in (0.5 / scale, -0.5 / scale):
+    half = 0.5 / max(1.0, norm_h)
+    for eps in (half, -half):
         # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
         fa = dec.apply(EpsFunction(eps))
         r = opnorm(apply_map(kf, fa) - fa)
         msg = f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})"
-        checks.append(Check("fEps", r, loose * rel_scale(fa), msg))
+        checks.append(Check("fEps", r, cfg.eq_bound(opnorm(fa), CONCLUSION_SLACK), msg))
 
-    power = h.copy()
-    for n in range(1, powers + 1):
-        r = fixedness if n == 1 else opnorm(apply_map(kf, power) - power)
-        bound = cfg.eq_tol * max(1.0, norm_h**n)
-        checks.append(Check("powers", r, bound, f"power residual at n={n}: {r:.3e}"))
-        power = power @ h
+    for n, r in enumerate(_power_residuals(kf, h, fixedness, powers), 1):
+        msg = f"power residual at n={n}: {r:.3e}"
+        checks.append(Check("powers", r, cfg.eq_bound(norm_h**n), msg))
 
     for p in dec.projections:
         r = opnorm(apply_map(kf, p) - p)
-        checks.append(Check("projections", r, loose, f"projection fixedness residual {r:.3e}"))
+        msg = f"projection fixedness residual {r:.3e}"
+        checks.append(Check("projections", r, cfg.eq_bound(slack=CONCLUSION_SLACK), msg))
     eye = np.eye(kf.dim)
-    op_bound = loose * max(1.0, max(opnorm(x) for x in kf.operators))
+    op_bound = cfg.eq_bound(max(opnorm(x) for x in kf.operators), CONCLUSION_SLACK)
     for p in dec.projections:
         q = eye - p
         r = max(max(opnorm(p @ x @ q), opnorm(q @ x @ p)) for x in kf.operators)
         checks.append(Check("offDiagonal", r, op_bound, f"off-diagonal block residual {r:.3e}"))
 
-    checks += _commutator_checks(h, kf, loose * scale, commutator_name, "commutator residual")
+    checks += _commutator_checks(h, norm_h, kf, cfg, commutator_name, "commutator residual")
     return TheoremReport(hypotheses, checks)
 
 
+def _power_residuals(kf: KrausFamily, h: np.ndarray, r: float, n_max: int) -> list[float]:
+    """||Phi(h^n) - h^n|| for n = 1..n_max, given the n = 1 residual ``r``."""
+    out, power = [], h
+    for n in range(n_max):
+        if n:
+            power = power @ h
+            r = opnorm(apply_map(kf, power) - power)
+        out.append(r)
+    return out
+
+
 def _commutator_checks(
-    h: np.ndarray, kf: KrausFamily, bound: float, name: str, label: str
+    h: np.ndarray, norm_h: float, kf: KrausFamily, cfg: ToleranceConfig, name: str, label: str
 ) -> list[Check]:
-    """||[h, x_t]|| <= bound for each family member."""
+    """||[h, x_t]|| <= eq_bound(||h||, CONCLUSION_SLACK) for each family member."""
+    bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
     residuals = [opnorm(commutator(h, x)) for x in kf.operators]
     return [Check(name, r, bound, f"{label} {r:.3e}") for r in residuals]
 
@@ -267,8 +268,8 @@ def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig) -
     """Phi(h), once h is known to be a fixed point."""
     phi_h = apply_map(kf, h)
     fix_res = opnorm(phi_h - h)
-    if fix_res > cfg.eq_tol * rel_scale(h):
-        raise PreconditionError(f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}")
+    msg = f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
+    Check("fixedPoint", fix_res, cfg.eq_bound(opnorm(h)), msg).require()
     return phi_h
 
 
@@ -287,21 +288,18 @@ def corollary_verify(
     and Phi(a^2) are computed once and shared with the main pipeline.
     """
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
-        raise PreconditionError("corollary pipeline requires a >= 0")
+    cfg.psd_check("aPositive", h, "corollary pipeline requires a >= 0").require()
     phi_h = _require_fixed_point(kf, h, cfg)
     rep = normalization_report(kf, cfg)
     if not rep.is_unital:
         raise ValueError("Kadison-Schwarz check requires a unital family")
     h2 = herm_part(h @ h)
     phi_h2 = apply_map(kf, h2)
-    ks = psd_min_eig(herm_part(phi_h2 - phi_h @ phi_h), cfg)
+    msg = "Kadison-Schwarz residual negative: {:.3e}"
+    ks_check = cfg.psd_check("kadisonSchwarz", herm_part(phi_h2 - phi_h @ phi_h), msg)
     # a^2's commutator checks count under their own name; "commutators" are a's
     inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers, "squareCommutators")
-    msg = f"Kadison-Schwarz residual negative: {ks:.3e}"
-    ks_check = Check("kadisonSchwarz", ks, -cfg.psd_tol, msg, lower=True)
-    loose = CONCLUSION_SLACK * cfg.eq_tol * rel_scale(h)
-    comms = _commutator_checks(h, kf, loose, "commutators", "commutator of a residual")
+    comms = _commutator_checks(h, opnorm(h), kf, cfg, "commutators", "commutator of a residual")
     return TheoremReport(inner.hypotheses, [*inner.checks, ks_check, *comms])
 
 
@@ -310,13 +308,7 @@ def power_fixed_check(
 ) -> list[float]:
     """Residuals ||Phi(a^n) - a^n|| for n = 1..n_max of a fixed point."""
     h = hermitize(a, cfg)
-    _require_fixed_point(kf, h, cfg)
-    out = []
-    power = h.copy()
-    for _ in range(n_max):
-        out.append(opnorm(apply_map(kf, power) - power))
-        power = power @ h
-    return out
+    return _power_residuals(kf, h, opnorm(_require_fixed_point(kf, h, cfg) - h), n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,23 +377,17 @@ def spectral_peel(
     if not rep.is_unital:
         raise PreconditionError("spectral peeling requires a unital family")
     h = hermitize(a, cfg)
-    if psd_min_eig(h, cfg) < -cfg.psd_tol:
-        raise PreconditionError("spectral peeling requires a >= 0")
-    gap0 = psd_min_eig(herm_part(apply_map(kf, h) - h), cfg)
-    if gap0 < -cfg.psd_tol:
-        raise PreconditionError(
-            f"Phi(a) >= a fails: min eig of Phi(a) - a is {gap0:.3e}"
-        )
+    cfg.psd_check("aPositive", h, "spectral peeling requires a >= 0").require()
+    msg = "Phi(a) >= a fails: min eig of Phi(a) - a is {:.3e}"
+    cfg.psd_check("superFixed", herm_part(apply_map(kf, h) - h), msg).require()
 
-    scale = rel_scale(h)
-    loose = CONCLUSION_SLACK * cfg.eq_tol * scale
-    tol = cfg.eq_tol * scale
+    norm_h = opnorm(h)
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
     current = h.copy()
     total = np.zeros_like(h)
     for k in range(kf.dim + 1):
-        if opnorm(current) <= tol:
+        if opnorm(current) <= cfg.eq_bound(norm_h):
             break
         dec = herm_eig(current, cfg)
         lam = float(dec.eigenvalues[0])
@@ -410,18 +396,19 @@ def spectral_peel(
         fix_res = opnorm(apply_map(kf, p) - p)
         steps.append(PeelStep(lam, p, comm_res, fix_res))
         msg = f"step {k}: negative eigenvalue {lam:.3e}"
-        checks.append((k, Check("eigenvalue", lam, -cfg.psd_tol, msg, lower=True)))
+        checks.append((k, Check("eigenvalue", lam, cfg.psd_bound(), msg, lower=True)))
         if not checks[-1][1].passed:
             break
+        bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
         msg = f"step {k}: commutator residual {comm_res:.3e}"
-        checks.append((k, Check("commutator", comm_res, loose, msg)))
+        checks.append((k, Check("commutator", comm_res, bound, msg)))
         msg = f"step {k}: projection not fixed, residual {fix_res:.3e}"
-        checks.append((k, Check("fixedness", fix_res, loose, msg)))
+        checks.append((k, Check("fixedness", fix_res, bound, msg)))
         total += lam * p
         current = herm_part(current - lam * p)
-        gap = psd_min_eig(herm_part(apply_map(kf, current) - current), cfg)
-        msg = f"step {k}: super-fixed property lost, min eig {gap:.3e}"
-        checks.append((k, Check("superFixed", gap, -cfg.psd_tol, msg, lower=True)))
+        msg = f"step {k}: super-fixed property lost, min eig {{:.3e}}"
+        gap = herm_part(apply_map(kf, current) - current)
+        checks.append((k, cfg.psd_check("superFixed", gap, msg)))
         if not checks[-1][1].passed:
             break
     else:
@@ -432,7 +419,7 @@ def spectral_peel(
     recon = opnorm(h - total)
     if all(c.passed for _, c in checks):
         msg = f"reconstruction residual {recon:.3e}"
-        checks.append((None, Check("reconstruction", recon, tol, msg)))
+        checks.append((None, Check("reconstruction", recon, cfg.eq_bound(norm_h), msg)))
     return PeelTrace(steps=steps, reconstruction_residual=recon, checks=checks)
 
 
@@ -513,6 +500,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.dim < 1 or self.trials < 1 or self.n_terms < 1:
             raise ValueError("dim, trials and n_terms must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.mode not in EXPLORER_MODES:
             raise ValueError(f"mode must be one of {EXPLORER_MODES}")
 
@@ -580,7 +569,7 @@ def hypothesis_explorer(
         for b in fixed_space_basis(kf, cfg).basis:
             res = max(opnorm(commutator(b, x)) for x in kf.operators)
             max_res = max(max_res, res)
-            if res > CONCLUSION_SLACK * cfg.eq_tol * rel_scale(b):
+            if res > cfg.eq_bound(opnorm(b), CONCLUSION_SLACK):
                 violations.append(
                     {
                         "trial": trial,

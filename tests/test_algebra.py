@@ -26,6 +26,13 @@ class TestBlockAlgebra:
         with pytest.raises(ValueError):
             BlockAlgebra(block_dims=(2, 1), weights=(1.0,))
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_weight(self, w):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            BlockAlgebra(block_dims=(1, 1), weights=(1.0, w))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            BlockAlgebra.full(2, w)
+
     def test_full(self):
         alg = BlockAlgebra.full(3)
         assert alg.dim == 3
@@ -46,6 +53,11 @@ class TestCommutant:
 
     def test_empty_family_full_space(self):
         assert commutant_basis([], CFG, dim=2).dimension == 4
+
+    def test_dim_must_match_family(self):
+        with pytest.raises(ValueError, match=r"share the dimension 3, got \(2, 2\)"):
+            commutant_basis([np.eye(2, dtype=complex)], CFG, dim=3)
+        assert commutant_basis([np.eye(2, dtype=complex)], CFG, dim=2).dimension == 4
 
     def test_sigma_x(self):
         comm = commutant_basis([SIGMA_X], CFG)

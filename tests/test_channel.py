@@ -34,6 +34,11 @@ class TestKrausFamily:
         with pytest.raises(ValueError):
             KrausFamily(dim=2, terms=((0.0, np.eye(2)),))
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_weight(self, w):
+        with pytest.raises(ValueError, match="term 0: weight must be finite"):
+            KrausFamily(dim=2, terms=((w, np.eye(2)),))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             KrausFamily(dim=2, terms=((1.0, np.eye(3)),))

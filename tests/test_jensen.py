@@ -11,7 +11,7 @@ from cpfix.jensen import (
     series_truncation_check,
 )
 from cpfix.channel import KrausFamily
-from cpfix.matcore import DomainError, ToleranceConfig, opnorm
+from cpfix.matcore import DomainError, PreconditionError, ToleranceConfig, opnorm
 
 from conftest import random_contractive_family, random_hermitian, random_unital_family
 
@@ -104,6 +104,12 @@ class TestJensenResidual:
         with pytest.raises(ValueError):
             jensen_residual(kf, EpsFunction(0.0), np.eye(2), CFG)
 
+    def test_noncontractive_is_a_precondition_failure(self):
+        kf = KrausFamily.from_operators([2.0 * np.eye(2, dtype=complex)])
+        msg = r"family is not contractive: min eig of \(I - sum mu x\*x\) = -3\.000e\+00"
+        with pytest.raises(PreconditionError, match=msg):
+            jensen_residual(kf, EpsFunction(0.0), np.eye(2), CFG)
+
 
 class TestMidpointConvexity:
     def test_equal_arguments(self):
@@ -180,4 +186,8 @@ class TestLambdaDomination:
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
+            lambda_domination_check(EpsFunction(0.0), np.diag([1.0, -1.0]).astype(complex), CFG)
+
+    def test_indefinite_is_a_precondition_failure(self):
+        with pytest.raises(PreconditionError, match="positive semidefinite"):
             lambda_domination_check(EpsFunction(0.0), np.diag([1.0, -1.0]).astype(complex), CFG)

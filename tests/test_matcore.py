@@ -5,6 +5,7 @@ from cpfix.matcore import (
     Check,
     DomainError,
     HermiticityError,
+    PreconditionError,
     ToleranceConfig,
     herm_eig,
     hermitize,
@@ -33,6 +34,48 @@ class TestCheck:
     @pytest.mark.parametrize("lower", [False, True])
     def test_nan_residual_fails(self, lower):
         assert not Check("r", float("nan"), 1.0, lower=lower).passed
+
+    def test_require_passes_silently(self):
+        assert Check("r", 1.0, 1.0, "never shown").require() is None
+        assert Check("gap", 0.0, -1.0, "never shown", lower=True).require() is None
+
+    @pytest.mark.parametrize("check", [
+        Check("r", 2.0, 1.0, "r is 2.000e+00"),
+        Check("gap", -2.0, -1.0, "r is 2.000e+00", lower=True),
+        Check("r", float("nan"), 1.0, "r is 2.000e+00"),
+    ])
+    def test_require_raises_failure_text(self, check):
+        with pytest.raises(PreconditionError, match=r"^r is 2\.000e\+00$"):
+            check.require()
+
+
+class TestToleranceBounds:
+    """Defaults eq_tol = 1e-9 and psd_tol = 1e-8."""
+
+    @pytest.mark.parametrize("scale, factor", [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (250.0, 250.0)])
+    def test_bounds_are_relative_to_max_one_scale(self, scale, factor):
+        assert CFG.eq_bound(scale) == 1e-9 * factor
+        assert CFG.psd_bound(scale) == -1e-8 * factor
+
+    def test_defaults_are_the_absolute_tolerances(self):
+        assert CFG.eq_bound() == 1e-9
+        assert CFG.psd_bound() == -1e-8
+
+    @pytest.mark.parametrize("slack", [10.0, 100.0])
+    def test_eq_slack_multiplies(self, slack):
+        assert CFG.eq_bound(scale=4.0, slack=slack) == slack * 1e-9 * 4.0
+        assert CFG.eq_bound(slack=slack) == slack * 1e-9
+
+    def test_psd_check_fills_measured_value(self):
+        c = CFG.psd_check("aPositive", np.diag([3.0, -2.0]), "min eig {:.3e}")
+        assert (c.name, c.value, c.bound, c.lower) == ("aPositive", -2.0, -1e-8, True)
+        assert not c.passed and c.failure == "min eig -2.000e+00"
+        with pytest.raises(PreconditionError, match="min eig -2.000e"):
+            c.require()
+
+    def test_psd_check_passes_within_psd_tol(self):
+        c = CFG.psd_check("aPositive", np.diag([1.0, -5e-9]))
+        assert c.passed and c.failure == ""
 
 
 @pytest.mark.parametrize("field", ["eq_tol", "psd_tol", "cluster_gap", "null_tol"])

@@ -55,7 +55,7 @@ class TestTraceInequality:
 
     def test_rejects_superunital_dual(self):
         kf = KrausFamily.from_operators([E12, E11])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"family violates sum mu x x\* <= 1"):
             trace_inequality_check(kf, FULL2, np.eye(2), CFG)
 
     def test_rejects_operator_outside_algebra(self, identity_channel):
@@ -292,6 +292,12 @@ class TestCorollaryVerify:
 
 
 class TestPowerFixedCheck:
+    def test_matches_theorem_powers_stage(self):
+        kf = random_bistochastic(4, 3, 7)
+        a = 2.5 * np.eye(4, dtype=complex)
+        report = theorem_verify(kf, BlockAlgebra.full(4), a, CFG, powers=6)
+        assert power_fixed_check(kf, a, 6, CFG) == report.residuals("powers")
+
     def test_identity_channel(self, identity_channel):
         rng = np.random.default_rng(54)
         h = random_hermitian(2, rng)
@@ -465,3 +471,7 @@ class TestExplorer:
         config = {"dim": 2, "trials": 1, "seed": 0, "mode": "unital-only", "n_terms": 3}
         with pytest.raises(ValueError, match="must be >= 1"):
             TrialConfig(**{**config, field: 0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrialConfig(dim=2, trials=1, seed=-1, mode="unital-only")
