@@ -126,7 +126,7 @@ def commutant_basis(
     r = np.arange(d)
     system[:, r, :, r, :] = xs
     system[:, :, r, :, r] -= xs.transpose(0, 2, 1)
-    scale = max((opnorm(x) for x in family), default=0.0)
+    scale = float(opnorm(xs).max(initial=0.0))
     # no blocks give the (0, d*d) empty system
     return nullspace_basis(system.reshape(-1, d * d), d, cfg, scale)
 

@@ -66,6 +66,12 @@ class DimensionMismatchError(ValueError):
     """Operator dimensions do not match the family's."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class KrausFamily:
     """Finite weighted family {(mu_t, x_t)} of square complex matrices."""
@@ -114,25 +120,54 @@ class KrausFamily:
         """sqrt(mu_t) x_t, so sums of scaled products realize the integrals."""
         return [np.sqrt(w) * x for w, x in self.terms]
 
+    @cached_property
+    def operator_norms(self) -> np.ndarray:
+        """||x_t|| for every term, in one stacked norm call."""
+        return _frozen(opnorm(np.stack(self.operators)))
+
+    @cached_property
+    def column_sum(self) -> np.ndarray:
+        """sum mu x*x, symmetrized: the unitality side."""
+        return self._gram(lambda s: s.conj().T @ s)
+
+    @cached_property
+    def row_sum(self) -> np.ndarray:
+        """sum mu x x*, symmetrized: the operator the setup bounds by I."""
+        return self._gram(lambda s: s @ s.conj().T)
+
+    def _gram(self, product) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for s in self.scaled_operators:
+            out += product(s)
+        return _frozen(herm_part(out))
+
     def __len__(self) -> int:
         return len(self.terms)
 
 
-def _check_dim(kf: KrausFamily, a: np.ndarray):
-    if a.shape != (kf.dim, kf.dim):
+def _operand(kf: KrausFamily, a) -> np.ndarray:
+    """``a`` as a finite complex (d, d) matrix or (k, d, d) stack of them."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        m = as_cmatrix(m)
+    elif not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    if m.shape[-2:] != (kf.dim, kf.dim):
         raise DimensionMismatchError(
-            f"operator of shape {a.shape} fed to a dim-{kf.dim} family"
+            f"operator of shape {m.shape} fed to a dim-{kf.dim} family"
         )
+    return m
 
 
 def apply_map(kf: KrausFamily, a) -> np.ndarray:
-    """Phi(a) = sum mu_t x_t* a x_t.
+    """Phi(a) = sum mu_t x_t* a x_t, of a matrix or of each matrix of a (k, d, d) stack.
 
+    A stack runs the same loop over Kraus terms with broadcast products, so
+    each image equals the image of its matrix alone bit for bit.
     Hermitian input gives Hermitian output up to rounding; a caller that
     needs exact self-adjointness applies ``herm_part`` to the result.
     """
-    a = as_cmatrix(a)
-    _check_dim(kf, a)
+    a = _operand(kf, a)
     out = np.zeros_like(a)
     for s in kf.scaled_operators:
         out += s.conj().T @ a @ s
@@ -144,8 +179,7 @@ def dual_apply(kf: KrausFamily, a) -> np.ndarray:
 
     Same contract as :func:`apply_map`: Hermitian output up to rounding.
     """
-    a = as_cmatrix(a)
-    _check_dim(kf, a)
+    a = _operand(kf, a)
     out = np.zeros_like(a)
     for s in kf.scaled_operators:
         out += s @ a @ s.conj().T
@@ -183,21 +217,18 @@ class NormalizationReport:
 def normalization_report(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NormalizationReport:
-    d = kf.dim
-    eye = np.eye(d)
-    col = np.zeros((d, d), dtype=np.complex128)
-    row = np.zeros((d, d), dtype=np.complex128)
-    for s in kf.scaled_operators:
-        col += s.conj().T @ s
-        row += s @ s.conj().T
-    col = herm_part(col)
-    row = herm_part(row)
-    is_unital = opnorm(col - eye) <= cfg.eq_bound(opnorm(col))
+    """Every flag from the family's cached sums, with all norms in one call."""
+    eye = np.eye(kf.dim)
+    col, row = kf.column_sum, kf.row_sum
+    xs = np.stack(kf.operators)
+    sums = np.stack([col - eye, col, row - eye, row])
+    norms = opnorm(np.concatenate([sums, xs - xs.conj().transpose(0, 2, 1)]))
+    col_dev, col_norm, row_dev, row_norm, *x_devs = norms.tolist()
+    is_unital = col_dev <= cfg.eq_bound(col_norm)
     is_subunital = cfg.psd_check("subunitalDual", eye - row).passed
-    row_dev, row_norm = opnorm(row - eye), opnorm(row)
     is_tp = row_dev <= cfg.eq_bound(row_norm)
     self_adjoint = all(
-        opnorm(x - x.conj().T) <= cfg.eq_bound(opnorm(x)) for x in kf.operators
+        dev <= cfg.eq_bound(norm) for dev, norm in zip(x_devs, kf.operator_norms.tolist())
     )
     # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
     # forces row_sum = I; numerically we grant a 10x slack on eq_tol.

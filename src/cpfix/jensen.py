@@ -21,6 +21,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     DomainError,
+    PreconditionError,
     ToleranceConfig,
     herm_part,
     hermitize,
@@ -77,10 +78,11 @@ class IneqResidual:
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
     check = cfg.psd_check("residual", herm_part(rhs - lhs))
+    lhs_norm, rhs_norm = opnorm(np.stack([lhs, rhs])).tolist()
     return IneqResidual(
         min_eig=check.value,
-        lhs_norm=opnorm(lhs),
-        rhs_norm=opnorm(rhs),
+        lhs_norm=lhs_norm,
+        rhs_norm=rhs_norm,
         verdict=check.passed,
     )
 
@@ -132,9 +134,8 @@ def jensen_residual(
     true whenever sum mu x*x <= 1.  Note ||sum mu x* a x|| <= ||a||, so
     the left argument is automatically inside the domain.
     """
-    rep = normalization_report(kf, cfg)
     msg = "family is not contractive: min eig of (I - sum mu x*x) = {:.3e}"
-    cfg.psd_check("contractive", np.eye(kf.dim) - rep.column_sum, msg).require()
+    cfg.psd_check("contractive", np.eye(kf.dim) - kf.column_sum, msg).require()
     h = hermitize(a, cfg)
     # operator convexity of f_eps lives on the symmetric interval
     f.require_margin(opnorm(h))
@@ -159,9 +160,8 @@ def kadison_schwarz_residual(
     kf: KrausFamily, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
     """Residual of Phi(a^2) - Phi(a)^2 for a unital family."""
-    rep = normalization_report(kf, cfg)
-    if not rep.is_unital:
-        raise ValueError("Kadison-Schwarz check requires a unital family")
+    if not normalization_report(kf, cfg).is_unital:
+        raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h = hermitize(a, cfg)
     phi_a = apply_map(kf, h)
     lhs = phi_a @ phi_a

@@ -72,6 +72,13 @@ __all__ = [
 # Slack factor on eq_tol for residuals derived through an eigensolver.
 CONCLUSION_SLACK = 100.0
 
+# The spectral projections, and their off-diagonal blocks p x_t q and
+# q x_t p, go through the map and the norm in groups of at most this many
+# bytes: at d = 16 with up to 7 Kraus terms every projection fits in one
+# group, and at large d with many distinct eigenvalues the working memory
+# stays bounded instead of growing with their number.
+GROUP_BYTES = 1 << 20
+
 
 def _trace_chain(
     alg: BlockAlgebra, dec: SpectralDecomposition, tau_phi: float, row_sum: np.ndarray
@@ -88,7 +95,7 @@ def trace_chain_residual(
     """|tau(Phi(a)) - tau(a^{1/2} e a^{1/2})|, the swap behind the trace inequality."""
     h = hermitize(a, cfg)
     tau_phi = trace_tau(alg, apply_map(kf, h), cfg)
-    return _trace_chain(alg, herm_eig(h, cfg), tau_phi, normalization_report(kf, cfg).row_sum)
+    return _trace_chain(alg, herm_eig(h, cfg), tau_phi, kf.row_sum)
 
 
 def _trace_gap(
@@ -207,7 +214,7 @@ def _theorem(
         return TheoremReport(hypotheses)
 
     dec = herm_eig(h, cfg)
-    norm_h = opnorm(h)
+    norm_h = dec.norm
 
     tau_a, gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
     gap_bound = -cfg.eq_bound(abs(tau_a))
@@ -218,26 +225,32 @@ def _theorem(
     checks.append(Check("fixedness", fixedness, cfg.eq_bound(norm_h), msg))
 
     half = 0.5 / max(1.0, norm_h)
-    for eps in (half, -half):
-        # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
-        fa = dec.apply(EpsFunction(eps))
-        r = opnorm(apply_map(kf, fa) - fa)
+    # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
+    fas = np.stack([dec.apply(EpsFunction(eps)) for eps in (half, -half)])
+    residuals, norms = opnorm(np.stack([apply_map(kf, fas) - fas, fas])).tolist()
+    for eps, r, norm in zip((half, -half), residuals, norms):
         msg = f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})"
-        checks.append(Check("fEps", r, cfg.eq_bound(opnorm(fa), CONCLUSION_SLACK), msg))
+        checks.append(Check("fEps", r, cfg.eq_bound(norm, CONCLUSION_SLACK), msg))
 
     for n, r in enumerate(_power_residuals(kf, h, fixedness, powers), 1):
         msg = f"power residual at n={n}: {r:.3e}"
         checks.append(Check("powers", r, cfg.eq_bound(norm_h**n), msg))
 
-    for p in dec.projections:
-        r = opnorm(apply_map(kf, p) - p)
+    xs = np.stack(kf.operators)
+    group = max(1, GROUP_BYTES // (xs[0].nbytes * (2 * len(xs) + 1)))
+    proj_res, off_res = [], []
+    for i in range(0, len(dec.projections), group):
+        ps = np.stack(dec.projections[i : i + group])
+        proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
+        # blocks[j, :k] = p_j x_t q_j and blocks[j, k:] = q_j x_t p_j, q_j = I - p_j
+        p, q = ps[:, None], np.eye(kf.dim) - ps[:, None]
+        blocks = np.concatenate([p @ xs @ q, q @ xs @ p], axis=1)
+        off_res += opnorm(blocks).max(axis=1).tolist()
+    for r in proj_res:
         msg = f"projection fixedness residual {r:.3e}"
         checks.append(Check("projections", r, cfg.eq_bound(slack=CONCLUSION_SLACK), msg))
-    eye = np.eye(kf.dim)
-    op_bound = cfg.eq_bound(max(opnorm(x) for x in kf.operators), CONCLUSION_SLACK)
-    for p in dec.projections:
-        q = eye - p
-        r = max(max(opnorm(p @ x @ q), opnorm(q @ x @ p)) for x in kf.operators)
+    op_bound = cfg.eq_bound(float(kf.operator_norms.max()), CONCLUSION_SLACK)
+    for r in off_res:
         checks.append(Check("offDiagonal", r, op_bound, f"off-diagonal block residual {r:.3e}"))
 
     checks += _commutator_checks(h, norm_h, kf, cfg, commutator_name, "commutator residual")
@@ -245,14 +258,17 @@ def _theorem(
 
 
 def _power_residuals(kf: KrausFamily, h: np.ndarray, r: float, n_max: int) -> list[float]:
-    """||Phi(h^n) - h^n|| for n = 1..n_max, given the n = 1 residual ``r``."""
-    out, power = [], h
-    for n in range(n_max):
-        if n:
-            power = power @ h
-            r = opnorm(apply_map(kf, power) - power)
-        out.append(r)
-    return out
+    """||Phi(h^n) - h^n|| for n = 1..n_max, given the n = 1 residual ``r``.
+
+    The powers n >= 2 take one map call and one norm call.
+    """
+    if n_max < 2:
+        return [r][:n_max]
+    powers = [h @ h]
+    while len(powers) < n_max - 1:
+        powers.append(powers[-1] @ h)
+    stack = np.stack(powers)
+    return [r, *opnorm(apply_map(kf, stack) - stack).tolist()]
 
 
 def _commutator_checks(
@@ -260,17 +276,19 @@ def _commutator_checks(
 ) -> list[Check]:
     """||[h, x_t]|| <= eq_bound(||h||, CONCLUSION_SLACK) for each family member."""
     bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
-    residuals = [opnorm(commutator(h, x)) for x in kf.operators]
+    residuals = opnorm(commutator(h, np.stack(kf.operators))).tolist()
     return [Check(name, r, bound, f"{label} {r:.3e}") for r in residuals]
 
 
-def _require_fixed_point(kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Phi(h), once h is known to be a fixed point."""
+def _require_fixed_point(
+    kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, float, float]:
+    """(Phi(h), ||Phi(h) - h||, ||h||), once h is known to be a fixed point."""
     phi_h = apply_map(kf, h)
-    fix_res = opnorm(phi_h - h)
+    fix_res, norm_h = opnorm(np.stack([phi_h - h, h])).tolist()
     msg = f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
-    Check("fixedPoint", fix_res, cfg.eq_bound(opnorm(h)), msg).require()
-    return phi_h
+    Check("fixedPoint", fix_res, cfg.eq_bound(norm_h), msg).require()
+    return phi_h, fix_res, norm_h
 
 
 def corollary_verify(
@@ -289,17 +307,17 @@ def corollary_verify(
     """
     h = hermitize(a, cfg)
     cfg.psd_check("aPositive", h, "corollary pipeline requires a >= 0").require()
-    phi_h = _require_fixed_point(kf, h, cfg)
+    phi_h, _, norm_h = _require_fixed_point(kf, h, cfg)
     rep = normalization_report(kf, cfg)
     if not rep.is_unital:
-        raise ValueError("Kadison-Schwarz check requires a unital family")
+        raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h2 = herm_part(h @ h)
     phi_h2 = apply_map(kf, h2)
     msg = "Kadison-Schwarz residual negative: {:.3e}"
     ks_check = cfg.psd_check("kadisonSchwarz", herm_part(phi_h2 - phi_h @ phi_h), msg)
     # a^2's commutator checks count under their own name; "commutators" are a's
     inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers, "squareCommutators")
-    comms = _commutator_checks(h, opnorm(h), kf, cfg, "commutators", "commutator of a residual")
+    comms = _commutator_checks(h, norm_h, kf, cfg, "commutators", "commutator of a residual")
     return TheoremReport(inner.hypotheses, [*inner.checks, ks_check, *comms])
 
 
@@ -308,7 +326,7 @@ def power_fixed_check(
 ) -> list[float]:
     """Residuals ||Phi(a^n) - a^n|| for n = 1..n_max of a fixed point."""
     h = hermitize(a, cfg)
-    return _power_residuals(kf, h, opnorm(_require_fixed_point(kf, h, cfg) - h), n_max)
+    return _power_residuals(kf, h, _require_fixed_point(kf, h, cfg)[1], n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,19 +399,28 @@ def spectral_peel(
     msg = "Phi(a) >= a fails: min eig of Phi(a) - a is {:.3e}"
     cfg.psd_check("superFixed", herm_part(apply_map(kf, h) - h), msg).require()
 
-    norm_h = opnorm(h)
+    # each step's decomposition carries the norm of the remainder it peels
+    dec = herm_eig(h, cfg)
+    norm_h = dec.norm
+    done = cfg.eq_bound(norm_h)
+    xs = np.stack(kf.operators)
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
     current = h.copy()
     total = np.zeros_like(h)
     for k in range(kf.dim + 1):
-        if opnorm(current) <= cfg.eq_bound(norm_h):
+        if k:
+            # ||current||_F >= ||current||, so a remainder whose Frobenius
+            # norm is within the bound is done without a decomposition
+            if np.linalg.norm(current) <= done:
+                break
+            dec = herm_eig(current, cfg)
+        if dec.norm <= done:
             break
-        dec = herm_eig(current, cfg)
         lam = float(dec.eigenvalues[0])
         p = dec.projections[0]
-        comm_res = max(opnorm(commutator(x, p)) for x in kf.operators)
-        fix_res = opnorm(apply_map(kf, p) - p)
+        norms = opnorm(np.concatenate([commutator(xs, p), [apply_map(kf, p) - p]])).tolist()
+        comm_res, fix_res = max(norms[:-1]), norms[-1]
         steps.append(PeelStep(lam, p, comm_res, fix_res))
         msg = f"step {k}: negative eigenvalue {lam:.3e}"
         checks.append((k, Check("eigenvalue", lam, cfg.psd_bound(), msg, lower=True)))
@@ -566,10 +593,12 @@ def hypothesis_explorer(
             top = float(np.linalg.eigvalsh(herm_part(row))[-1])
             ops = [x / np.sqrt(top) for x in raw]
         kf = KrausFamily.from_operators(ops)
+        xs = np.stack(kf.operators)
         for b in fixed_space_basis(kf, cfg).basis:
-            res = max(opnorm(commutator(b, x)) for x in kf.operators)
+            *comms, norm_b = opnorm(np.concatenate([commutator(b, xs), [b]])).tolist()
+            res = max(comms)
             max_res = max(max_res, res)
-            if res > cfg.eq_bound(opnorm(b), CONCLUSION_SLACK):
+            if res > cfg.eq_bound(norm_b, CONCLUSION_SLACK):
                 violations.append(
                     {
                         "trial": trial,

@@ -75,6 +75,25 @@ class TestApplyMap:
             assert opnorm(lhs - rhs) <= 1e-12
 
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stack_equals_per_slice(self, d):
+        rng = np.random.default_rng(d)
+        kf = KrausFamily.from_operators(
+            [random_complex(d, rng) for _ in range(3)], weights=[0.5, 1.0, 2.0]
+        )
+        stack = np.stack([random_complex(d, rng) for _ in range(4)])
+        for fn in (apply_map, dual_apply):
+            assert np.array_equal(fn(kf, stack), np.stack([fn(kf, m) for m in stack]))
+
+    def test_stack_validation(self, lueders):
+        with pytest.raises(DimensionMismatchError):
+            apply_map(lueders, np.zeros((2, 3, 3)))
+        bad = np.zeros((2, 2, 2))
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            apply_map(lueders, bad)
+
+
 class TestDualApply:
     def test_identity_channel(self, identity_channel):
         rng = np.random.default_rng(1)
@@ -103,6 +122,28 @@ class TestDualApply:
             lhs = np.trace(apply_map(mixture, a) @ b)
             rhs = np.trace(a @ dual_apply(mixture, b))
             assert abs(lhs - rhs) <= 1e-10
+
+
+class TestCachedFamilyQuantities:
+    def test_sums_are_the_term_by_term_sums(self):
+        rng = np.random.default_rng(12)
+        kf = KrausFamily.from_operators(
+            [random_complex(4, rng) for _ in range(3)], weights=[0.5, 1.0, 2.0]
+        )
+        col = np.zeros((4, 4), dtype=complex)
+        row = np.zeros((4, 4), dtype=complex)
+        for s in kf.scaled_operators:
+            col += s.conj().T @ s
+            row += s @ s.conj().T
+        assert np.array_equal(kf.column_sum, (col + col.conj().T) / 2.0)
+        assert np.array_equal(kf.row_sum, (row + row.conj().T) / 2.0)
+        assert np.array_equal(kf.operator_norms, [np.linalg.norm(x, 2) for x in kf.operators])
+
+    def test_report_reads_the_cache(self):
+        kf = KrausFamily.from_operators([np.eye(3) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+        rep = normalization_report(kf, CFG)
+        assert rep.column_sum is kf.column_sum and rep.row_sum is kf.row_sum
+        assert normalization_report(kf, CFG).column_sum is rep.column_sum
 
 
 class TestNormalizationReport:

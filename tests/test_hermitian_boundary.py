@@ -74,20 +74,21 @@ class TestHermitize:
             hermitize(NEAR_HERMITIAN, STRICT)
 
     def test_exactly_hermitian_input_costs_no_norm(self, monkeypatch):
-        # herm_part output passes hermitize without the two-SVD deviation test
+        # herm_part output passes hermitize without the deviation test, whose
+        # two matrices (deviation and scale) share one singular-value call
         calls = []
-        real_norm = np.linalg.norm
+        real_svd = np.linalg.svd
 
-        def counting_norm(*args, **kwargs):
-            calls.append(1)
-            return real_norm(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            calls.append(int(np.prod(np.shape(a)[:-2])))
+            return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         h = herm_part(random_complex(5, np.random.default_rng(1)))
         np.testing.assert_array_equal(hermitize(h, STRICT), h)
         assert calls == []
         hermitize(NEAR_HERMITIAN)
-        assert len(calls) == 2
+        assert calls == [2]
 
     def test_psd_min_eig_checks_against_cfg(self):
         assert psd_min_eig(NEAR_HERMITIAN) == pytest.approx(1.0)

@@ -453,6 +453,54 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: 'utf-8' codec can't decode")
 
+    def test_json_leaves_are_plain_python(self, tmp_path, lueders_file, mixture_file, monkeypatch):
+        # json cannot write numpy scalars (an np.bool_ flag raises); only the
+        # kernel basis matrices stay arrays, written by canonical_dumps itself
+        docs = []
+        real_dumps = io.canonical_dumps
+
+        def recording_dumps(obj):
+            docs.append(obj)
+            return real_dumps(obj)
+
+        a = _matrix_file(tmp_path, "a.json", np.diag([2.0, 1.0]))
+        e11 = tmp_path / "e11.json"
+        io.write_channel(e11, KrausFamily.from_operators([np.diag([1.0, 0.0])]))
+        monkeypatch.setattr(io, "canonical_dumps", recording_dumps)
+        commands = [
+            ["check", lueders_file],
+            ["check", str(e11)],
+            ["fix", lueders_file],
+            ["fix", str(e11)],
+            ["commutant", mixture_file],
+            ["verify", lueders_file, a],
+            ["verify", mixture_file, a],
+            ["corollary", lueders_file, a],
+            ["peel", lueders_file, a],
+            ["jensen", lueders_file, a, "--eps", "0.1"],
+            ["explore", "--mode", "unital-only", "--dim", "2", "--trials", "3"],
+            ["explore", "--mode", "subunital-only", "--dim", "2", "--trials", "3"],
+        ]
+        plain = (bool, int, float, str, type(None))
+
+        def walk(obj, path):
+            if isinstance(obj, dict):
+                for k, v in obj.items():
+                    assert type(k) is str, path
+                    walk(v, f"{path}.{k}")
+            elif isinstance(obj, list):
+                for k, v in enumerate(obj):
+                    walk(v, f"{path}[{k}]")
+            elif isinstance(obj, np.ndarray):
+                assert path.startswith("$.basis[") and obj.ndim == 2 and obj.dtype == complex, path
+            else:
+                assert type(obj) in plain, (path, type(obj))
+
+        for argv in commands:
+            assert run([*argv, "--json"]) in (0, 1)
+            assert len(docs) == 1, argv
+            walk(docs.pop(), "$")
+
     @pytest.mark.parametrize("command", ["fix", "commutant"])
     def test_kernel_json_is_canonical(self, tmp_path, lueders_file, mixture_file, command, capsys):
         random_path = tmp_path / "random.json"

@@ -85,6 +85,39 @@ def test_tolerances_finite_positive(field, value):
         ToleranceConfig(**{field: value})
 
 
+class TestOpnormStack:
+    """A stack's norms are bit for bit the per-matrix spectral norms."""
+
+    @pytest.mark.parametrize(
+        "shape, complex_",
+        [((4, 5, 5), True), ((3, 4, 4), False), ((2, 3, 6), True), ((2, 6, 3), False), ((1, 1, 1), True)],
+    )
+    def test_equals_per_matrix_norms(self, shape, complex_):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape)
+        if complex_:
+            stack = stack + 1j * rng.standard_normal(shape)
+        norms = opnorm(stack)
+        assert isinstance(norms, np.ndarray) and norms.shape == shape[:1]
+        assert np.array_equal(norms, [np.linalg.norm(m, 2) for m in stack])
+
+    def test_nested_stack_keeps_leading_shape(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        expected = [[np.linalg.norm(m, 2) for m in row] for row in stack]
+        assert np.array_equal(opnorm(stack), expected)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 5), (2, 5, 0)])
+    def test_empty_stacks(self, shape):
+        norms = opnorm(np.zeros(shape, dtype=complex))
+        assert norms.shape == shape[:1] and np.array_equal(norms, np.zeros(shape[:1]))
+
+    def test_matrix_gives_python_float(self):
+        m = random_complex(4, np.random.default_rng(6))
+        assert type(opnorm(m)) is float and opnorm(m) == np.linalg.norm(m, 2)
+        assert type(opnorm(np.zeros((0, 3)))) is float and opnorm(np.zeros((0, 3))) == 0.0
+
+
 class TestHermitize:
     def test_symmetrizes(self):
         a = np.array([[1.0, 1 + 1e-12j], [1 - 1e-12j, 2.0]])

@@ -3,6 +3,7 @@ import pytest
 
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
+from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
 from cpfix.matcore import ToleranceConfig, commutator, herm_eig, hermitize, opnorm, psd_min_eig, vec
 from cpfix.verify import (
     PreconditionError,
@@ -23,6 +24,43 @@ from conftest import E11, E12, E22, SIGMA_X, random_hermitian, random_subunital_
 
 CFG = ToleranceConfig()
 FULL2 = BlockAlgebra.full(2)
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [
+        lambda kf, a: corollary_verify(kf, FULL2, a, CFG),
+        lambda kf, a: kadison_schwarz_residual(kf, a, CFG),
+        lambda kf, a: spectral_peel(kf, a, CFG),
+    ],
+    ids=["corollary", "kadison-schwarz", "peel"],
+)
+def test_unital_requirement_is_a_precondition_error(pipeline):
+    # {2 I} is self-adjoint and not unital; a = 0 is a positive fixed point,
+    # so the unitality requirement is the first one to fail
+    kf = KrausFamily.from_operators([2.0 * np.eye(2)])
+    with pytest.raises(PreconditionError, match="requires a unital family"):
+        pipeline(kf, np.zeros((2, 2)))
+
+
+def test_trace_chain_and_jensen_build_no_report(monkeypatch):
+    # both read the family's cached row and column sums
+    import sys
+
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return normalization_report(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("cpfix") and getattr(mod, "normalization_report", None) is normalization_report:
+            monkeypatch.setattr(mod, "normalization_report", counting)
+    kf = random_bistochastic(4, 3, 2)
+    a = 2.0 * np.eye(4)
+    assert trace_chain_residual(kf, BlockAlgebra.full(4), a, CFG) <= 1e-12
+    assert jensen_residual(kf, EpsFunction(0.1), a, CFG).verdict
+    assert calls == [0]
 
 
 class TestTraceInequality:
@@ -132,14 +170,19 @@ class TestTheoremVerify:
     def test_one_decomposition_and_no_invariance_map_calls(self, monkeypatch):
         # the full algebra is invariant without applying the map, and sqrt(a),
         # both f_eps(a) and the spectral projections share one herm_eig(a):
-        # 1 Phi(a) + 2 f_eps + 7 powers + 1 projection = 11 map applications
+        # 1 Phi(a) + 2 f_eps + 7 powers + 1 projection = 11 matrices through
+        # the map, in 4 calls (one per stage)
         import sys
 
-        calls = {"apply_map": 0, "herm_eig": 0}
+        calls = {"apply_map": 0, "herm_eig": 0, "map calls": 0}
         for real in (apply_map, herm_eig):
 
             def counting(*args, _real=real, **kwargs):
-                calls[_real.__name__] += 1
+                if _real is apply_map:
+                    calls["map calls"] += 1
+                    calls["apply_map"] += int(np.prod(np.shape(args[1])[:-2]))
+                else:
+                    calls["herm_eig"] += 1
                 return _real(*args, **kwargs)
 
             for mod_name, mod in list(sys.modules.items()):
@@ -148,22 +191,24 @@ class TestTheoremVerify:
         kf = random_bistochastic(6, 3, 0)
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
-        assert calls == {"apply_map": 11, "herm_eig": 1}
+        assert calls == {"apply_map": 11, "herm_eig": 1, "map calls": 4}
 
     def test_membership_asked_once(self, monkeypatch):
         # on one block, aInAlgebra and tau(Phi(a)) take no SVD, and tau(a)
-        # reuses aInAlgebra's answer: 6 spectral norms fewer than 39
-        svds = [0]
-        real_norm = np.linalg.norm
+        # reuses aInAlgebra's answer: 33 spectral norms (report 7, cached
+        # ||x_t|| 3, herm_eig 1, fixedness 1, f_eps 4, powers 7, projection 1,
+        # off-diagonal blocks 6, commutators 3) in 9 singular-value calls
+        svds = []
+        real_svd = np.linalg.svd
 
-        def counting_norm(x, ord=None, *args, **kwargs):
-            svds[0] += ord == 2
-            return real_norm(x, ord, *args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            svds.append(int(np.prod(np.shape(a)[:-2])))
+            return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         kf = random_bistochastic(6, 3, 0)
         assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
-        assert svds == [33]
+        assert (sum(svds), len(svds)) == (33, 9)
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
         # the deviation test (two spectral norms: deviation and scale) runs
@@ -173,11 +218,12 @@ class TestTheoremVerify:
         import sys
 
         svds, depth = [0], [0]
-        real_norm = np.linalg.norm
+        real_svd = np.linalg.svd
 
-        def counting_norm(*args, **kwargs):
-            svds[0] += depth[0] > 0
-            return real_norm(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            if depth[0] > 0:
+                svds[0] += int(np.prod(np.shape(a)[:-2]))
+            return real_svd(a, *args, **kwargs)
 
         def counting_hermitize(*args, **kwargs):
             depth[0] += 1
@@ -186,7 +232,7 @@ class TestTheoremVerify:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("cpfix") and getattr(mod, "hermitize", None) is hermitize:
                 monkeypatch.setattr(mod, "hermitize", counting_hermitize)
@@ -225,6 +271,34 @@ class TestTheoremVerify:
         assert report.failures == [c.failure for c in failed]
         assert report.verdict == all(c.passed for c in report.checks) is False
         assert report.to_dict()["failures"] == report.failures
+
+    def test_projection_stages_memory_bounded(self, monkeypatch):
+        # a of simple spectrum at d = 32 with k = 4 diagonal unitaries: all
+        # 2nk off-diagonal blocks at once would take 2k = 8 times the n = 32
+        # projections' d x d complex entries; groups of projections (7 per
+        # group here) keep the traced peak below that, and one projection
+        # per group changes no reported residual
+        import tracemalloc
+
+        import cpfix.verify as verify_mod
+
+        d, k = 32, 4
+        rng = np.random.default_rng(0)
+        kf = KrausFamily.from_operators(
+            [np.diag(np.exp(2j * np.pi * rng.uniform(size=d))) / 2 for _ in range(k)]
+        )
+        a = np.diag(np.arange(1.0, d + 1))
+        tracemalloc.start()
+        try:
+            report = theorem_verify(kf, BlockAlgebra.full(d), a, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict
+        assert len(report.residuals("offDiagonal")) == d
+        assert peak < 2 * k * d * d * d * 16
+        monkeypatch.setattr(verify_mod, "GROUP_BYTES", 1)
+        assert theorem_verify(kf, BlockAlgebra.full(d), a, CFG).to_dict() == report.to_dict()
 
 
 class TestCorollaryVerify:
@@ -272,14 +346,19 @@ class TestCorollaryVerify:
 
     def test_report_and_images_computed_once(self, monkeypatch):
         # one report, Phi(a) and Phi(a^2) shared with the main pipeline:
-        # Phi(a) + Phi(a^2) + 2 f_eps + 7 powers + 1 projection = 12 applications
+        # Phi(a) + Phi(a^2) + 2 f_eps + 7 powers + 1 projection = 12 matrices
+        # through the map, in 5 calls
         import sys
 
-        calls = {"apply_map": 0, "normalization_report": 0}
+        calls = {"apply_map": 0, "normalization_report": 0, "map calls": 0}
         for real in (apply_map, normalization_report):
 
             def counting(*args, _real=real, **kwargs):
-                calls[_real.__name__] += 1
+                if _real is apply_map:
+                    calls["map calls"] += 1
+                    calls["apply_map"] += int(np.prod(np.shape(args[1])[:-2]))
+                else:
+                    calls["normalization_report"] += 1
                 return _real(*args, **kwargs)
 
             for mod_name, mod in list(sys.modules.items()):
@@ -288,7 +367,7 @@ class TestCorollaryVerify:
         kf = random_bistochastic(6, 3, 0)
         report = corollary_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
-        assert calls == {"apply_map": 12, "normalization_report": 1}
+        assert calls == {"apply_map": 12, "normalization_report": 1, "map calls": 5}
 
 
 class TestPowerFixedCheck:
@@ -330,6 +409,24 @@ class TestSpectralPeel:
         assert [s.eigenvalue for s in trace.steps] == pytest.approx([3.0, 1.0])
         np.testing.assert_allclose(trace.steps[0].projection, E11, atol=1e-12)
         np.testing.assert_allclose(trace.steps[1].projection, E22, atol=1e-12)
+
+    def test_one_decomposition_per_step(self, lueders, monkeypatch):
+        # each step decomposes its remainder once, and the final, near-zero
+        # remainder is not decomposed
+        import cpfix.verify as verify_mod
+
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return herm_eig(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "herm_eig", counting)
+        for a in (np.eye(2), np.diag([3.0, 1.0])):
+            calls[0] = 0
+            trace = spectral_peel(lueders, a, CFG)
+            assert trace.verdict
+            assert calls[0] == len(trace.steps)
 
     def test_mixture_not_super_fixed(self, mixture):
         with pytest.raises(PreconditionError, match="Phi\\(a\\) >= a"):
