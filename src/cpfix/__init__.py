@@ -43,9 +43,6 @@ from .jensen import (
     f_eps_eval,
     jensen_residual,
     kadison_schwarz_residual,
-    lambda_domination_check,
-    midpoint_convexity_residual,
-    series_truncation_check,
 )
 from .verify import (
     ExplorationReport,
@@ -55,7 +52,6 @@ from .verify import (
     TrialConfig,
     corollary_verify,
     hypothesis_explorer,
-    power_fixed_check,
     random_bistochastic,
     random_selfadjoint_family,
     spectral_peel,

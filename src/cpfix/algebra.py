@@ -81,15 +81,30 @@ class BlockAlgebra:
             mask[s, s] = True
         return mask
 
-    def off_block_mass(self, a: np.ndarray) -> float:
-        """Spectral norm of a's off-block part; 0 without an SVD for one block."""
-        if len(self.block_dims) == 1:
-            return 0.0
-        return opnorm(np.where(self.block_mask, 0.0, a))
+    def off_block_mass(self, a: np.ndarray) -> float | np.ndarray:
+        """Spectral norm of the off-block part of a matrix, or of each matrix of a stack.
+
+        A (k, d, d) stack gives an array of k norms.  An off-block part that is
+        exactly zero, as every part is for one block, costs no SVD.
+        """
+        off = np.where(self.block_mask, 0.0, a)
+        leaks = off.any(axis=(-2, -1))
+        mass = np.zeros(leaks.shape)
+        mass[leaks] = opnorm(off[leaks])
+        return float(mass) if off.ndim == 2 else mass
 
     def contains(self, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-        mass = self.off_block_mass(a)
-        return mass == 0.0 or mass <= cfg.eq_bound(opnorm(a))
+        """Whether ``a``, or every matrix m of a (k, d, d) stack, is in the algebra.
+
+        The one membership rule: off-block norm of m <= ``cfg.eq_bound(||m||)``.
+        Only a matrix with a nonzero off-block part pays for ||m||.
+        """
+        stack = np.asarray(a)
+        stack = stack.reshape(-1, *stack.shape[-2:])
+        mass = self.off_block_mass(stack)
+        leaks = mass != 0.0
+        norms = opnorm(stack[leaks]).tolist()
+        return all(m <= cfg.eq_bound(n) for m, n in zip(mass[leaks].tolist(), norms))
 
     def trace(self, a: np.ndarray) -> float:
         """sum_i w_i Re Tr(a_i) over the diagonal blocks, with no membership test."""
@@ -100,35 +115,26 @@ class BlockAlgebra:
 
 
 def commutant_basis(
-    family: list[np.ndarray],
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    dim: int | None = None,
+    family: list[np.ndarray], cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NullspaceResult:
     """Orthonormal basis of {a : a x = x a for every x in the family}.
 
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
-    matrices, with rank cut relative to at least max ||x||; an empty family
-    is the empty system, whose kernel is the full matrix space (``dim`` must
-    then be supplied; otherwise it must agree with the members).  Block t of the
-    system is kron(I, x_t) - kron(x_t^T, I), written entry by entry: as a
-    (d, d, d, d) array indexed [i, k, j, l] it is x_t[k, l] on i = j minus
-    x_t[j, i] on k = l.
+    matrices, with rank cut relative to at least max ||x||.  The family must
+    be non-empty, with members of one shape.  Block t of the system is
+    kron(I, x_t) - kron(x_t^T, I), written entry by entry: as a (d, d, d, d)
+    array indexed [i, k, j, l] it is x_t[k, l] on i = j minus x_t[j, i] on
+    k = l.
     """
-    family = [as_cmatrix(x) for x in family]
-    if not family and dim is None:
-        raise ValueError("commutant of an empty family needs an explicit dimension")
-    d = family[0].shape[0] if dim is None else dim
-    for x in family:
-        if x.shape != (d, d):
-            raise ValueError(f"family members must share the dimension {d}, got {x.shape}")
-    xs = np.array(family, dtype=np.complex128).reshape(-1, d, d)
-    system = np.zeros((len(xs), d, d, d, d), dtype=np.complex128)
+    if not family:
+        raise ValueError("the commutant needs at least one family member")
+    xs = np.stack([as_cmatrix(x) for x in family])
+    n, d = xs.shape[:2]
+    system = np.zeros((n, d, d, d, d), dtype=np.complex128)
     r = np.arange(d)
     system[:, r, :, r, :] = xs
     system[:, :, r, :, r] -= xs.transpose(0, 2, 1)
-    scale = float(opnorm(xs).max(initial=0.0))
-    # no blocks give the (0, d*d) empty system
-    return nullspace_basis(system.reshape(-1, d * d), d, cfg, scale)
+    return nullspace_basis(system.reshape(-1, d * d), d, cfg, float(opnorm(xs).max()))
 
 
 def trace_tau(
@@ -155,11 +161,10 @@ def invariance_check(
 ) -> bool:
     """Whether the map sends the block algebra into itself.
 
-    Each block matrix unit e_ij passes :meth:`BlockAlgebra.contains`'s test:
-    off-block norm of Phi(e_ij) <= ``cfg.eq_bound(||Phi(e_ij)||)``.  A one-block
-    algebra passes at once.  No map is applied: Phi(e_ij) = sum_t conj(s_t[i])^T
-    s_t[j] from rows of the scaled operators, for all j of a k-block at once
-    (k * d^2 entries per batch).
+    Each block matrix unit e_ij passes :meth:`BlockAlgebra.contains`.  A
+    one-block algebra passes at once.  No map is applied: Phi(e_ij) =
+    sum_t conj(s_t[i])^T s_t[j] from rows of the scaled operators, for all j of
+    a k-block at once (k * d^2 entries per batch).
     """
     if alg.dim != kf.dim:
         raise ValueError("algebra and family dimensions differ")
@@ -169,8 +174,6 @@ def invariance_check(
     for s in alg.slices:
         for i in range(s.start, s.stop):
             images = np.einsum("tp,tjq->jpq", ops[:, i, :].conj(), ops[:, s, :])
-            off = np.linalg.norm(np.where(alg.block_mask, 0.0, images), 2, axis=(1, 2))
-            norms = np.linalg.norm(images, 2, axis=(1, 2))
-            if any(o > cfg.eq_bound(n) for o, n in zip(off, norms)):
+            if not alg.contains(images, cfg):
                 return False
     return True

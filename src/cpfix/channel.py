@@ -190,14 +190,12 @@ def dual_apply(kf: KrausFamily, a) -> np.ndarray:
 class NormalizationReport:
     """Which of the setup conditions a family satisfies.
 
-    ``column_sum`` is sum mu x*x (unitality side); ``row_sum`` is
-    sum mu x x*, the operator bounded by the identity in the setup.
-    ``rigidity_holds`` records the finite-dimensional trace argument:
-    unital plus sub-unital-dual forces row_sum equal to the identity.
+    The sums the flags are read from are the family's cached
+    ``column_sum`` and ``row_sum``.  ``rigidity_holds`` records the
+    finite-dimensional trace argument: unital plus sub-unital-dual forces
+    row_sum equal to the identity.
     """
 
-    column_sum: np.ndarray
-    row_sum: np.ndarray
     is_unital: bool
     is_subunital_dual: bool
     is_trace_preserving: bool
@@ -236,8 +234,6 @@ def normalization_report(
         row_dev <= cfg.eq_bound(row_norm, slack=10.0)
     )
     return NormalizationReport(
-        column_sum=col,
-        row_sum=row,
         is_unital=is_unital,
         is_subunital_dual=is_subunital,
         is_trace_preserving=is_tp,

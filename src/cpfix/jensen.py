@@ -35,11 +35,8 @@ __all__ = [
     "EpsFunction",
     "IneqResidual",
     "f_eps_eval",
-    "series_truncation_check",
     "jensen_residual",
-    "midpoint_convexity_residual",
     "kadison_schwarz_residual",
-    "lambda_domination_check",
 ]
 
 MARGIN_FACTOR = 0.99
@@ -104,27 +101,6 @@ def f_eps_eval(f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     return mat_func(f, h, cfg, domain=domain)
 
 
-def series_truncation_check(
-    f: EpsFunction, a, n_terms: int, cfg: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """Distance between f_eps(a) and its truncated power series.
-
-    The series is a^2 + eps a^3 + eps^2 a^4 + ...; the return value is
-    bounded by the geometric tail (|eps| ||a||)^{N+1} ||a||^2 / (1 - |eps| ||a||).
-    """
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    h = hermitize(a, cfg)
-    f.require_margin(opnorm(h))
-    exact = f_eps_eval(f, h, cfg)
-    partial = np.zeros_like(h)
-    power = h @ h
-    for n in range(n_terms + 1):
-        partial += (f.eps**n) * power
-        power = power @ h
-    return opnorm(exact - partial)
-
-
 def jensen_residual(
     kf: KrausFamily, f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
@@ -144,18 +120,6 @@ def jensen_residual(
     return _residual(lhs, rhs, cfg)
 
 
-def midpoint_convexity_residual(
-    f: EpsFunction, a, b, cfg: ToleranceConfig = DEFAULT_TOL
-) -> IneqResidual:
-    """Residual of (f(a) + f(b))/2 - f((a+b)/2)."""
-    ha, hb = hermitize(a, cfg), hermitize(b, cfg)
-    f.require_margin(max(opnorm(ha), opnorm(hb)))
-    mid = (ha + hb) / 2.0
-    lhs = f_eps_eval(f, mid, cfg)
-    rhs = (f_eps_eval(f, ha, cfg) + f_eps_eval(f, hb, cfg)) / 2.0
-    return _residual(lhs, rhs, cfg)
-
-
 def kadison_schwarz_residual(
     kf: KrausFamily, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
@@ -167,19 +131,3 @@ def kadison_schwarz_residual(
     lhs = phi_a @ phi_a
     rhs = apply_map(kf, h @ h)
     return _residual(lhs, rhs, cfg)
-
-
-def lambda_domination_check(
-    f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL
-) -> IneqResidual:
-    """Residual of lambda a - f_eps(a) with lambda = ||a|| (1 - |eps| ||a||)^{-1}.
-
-    Valid for positive semidefinite a inside the pole margin.
-    """
-    h = hermitize(a, cfg)
-    msg = "lambda domination requires a positive semidefinite operator"
-    cfg.psd_check("aPositive", h, msg).require()
-    norm = opnorm(h)
-    f.require_margin(norm)
-    lam = norm / (1.0 - abs(f.eps) * norm)
-    return _residual(f_eps_eval(f, h, cfg), lam * h, cfg)

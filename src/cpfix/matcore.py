@@ -43,7 +43,6 @@ __all__ = [
     "hermitize",
     "opnorm",
     "vec",
-    "unvec",
     "commutator",
     "herm_eig",
     "mat_func",
@@ -185,16 +184,6 @@ def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(AXB) = (B^T kron A) vec(X)."""
     return np.ravel(x, order="F")
-
-
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v).ravel()
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise ValueError(f"vector of length {v.size} is not a square matrix")
-    return v.reshape((dim, dim), order="F")
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -349,5 +338,5 @@ def nullspace_basis(
     rank = int(np.sum(s > threshold))
     warning = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
     kernel = vh[rank:].conj()
-    basis = [unvec(row, dim) for row in kernel]
+    basis = [row.reshape((dim, dim), order="F") for row in kernel]
     return NullspaceResult(basis=basis, rank_warning=warning, singular_values=s)

@@ -61,7 +61,6 @@ __all__ = [
     "trace_chain_residual",
     "theorem_verify",
     "corollary_verify",
-    "power_fixed_check",
     "spectral_peel",
     "haar_unitary",
     "random_bistochastic",
@@ -103,7 +102,7 @@ def _trace_gap(
     h: np.ndarray,
     dec: SpectralDecomposition,
     phi_h: np.ndarray,
-    rep: NormalizationReport,
+    row_sum: np.ndarray,
     cfg: ToleranceConfig,
 ) -> tuple[float, float]:
     """(tau(h), trace gap) of a positive ``h`` in the algebra, for a sub-unital dual family."""
@@ -112,7 +111,7 @@ def _trace_gap(
     except MembershipError as exc:
         raise PreconditionError(f"Phi(a) is not in the algebra: {exc}") from exc
     tau_a = alg.trace(h)
-    chain = _trace_chain(alg, dec, tau_phi, rep.row_sum)
+    chain = _trace_chain(alg, dec, tau_phi, row_sum)
     msg = f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
     Check("traceChain", chain, cfg.eq_bound(abs(tau_a)), msg).require()
     return tau_a, tau_a - tau_phi
@@ -134,7 +133,7 @@ def trace_inequality_check(
     rep = normalization_report(kf, cfg)
     if not rep.is_subunital_dual:
         raise PreconditionError("family violates sum mu x x* <= 1")
-    return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), rep, cfg)[1]
+    return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), kf.row_sum, cfg)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +215,7 @@ def _theorem(
     dec = herm_eig(h, cfg)
     norm_h = dec.norm
 
-    tau_a, gap = _trace_gap(alg, h, dec, phi_h, rep, cfg)
+    tau_a, gap = _trace_gap(alg, h, dec, phi_h, kf.row_sum, cfg)
     gap_bound = -cfg.eq_bound(abs(tau_a))
     checks = [Check("traceGap", gap, gap_bound, f"trace gap negative: {gap:.3e}", lower=True)]
 
@@ -319,14 +318,6 @@ def corollary_verify(
     inner = _theorem(kf, alg, h2, phi_h2, rep, cfg, powers, "squareCommutators")
     comms = _commutator_checks(h, norm_h, kf, cfg, "commutators", "commutator of a residual")
     return TheoremReport(inner.hypotheses, [*inner.checks, ks_check, *comms])
-
-
-def power_fixed_check(
-    kf: KrausFamily, a, n_max: int, cfg: ToleranceConfig = DEFAULT_TOL
-) -> list[float]:
-    """Residuals ||Phi(a^n) - a^n|| for n = 1..n_max of a fixed point."""
-    h = hermitize(a, cfg)
-    return _power_residuals(kf, h, _require_fixed_point(kf, h, cfg)[1], n_max)
 
 
 @dataclass(frozen=True, eq=False)

@@ -203,7 +203,7 @@ def test_criterion_8_finite_dimensional_rigidity():
         rep = normalization_report(kf, CFG)
         if rep.is_unital and rep.is_subunital_dual:
             fired += 1
-            worst = max(worst, opnorm(rep.row_sum - np.eye(kf.dim)))
+            worst = max(worst, opnorm(kf.row_sum - np.eye(kf.dim)))
     # every bistochastic instance must trigger the trace-argument check
     ok = worst <= 1e-8 and fired >= 50
     _verdict(8, ok, f"checked {fired} instances, max ||e - I|| = {worst:.2e}")

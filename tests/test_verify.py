@@ -11,7 +11,6 @@ from cpfix.verify import (
     corollary_verify,
     haar_unitary,
     hypothesis_explorer,
-    power_fixed_check,
     random_bistochastic,
     random_selfadjoint_family,
     spectral_peel,
@@ -370,29 +369,48 @@ class TestCorollaryVerify:
         assert calls == {"apply_map": 12, "normalization_report": 1, "map calls": 5}
 
 
+def _power_oracle(kf, a, n_max):
+    """||Phi(h^n) - h^n|| for n = 1..n_max, one map application per power."""
+    h = hermitize(a, CFG)
+    power, out = h, []
+    for _ in range(n_max):
+        out.append(opnorm(apply_map(kf, power) - power))
+        power = power @ h
+    return out
+
+
 class TestPowerFixedCheck:
+    """The theorem's powers stage, against a loop of single map applications."""
+
+    def _powers(self, kf, a, n_max):
+        report = theorem_verify(kf, BlockAlgebra.full(kf.dim), a, CFG, powers=n_max)
+        assert report.verdict
+        return report.residuals("powers")
+
     def test_matches_theorem_powers_stage(self):
         kf = random_bistochastic(4, 3, 7)
         a = 2.5 * np.eye(4, dtype=complex)
-        report = theorem_verify(kf, BlockAlgebra.full(4), a, CFG, powers=6)
-        assert power_fixed_check(kf, a, 6, CFG) == report.residuals("powers")
+        assert self._powers(kf, a, 6) == _power_oracle(kf, a, 6)
 
     def test_identity_channel(self, identity_channel):
         rng = np.random.default_rng(54)
         h = random_hermitian(2, rng)
-        assert max(power_fixed_check(identity_channel, h, 5, CFG)) <= 1e-10
+        a = h @ h
+        residuals = self._powers(identity_channel, a, 5)
+        assert residuals == _power_oracle(identity_channel, a, 5)
+        assert max(residuals) <= 1e-10
 
     def test_mixture(self, mixture):
         a = 2 * np.eye(2, dtype=complex) + SIGMA_X
-        assert max(power_fixed_check(mixture, a, 5, CFG)) <= 1e-10
+        residuals = self._powers(mixture, a, 5)
+        assert residuals == _power_oracle(mixture, a, 5)
+        assert max(residuals) <= 1e-10
 
     def test_lueders(self, lueders):
-        residuals = power_fixed_check(lueders, np.diag([1.0, 3.0]).astype(complex), 5, CFG)
+        a = np.diag([1.0, 3.0]).astype(complex)
+        residuals = self._powers(lueders, a, 5)
+        assert residuals == _power_oracle(lueders, a, 5)
         assert max(residuals) <= 1e-12
-
-    def test_rejects_non_fixed(self, lueders):
-        with pytest.raises(PreconditionError):
-            power_fixed_check(lueders, SIGMA_X + np.eye(2), 3, CFG)
 
 
 class TestSpectralPeel:
