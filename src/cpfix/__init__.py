@@ -31,8 +31,10 @@ from .channel import (
     superoperator_matrix,
 )
 from .algebra import (
+    AlgebraStructure,
     BlockAlgebra,
     MembershipError,
+    algebra_structure,
     commutant_basis,
     invariance_check,
     trace_tau,

@@ -10,6 +10,7 @@ still performed with genuine weights rather than assumed away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ from .matcore import (
     NullspaceResult,
     ToleranceConfig,
     as_cmatrix,
+    herm_part,
     nullspace_basis,
     opnorm,
 )
@@ -28,6 +30,8 @@ from .channel import KrausFamily
 __all__ = [
     "MembershipError",
     "BlockAlgebra",
+    "AlgebraStructure",
+    "algebra_structure",
     "commutant_basis",
     "trace_tau",
     "invariance_check",
@@ -177,3 +181,217 @@ def invariance_check(
             if not alg.contains(images, cfg):
                 return False
     return True
+
+
+# The structure path draws its random elements of A from this fixed seed, so
+# its output is byte-stable; it is not a knob.
+_STRUCTURE_SEED = 2003
+# A gap of h1 within this factor of the cluster cut makes the cut ambiguous.
+_AMBIGUITY = 10.0
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebraStructure:
+    """The unital *-algebra A a family generates, as A = (+)_i M_{m_i} (x) 1_{n_i}.
+
+    ``frames[i]`` is a (d, m_i, n_i) array; flattened to d x m_i n_i, the
+    frames are the columns of a unitary Q with Q* x_t Q = (+)_i X_i (x)
+    1_{n_i} for every x_t.  The commutant A' = (+)_i 1_{m_i} (x) M_{n_i} is
+    then spanned by the matrix units sum_a f[:, a, p] f[:, a, q]* / sqrt(m_i),
+    f = ``frames[i]``.
+    """
+
+    frames: tuple[np.ndarray, ...]
+
+    @property
+    def blocks(self) -> list[tuple[int, int]]:
+        """(m_i, n_i) of every block."""
+        return [f.shape[1:] for f in self.frames]
+
+    @property
+    def dimension(self) -> int:
+        """dim A' = sum n_i^2."""
+        return sum(n * n for _, n in self.blocks)
+
+    def commutant(self, hermitian: bool = False) -> NullspaceResult:
+        """HS-orthonormal basis of A', block by block.
+
+        The matrix units e_pq of each 1 (x) M_{n_i}, row by row; with
+        ``hermitian``, the exactly Hermitian e_pp, (e_pq + e_qp)/sqrt(2) for
+        p < q and i(e_pq - e_qp)/sqrt(2) for p > q, which span the same
+        space.  Each block's units come from one product of its frame with
+        itself.
+        """
+        basis = []
+        for f in self.frames:
+            d, m, n = f.shape
+            g = f.transpose(0, 2, 1).reshape(d * n, m)
+            units = (g @ g.conj().T).reshape(d, n, d, n).transpose(1, 3, 0, 2)
+            coef = np.ones((n, n), dtype=np.complex128)
+            if hermitian:
+                # e_qp = e_pq*, so (e_pq + e_qp)/sqrt(2) = herm_part(sqrt(2) e_pq)
+                # and i(e_pq - e_qp)/sqrt(2) = herm_part(i sqrt(2) e_pq)
+                coef = math.sqrt(2.0) * np.where(np.tri(n, k=-1, dtype=bool), 1j, 1.0)
+                np.fill_diagonal(coef, 1.0)
+            out = np.empty((n, n, d, d), dtype=np.complex128)
+            units = np.multiply(units, coef[:, :, None, None] / math.sqrt(m), out=out)
+            if hermitian:
+                units = herm_part(units)
+            basis.extend(units.reshape(n * n, d, d))
+        return NullspaceResult(basis=basis, rank_warning=False, singular_values=np.zeros(0))
+
+
+def _word_sum(letters: np.ndarray, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """A random complex combination of every word of length 1..depth in the letters.
+
+    Horner form: sum_t c_t z_t + sum_t z_t W_t with independent draws W_t of
+    depth - 1, so depth 2 costs one product per letter.
+    """
+    coef = rng.standard_normal((len(letters), 2)) @ np.array([1.0, 1.0j])
+    out = np.tensordot(coef, letters, axes=1)
+    if depth > 1:
+        for z in letters:
+            out += z @ _word_sum(letters, depth - 1, rng)
+    return out
+
+
+def _clusters(h: np.ndarray, cfg: ToleranceConfig):
+    """Eigenvectors of h and the first column of each eigenvalue cluster, or None.
+
+    Eigenvalues more than the cut ``cfg.cluster_gap * max(1, ||h||)`` apart
+    start a new cluster; a gap within a factor ``_AMBIGUITY`` of the cut is
+    ambiguous, and then there is no answer.
+    """
+    w, v = np.linalg.eigh(h)
+    cut = cfg.cluster_gap * max(1.0, abs(w[0]), abs(w[-1]))
+    gaps = np.diff(w)
+    if np.any((gaps > cut / _AMBIGUITY) & (gaps < cut * _AMBIGUITY)):
+        return None
+    return v, np.concatenate([[0], np.flatnonzero(gaps > cut) + 1])
+
+
+def _spanning_forest(weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Components of the graph with edge weights ``weights`` > 0, each in Prim order.
+
+    Every vertex after the first of its component hangs on ``parent``, the
+    vertex already placed that it links to most strongly, so the tree is a
+    maximum spanning tree and each polar factor is taken of the strongest
+    link available.
+    """
+    k = len(weights)
+    best, parent = np.zeros(k), np.full(k, -1)
+    free = np.ones(k, dtype=bool)
+    components: list[list[int]] = []
+    for _ in range(k):
+        cand = np.where(free, best, -1.0)
+        v = int(np.argmax(cand))
+        if cand[v] <= 0.0:
+            v = int(np.argmax(free))
+            components.append([])
+        components[-1].append(v)
+        free[v] = False
+        better = free & (weights[v] > best)
+        best[better] = weights[v][better]
+        parent[better] = v
+    return components, parent
+
+
+def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
+    """Frames of A's blocks from h1's clusters and one pass of h2, or None.
+
+    Clusters k and l of h1 link when the block E_k* h2 E_l of V* h2 V is
+    above ``cfg.eq_bound(||h2||_F)``; linked clusters lie in one block of A.
+    Bases travel along a maximum spanning tree of the links by polar
+    factors.  Certificate (a): each block has clusters of one size, and
+    every link has equal singular values.  Then every matrix commuting with
+    h1 and h2 lies in the span of the frames' matrix units.
+    """
+    d = len(v)
+    bounds = np.append(starts, d)
+    sizes = np.diff(bounds)
+    b = herm_part(v.conj().T @ h2 @ v)
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(b) ** 2, starts, axis=0), starts, axis=1))
+    bound = cfg.eq_bound(float(np.linalg.norm(h2)))
+    weights = np.where(norms > bound, norms, 0.0)
+    np.fill_diagonal(weights, 0.0)
+    components, parent = _spanning_forest(weights)
+    frames = []
+    for comp in components:
+        m, n = len(comp), int(sizes[comp[0]])
+        if np.any(sizes[comp] != n):
+            return None
+        cols = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in comp])
+        # links[a, c] = E_a* h2 E_c for the a-th and c-th clusters of the block
+        links = b[np.ix_(cols, cols)].reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        a, c = np.nonzero(np.triu(weights[np.ix_(comp, comp)], 1))
+        if len(a):
+            s = np.linalg.svd(links[a, c], compute_uv=False)
+            if np.max(s[:, 0] - s[:, -1]) > bound:
+                return None
+        position = {k: i for i, k in enumerate(comp)}
+        up = [position[parent[k]] for k in comp[1:]]
+        rotation = np.empty((m, n, n), dtype=np.complex128)
+        rotation[0] = np.eye(n)
+        if m > 1:
+            u, _, vh = np.linalg.svd(links[up, np.arange(1, m)])
+            for i, (j, polar) in enumerate(zip(up, u @ vh), start=1):
+                rotation[i] = polar.conj().T @ rotation[j]
+        frames.append((v[:, cols].reshape(d, m, n).transpose(1, 0, 2) @ rotation).transpose(1, 0, 2))
+    return frames
+
+
+def _form_defect(xs: np.ndarray, frames) -> float:
+    """Certificate (b): largest ||Q* x Q - (+)_i X_i (x) 1_{n_i}||_F over the x of ``xs``.
+
+    X_i is the partial trace of x's i-th diagonal block over 1_{n_i}, divided
+    by n_i.  The defect is 0 exactly when every x lies in (+)_i M_{m_i} (x)
+    1_{n_i}, that is, when every matrix unit of the frames commutes with
+    every x and x*.
+    """
+    q = np.concatenate([f.reshape(len(f), -1) for f in frames], axis=1)
+    defect = q.conj().T @ xs @ q
+    start = 0
+    for f in frames:
+        m, n = f.shape[1:]
+        s = slice(start, start + m * n)
+        x_i = np.einsum("tapbp->tab", defect[:, s, s].reshape(-1, m, n, m, n)) / n
+        defect[:, s, s] -= np.einsum("tab,pq->tapbq", x_i, np.eye(n)).reshape(-1, m * n, m * n)
+        start += m * n
+    return float(np.sqrt(np.max(np.sum(np.abs(defect) ** 2, axis=(1, 2)))))
+
+
+def algebra_structure(
+    kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
+) -> AlgebraStructure | None:
+    """Certified block structure of the unital *-algebra A the family generates, or None.
+
+    O(n d^3) work, and no d^2 x d^2 object.  The members x_t are scaled to
+    norm 1 (zero members generate nothing).  Two random Hermitian elements
+    h = w + w* of A are drawn from a fixed-seed generator, w a combination
+    of the words x_t and x_s x_t.  h1's eigenvalue clusters split each
+    block of A into m_i spaces of dimension n_i, and h2 links the clusters
+    of one block (``_aligned_frames``; its certificate (a) shows that the
+    result contains A').  Certificate (b), ``_form_defect`` <=
+    ``cfg.eq_bound(1)``, shows that the result lies in A'.  When either
+    certificate fails, the draw is repeated once with the words of length
+    up to 3 in the x_t and x_t*.  An ambiguous cluster cut (see
+    ``_clusters``), or a second failure, gives None.
+
+    Under the theorem's hypotheses (unital, sub-unital dual) A' is both the
+    family's commutant and the fixed space of Phi; ``commutant()`` gives its
+    basis.
+    """
+    d = kf.dim
+    members = [x / s for x, s in zip(kf.operators, kf.operator_norms.tolist()) if s > 0.0]
+    xs = np.stack(members or [np.eye(d, dtype=np.complex128)])
+    rng = np.random.default_rng(_STRUCTURE_SEED)
+    for letters, depth in ((xs, 2), (np.concatenate([xs, xs.conj().transpose(0, 2, 1)]), 3)):
+        h1, h2 = (w + w.conj().T for w in (_word_sum(letters, depth, rng) for _ in range(2)))
+        clusters = _clusters(h1, cfg)
+        if clusters is None:
+            return None
+        frames = _aligned_frames(*clusters, h2, cfg)
+        if frames is not None and _form_defect(xs, frames) <= cfg.eq_bound(1.0):
+            frames.sort(key=lambda f: f.shape[1:])
+            return AlgebraStructure(tuple(frames))
+    return None

@@ -54,6 +54,7 @@ __all__ = [
     "Superoperator",
     "apply_map",
     "dual_apply",
+    "is_unital",
     "normalization_report",
     "superoperator_matrix",
     "choi_matrix",
@@ -212,17 +213,30 @@ class NormalizationReport:
         }
 
 
+def is_unital(kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """``normalization_report(kf, cfg).is_unital``, from the cached column sum alone.
+
+    The same rule on the same two norms: ||col - I|| <= ``cfg.eq_bound(||col||)``.
+    """
+    eye = np.eye(kf.dim)
+    col_dev, col_norm = opnorm(np.stack([kf.column_sum - eye, kf.column_sum])).tolist()
+    return col_dev <= cfg.eq_bound(col_norm)
+
+
 def normalization_report(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NormalizationReport:
-    """Every flag from the family's cached sums, with all norms in one call."""
+    """Every flag from the family's cached sums, with all norms in one call.
+
+    ``is_unital`` applies the rule of :func:`is_unital` to the same norms.
+    """
     eye = np.eye(kf.dim)
     col, row = kf.column_sum, kf.row_sum
     xs = np.stack(kf.operators)
     sums = np.stack([col - eye, col, row - eye, row])
     norms = opnorm(np.concatenate([sums, xs - xs.conj().transpose(0, 2, 1)]))
     col_dev, col_norm, row_dev, row_norm, *x_devs = norms.tolist()
-    is_unital = col_dev <= cfg.eq_bound(col_norm)
+    unital = col_dev <= cfg.eq_bound(col_norm)
     is_subunital = cfg.psd_check("subunitalDual", eye - row).passed
     is_tp = row_dev <= cfg.eq_bound(row_norm)
     self_adjoint = all(
@@ -230,11 +244,11 @@ def normalization_report(
     )
     # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
     # forces row_sum = I; numerically we grant a 10x slack on eq_tol.
-    rigidity = (not (is_unital and is_subunital)) or (
+    rigidity = (not (unital and is_subunital)) or (
         row_dev <= cfg.eq_bound(row_norm, slack=10.0)
     )
     return NormalizationReport(
-        is_unital=is_unital,
+        is_unital=unital,
         is_subunital_dual=is_subunital,
         is_trace_preserving=is_tp,
         self_adjoint_family=self_adjoint,

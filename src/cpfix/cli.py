@@ -13,9 +13,11 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import io
 from .matcore import DEFAULT_TOL, DomainError, HermiticityError, ToleranceConfig
-from .algebra import BlockAlgebra, commutant_basis
+from .algebra import BlockAlgebra, algebra_structure, commutant_basis
 from .channel import (
     DimensionMismatchError,
     choi_psd_check,
@@ -103,6 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commutant", parents=[common], help="basis of the family's commutant")
     p.add_argument("channel")
 
+    p = sub.add_parser("structure", parents=[common], help="block structure of the generated *-algebra")
+    p.add_argument("channel")
+
     p = sub.add_parser("verify", parents=[common], help="run the full fixed-point pipeline")
     p.add_argument("channel")
     p.add_argument("operator")
@@ -168,17 +173,32 @@ def _cmd_check(args, cfg):
 
 
 def _cmd_kernel(args, cfg):
-    """``fix`` and ``commutant``: a kernel basis and its rank decision."""
+    """``fix`` and ``commutant``: a kernel basis and its rank decision.
+
+    For a unital, sub-unital-dual family both spaces are the commutant of
+    the *-algebra the family generates, which ``algebra_structure`` finds
+    without a d^2 x d^2 system.  Any other family, or a structure it cannot
+    certify, goes to the dense kernel.
+    """
     kf = io.read_channel(args.channel)
+    try:
+        rep = normalization_report(kf, cfg)
+    except np.linalg.LinAlgError:
+        # the sums mu x*x overflow, so no hypothesis holds; the commutant
+        # ignores the weights and still has an answer
+        rep = None
+    structure = None
+    if rep is not None and rep.is_unital and rep.is_subunital_dual:
+        structure = algebra_structure(kf, cfg)
     obj, lines = {}, []
     if args.command == "fix":
-        ns = fixed_space_basis(kf, cfg)
-        obj["unital"] = normalization_report(kf, cfg).is_unital
+        ns = fixed_space_basis(kf, cfg) if structure is None else structure.commutant(hermitian=True)
+        obj["unital"] = rep is not None and rep.is_unital
         lines.append(f"fixed-space dimension: {ns.dimension}")
         if not obj["unital"]:
             lines.append("warning: family is not unital")
     else:
-        ns = commutant_basis(kf.operators, cfg)
+        ns = commutant_basis(kf.operators, cfg) if structure is None else structure.commutant()
         lines.append(f"commutant dimension: {ns.dimension}")
     obj.update(
         dimension=ns.dimension,
@@ -188,6 +208,20 @@ def _cmd_kernel(args, cfg):
     if ns.rank_warning:
         lines.append("warning: rank decision is numerically ambiguous")
     return True, obj, lines
+
+
+def _cmd_structure(args, cfg):
+    """(m_i, n_i) of A = (+)_i M_{m_i} (x) 1_{n_i}, A the generated *-algebra."""
+    kf = io.read_channel(args.channel)
+    structure = algebra_structure(kf, cfg)
+    if structure is None:
+        raise PreconditionError(
+            "the block structure of the generated *-algebra could not be certified"
+        )
+    blocks = [[m, n] for m, n in structure.blocks]
+    lines = [f"block {k}: m = {m}, n = {n}" for k, (m, n) in enumerate(blocks)]
+    lines.append(f"commutant dimension: {structure.dimension}")
+    return True, {"blocks": blocks, "dimension": structure.dimension}, lines
 
 
 def _load_algebra(args, dim: int) -> BlockAlgebra:
@@ -276,6 +310,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "fix": _cmd_kernel,
     "commutant": _cmd_kernel,
+    "structure": _cmd_structure,
     "verify": _cmd_verify,
     "corollary": _cmd_verify,
     "peel": _cmd_peel,

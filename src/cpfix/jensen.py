@@ -28,7 +28,7 @@ from .matcore import (
     mat_func,
     opnorm,
 )
-from .channel import KrausFamily, apply_map, normalization_report
+from .channel import KrausFamily, apply_map, is_unital
 
 __all__ = [
     "MARGIN_FACTOR",
@@ -124,7 +124,7 @@ def kadison_schwarz_residual(
     kf: KrausFamily, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
     """Residual of Phi(a^2) - Phi(a)^2 for a unital family."""
-    if not normalization_report(kf, cfg).is_unital:
+    if not is_unital(kf, cfg):
         raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h = hermitize(a, cfg)
     phi_a = apply_map(kf, h)

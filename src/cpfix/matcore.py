@@ -160,8 +160,8 @@ def opnorm(a: np.ndarray) -> float | np.ndarray:
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*)/2, for a value that is Hermitian by construction."""
-    return (m + m.conj().T) / 2.0
+    """(m + m*)/2 of a matrix or of each matrix of a stack, for values Hermitian by construction."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
 
 def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -292,7 +292,12 @@ def psd_min_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 class NullspaceResult:
     """Kernel basis of a linear map on matrices, plus rank diagnostics.
 
-    Also the record of ``fixed_space_basis`` and ``commutant_basis``.
+    Also the record of ``fixed_space_basis`` and ``commutant_basis``, and of
+    the structure path, ``AlgebraStructure.commutant``, which the CLI takes for
+    ``fix`` and ``commutant`` when the family is unital and sub-unital dual.
+    That path solves no linear system: its ``singular_values`` is empty and
+    its ``rank_warning`` is False, because an ambiguous cut of its eigenvalue
+    clusters sends the CLI back to the dense kernel instead.
     """
 
     basis: list[np.ndarray]
