@@ -37,6 +37,8 @@ from .algebra import (
     algebra_structure,
     commutant_basis,
     invariance_check,
+    structure_commutant,
+    structure_fixed_space,
     trace_tau,
 )
 from .jensen import (

@@ -32,6 +32,8 @@ __all__ = [
     "BlockAlgebra",
     "AlgebraStructure",
     "algebra_structure",
+    "structure_commutant",
+    "structure_fixed_space",
     "commutant_basis",
     "trace_tau",
     "invariance_check",
@@ -186,8 +188,13 @@ def invariance_check(
 # The structure path draws its random elements of A from this fixed seed, so
 # its output is byte-stable; it is not a knob.
 _STRUCTURE_SEED = 2003
-# A gap of h1 within this factor of the cluster cut makes the cut ambiguous.
+# A decision within this factor of its cut is ambiguous.  It is also the
+# factor around the rank cut inside which ``nullspace_basis`` sets
+# ``rank_warning``.
 _AMBIGUITY = 10.0
+# The largest system the separation bound of ``_separation`` builds for one
+# pair of blocks, and the size of each stack of them it hands to one SVD.
+_SEPARATION_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,12 +247,34 @@ class AlgebraStructure:
             basis.extend(units.reshape(n * n, d, d))
         return NullspaceResult(basis=basis, rank_warning=False, singular_values=np.zeros(0))
 
+    def compress(self, letters: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each z_t of the (k, d, d) stack ``letters`` in block form: (defects, blocks).
+
+        ``blocks[i]`` stacks the X_{t,i}, the partial trace over 1_{n_i} of
+        the i-th diagonal block of Q* z_t Q, divided by n_i, and
+        ``defects[t]`` is ||Q* z_t Q - (+)_i X_{t,i} (x) 1_{n_i}||_F.  A
+        defect is 0 exactly when z_t lies in (+)_i M_{m_i} (x) 1_{n_i}, that
+        is, when every matrix unit of the frames commutes with z_t and z_t*.
+        """
+        q = np.concatenate([f.reshape(len(f), -1) for f in self.frames], axis=1)
+        rest = q.conj().T @ letters @ q
+        blocks, start = [], 0
+        for f in self.frames:
+            m, n = f.shape[1:]
+            s = slice(start, start + m * n)
+            x_i = np.einsum("tapbp->tab", rest[:, s, s].reshape(-1, m, n, m, n)) / n
+            rest[:, s, s] -= np.einsum("tab,pq->tapbq", x_i, np.eye(n)).reshape(-1, m * n, m * n)
+            blocks.append(x_i)
+            start += m * n
+        return np.sqrt(np.sum(np.abs(rest) ** 2, axis=(1, 2))), blocks
+
 
 def _word_sum(letters: np.ndarray, depth: int, rng: np.random.Generator) -> np.ndarray:
     """A random complex combination of every word of length 1..depth in the letters.
 
     Horner form: sum_t c_t z_t + sum_t z_t W_t with independent draws W_t of
-    depth - 1, so depth 2 costs one product per letter.
+    depth - 1.  With k letters, depth 2 costs k products and depth 3 costs
+    k(k + 1), so the redraw's 2n letters cost O(n^2 d^3).
     """
     coef = rng.standard_normal((len(letters), 2)) @ np.array([1.0, 1.0j])
     out = np.tensordot(coef, letters, axes=1)
@@ -300,20 +329,24 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
     """Frames of A's blocks from h1's clusters and one pass of h2, or None.
 
     Clusters k and l of h1 link when the block E_k* h2 E_l of V* h2 V is
-    above ``cfg.eq_bound(||h2||_F)``; linked clusters lie in one block of A.
-    Bases travel along a maximum spanning tree of the links by polar
-    factors.  Certificate (a): each block has clusters of one size, and
-    every link has equal singular values.  Then every matrix commuting with
-    h1 and h2 lies in the span of the frames' matrix units.
+    above the cut ``cfg.eq_bound(||h2||_F)``; linked clusters lie in one
+    block of A.  Bases travel along a maximum spanning tree of the links by
+    polar factors.  Certificate (a): each block has clusters of one size,
+    and every link has equal singular values.  Then every matrix commuting
+    with h1 and h2 lies in the span of the frames' matrix units.  A link
+    norm within a factor ``_AMBIGUITY`` of the cut, or a spread of singular
+    values above the cut over ``_AMBIGUITY``, fails the certificate.
     """
     d = len(v)
     bounds = np.append(starts, d)
     sizes = np.diff(bounds)
     b = herm_part(v.conj().T @ h2 @ v)
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(b) ** 2, starts, axis=0), starts, axis=1))
+    np.fill_diagonal(norms, 0.0)
     bound = cfg.eq_bound(float(np.linalg.norm(h2)))
+    if np.any((norms > bound / _AMBIGUITY) & (norms < bound * _AMBIGUITY)):
+        return None
     weights = np.where(norms > bound, norms, 0.0)
-    np.fill_diagonal(weights, 0.0)
     components, parent = _spanning_forest(weights)
     frames = []
     for comp in components:
@@ -326,7 +359,7 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         a, c = np.nonzero(np.triu(weights[np.ix_(comp, comp)], 1))
         if len(a):
             s = np.linalg.svd(links[a, c], compute_uv=False)
-            if np.max(s[:, 0] - s[:, -1]) > bound:
+            if np.max(s[:, 0] - s[:, -1]) > bound / _AMBIGUITY:
                 return None
         position = {k: i for i, k in enumerate(comp)}
         up = [position[parent[k]] for k in comp[1:]]
@@ -340,46 +373,27 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
     return frames
 
 
-def _form_defect(xs: np.ndarray, frames) -> float:
-    """Certificate (b): largest ||Q* x Q - (+)_i X_i (x) 1_{n_i}||_F over the x of ``xs``.
-
-    X_i is the partial trace of x's i-th diagonal block over 1_{n_i}, divided
-    by n_i.  The defect is 0 exactly when every x lies in (+)_i M_{m_i} (x)
-    1_{n_i}, that is, when every matrix unit of the frames commutes with
-    every x and x*.
-    """
-    q = np.concatenate([f.reshape(len(f), -1) for f in frames], axis=1)
-    defect = q.conj().T @ xs @ q
-    start = 0
-    for f in frames:
-        m, n = f.shape[1:]
-        s = slice(start, start + m * n)
-        x_i = np.einsum("tapbp->tab", defect[:, s, s].reshape(-1, m, n, m, n)) / n
-        defect[:, s, s] -= np.einsum("tab,pq->tapbq", x_i, np.eye(n)).reshape(-1, m * n, m * n)
-        start += m * n
-    return float(np.sqrt(np.max(np.sum(np.abs(defect) ** 2, axis=(1, 2)))))
-
-
 def algebra_structure(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> AlgebraStructure | None:
     """Certified block structure of the unital *-algebra A the family generates, or None.
 
-    O(n d^3) work, and no d^2 x d^2 object.  The members x_t are scaled to
-    norm 1 (zero members generate nothing).  Two random Hermitian elements
-    h = w + w* of A are drawn from a fixed-seed generator, w a combination
-    of the words x_t and x_s x_t.  h1's eigenvalue clusters split each
-    block of A into m_i spaces of dimension n_i, and h2 links the clusters
-    of one block (``_aligned_frames``; its certificate (a) shows that the
-    result contains A').  Certificate (b), ``_form_defect`` <=
-    ``cfg.eq_bound(1)``, shows that the result lies in A'.  When either
-    certificate fails, the draw is repeated once with the words of length
-    up to 3 in the x_t and x_t*.  An ambiguous cluster cut (see
+    No d^2 x d^2 object; O(n d^3) work for the first draw.  The members x_t
+    are scaled to norm 1 (zero members generate nothing).  Two random
+    Hermitian elements h = w + w* of A are drawn from a fixed-seed
+    generator, w a combination of the words x_t and x_s x_t.  h1's
+    eigenvalue clusters split each block of A into m_i spaces of dimension
+    n_i, and h2 links the clusters of one block (``_aligned_frames``; its
+    certificate (a) shows that the result contains A').  Certificate (b),
+    every defect of ``AlgebraStructure.compress`` at most
+    ``cfg.eq_bound(1)`` / ``_AMBIGUITY``, shows that the result lies in A'.
+    When either certificate fails, the draw is repeated once with the words
+    of length up to 3 in the x_t and x_t*.  An ambiguous cluster cut (see
     ``_clusters``), or a second failure, gives None.
 
     Under the theorem's hypotheses (unital, sub-unital dual) A' is both the
-    family's commutant and the fixed space of Phi; ``commutant()`` gives its
-    basis.
+    family's commutant and the fixed space of Phi; ``structure_commutant``
+    and ``structure_fixed_space`` answer for the dense kernels from it.
     """
     d = kf.dim
     members = [x / s for x, s in zip(kf.operators, kf.operator_norms.tolist()) if s > 0.0]
@@ -391,7 +405,151 @@ def algebra_structure(
         if clusters is None:
             return None
         frames = _aligned_frames(*clusters, h2, cfg)
-        if frames is not None and _form_defect(xs, frames) <= cfg.eq_bound(1.0):
-            frames.sort(key=lambda f: f.shape[1:])
-            return AlgebraStructure(tuple(frames))
+        if frames is None:
+            continue
+        frames.sort(key=lambda f: f.shape[1:])
+        st = AlgebraStructure(tuple(frames))
+        if st.compress(xs)[0].max() <= cfg.eq_bound(1.0) / _AMBIGUITY:
+            return st
+    return None
+
+
+def _sylvester(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix of b -> (x_t b - b y_t)_t, b of shape (p, q) in row-major order.
+
+    ``x`` is (..., k, p, p) and ``y`` (..., k, q, q); the result is
+    (..., k p q, p q).  Entry [t, i, j, r, s] is x_t[i, r] on j = s minus
+    y_t[s, j] on i = r.
+    """
+    p, q = x.shape[-1], y.shape[-1]
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    k = np.zeros((*lead, p, q, p, q), dtype=np.complex128)
+    k[..., np.arange(q), :, np.arange(q)] = x
+    k[..., np.arange(p), :, np.arange(p), :] -= np.swapaxes(y, -1, -2)
+    return k.reshape(*lead[:-1], lead[-1] * p * q, p * q)
+
+
+def _separation(blocks: list[np.ndarray]) -> float:
+    """A lower bound of sqrt(sum_t ||z_t a - a z_t||_F^2) over a orthogonal to A', ||a||_F = 1.
+
+    For z_t = (+)_i X_{t,i} (x) 1_{n_i}, with ``blocks[i]`` the stack of the
+    X_{t,i}.  On the (i, j) block of a the map is K_ij (x) 1, where K_ij
+    takes an m_i x m_j matrix b to (X_{t,i} b - b X_{t,j})_t, and the part
+    of A' there is 0 for i != j and 1 (x) M_{n_i} for i = j.  So the
+    minimum is the least over ordered pairs of the smallest singular value
+    of K_ij, on matrices orthogonal to the identity when i = j, and that is
+    the value returned.  A pair costs O(k (m_i m_j)^3); pairs of one shape
+    share an SVD in stacks of at most ``_SEPARATION_BYTES``.  When one
+    pair's system alone is larger (an irreducible family at d > 24 with
+    three letters), the bound is 0: there the dense kernel costs no more.
+    """
+    k = len(blocks[0])
+    largest = max(x.shape[-1] for x in blocks)
+    if 16 * k * largest**4 > _SEPARATION_BYTES:
+        return 0.0
+    sizes = dict.fromkeys(x.shape[-1] for x in blocks)
+    stacks = {p: np.stack([x for x in blocks if x.shape[-1] == p]) for p in sizes}
+    least = math.inf
+    for p, xp in stacks.items():
+        for q, xq in stacks.items():
+            i, j = np.nonzero(~np.eye(len(xp), len(xq), dtype=bool) | (p != q))
+            step = _SEPARATION_BYTES // (16 * k * (p * q) ** 2)
+            for c in range(0, len(i), step):
+                pairs = _sylvester(xp[i[c : c + step]], xq[j[c : c + step]])
+                least = min(least, float(np.linalg.svd(pairs, compute_uv=False)[..., -1].min()))
+        if p > 1:
+            eye = np.eye(p).ravel() / math.sqrt(p)
+            step = _SEPARATION_BYTES // (16 * k * p**4)
+            for c in range(0, len(xp), step):
+                own = _sylvester(xp[c : c + step], xp[c : c + step])
+                own -= (own @ eye)[..., None] * eye
+                least = min(least, float(np.linalg.svd(own, compute_uv=False)[..., -2].min()))
+    return least
+
+
+def _commutator_bounds(st: AlgebraStructure, letters: np.ndarray) -> tuple[np.ndarray, float]:
+    """Defects of the letters and a lower bound of sqrt(sum_t ||[z_t, a]||_F^2) on A'^perp.
+
+    In the frames z_t is (+)_i X_{t,i} (x) 1 plus a part of Frobenius norm
+    delta_t, which moves each commutator with a unit a by at most
+    2 delta_t ||a||, so the bound is ``_separation`` - 2 ||delta||.
+    """
+    defects, blocks = st.compress(letters)
+    return defects, _separation(blocks) - 2.0 * float(np.linalg.norm(defects))
+
+
+def structure_commutant(
+    kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
+) -> NullspaceResult | None:
+    """The answer of ``commutant_basis(kf.operators, cfg)`` from the structure path, or None.
+
+    ``commutant_basis`` cuts the singular values of K: a -> (x_t a - a x_t)_t
+    at tau = null_tol * max(s_max, S), S = max ||x_t||, and s_max <= 2 S r
+    with r^2 = sum ||x_t / S||^2.  With the letters z_t = x_t / S, their
+    defects delta and the bound g of ``_commutator_bounds``: ||K a|| <=
+    2 S ||delta|| on A' and ||K a|| >= S g on its complement (unit a).  The
+    path answers when the first is at most tau / ``_AMBIGUITY`` and the
+    second at least ``_AMBIGUITY`` tau.  Then K has exactly dim A' singular
+    values below the cut and none within that factor of it: the dense
+    kernel is A' to rounding, with the same dimension and rank_warning
+    False.  A family whose commutant is larger than A' (x = e01: {x}' is
+    span{1, x}, while A' is C 1) fails here, whatever the weights.
+    """
+    st = algebra_structure(kf, cfg)
+    if st is None:
+        return None
+    norms = kf.operator_norms
+    scale = float(norms.max()) or 1.0
+    defects, gap = _commutator_bounds(st, np.stack(kf.operators) / scale)
+    s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
+    if (
+        2.0 * float(np.linalg.norm(defects)) <= cfg.null_tol / _AMBIGUITY
+        and gap >= _AMBIGUITY * cfg.null_tol * max(1.0, s_max)
+    ):
+        return st.commutant()
+    return None
+
+
+def structure_fixed_space(
+    kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
+) -> NullspaceResult | None:
+    """The answer of ``fixed_space_basis(kf, cfg)`` from the structure path, or None.
+
+    The dense kernel cuts the singular values of Phi - id on Hermitian
+    matrices at tau = null_tol * max(s_max, 1), and s_max <= 1 + sqrt(||col||
+    ||row||) for col = sum mu x*x and row = sum mu x x*.  Let e_c = ||col -
+    1||, e_r = ||row - 1||, s_t = sqrt(mu_t) x_t, S = max ||s_t||, and
+    delta and g as in ``_commutator_bounds`` for the letters s_t / S.  For
+    Hermitian a with ||a||_F = 1:
+
+    - on A', Phi(a) - a = sum mu x*[a, x] + (col - 1) a, so ||Phi(a) - a||
+      <= 2 S^2 sum delta + e_c;
+    - on its complement, 2 Tr(a (a - Phi(a))) = sum mu ||[x, a]||_F^2 -
+      Tr(a^2 (col - 1)) - Tr(a^2 (row - 1)), so when g > 0,
+      ||Phi(a) - a|| >= (S^2 g^2 - e_c - e_r) / 2.
+
+    The theorem's hypotheses are what make e_c and e_r small.  The path
+    answers under the rule of ``structure_commutant``.  e_c is read first,
+    from the cached column sum, so a family that is not unital to within
+    null_tol / ``_AMBIGUITY`` costs one norm.
+    """
+    eye = np.eye(kf.dim)
+    if not np.all(np.isfinite(kf.column_sum)):
+        return None
+    e_c = float(opnorm(kf.column_sum - eye))
+    if e_c > cfg.null_tol / _AMBIGUITY:
+        return None
+    st = algebra_structure(kf, cfg)
+    if st is None:
+        return None
+    e_r = float(opnorm(kf.row_sum - eye))
+    scale = float(np.max(kf.operator_norms * np.sqrt(kf.weights)))
+    defects, gap = _commutator_bounds(st, np.stack(kf.scaled_operators) / scale)
+    tau = cfg.null_tol * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
+    if (
+        2.0 * scale**2 * float(np.sum(defects)) + e_c <= cfg.null_tol / _AMBIGUITY
+        and gap > 0.0
+        and (scale**2 * gap**2 - e_c - e_r) / 2.0 >= _AMBIGUITY * tau
+    ):
+        return st.commutant(hermitian=True)
     return None

@@ -13,15 +13,20 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import io
 from .matcore import DEFAULT_TOL, DomainError, HermiticityError, ToleranceConfig
-from .algebra import BlockAlgebra, algebra_structure, commutant_basis
+from .algebra import (
+    BlockAlgebra,
+    algebra_structure,
+    commutant_basis,
+    structure_commutant,
+    structure_fixed_space,
+)
 from .channel import (
     DimensionMismatchError,
     choi_psd_check,
     fixed_space_basis,
+    is_unital,
     normalization_report,
     superoperator_matrix,
 )
@@ -175,30 +180,25 @@ def _cmd_check(args, cfg):
 def _cmd_kernel(args, cfg):
     """``fix`` and ``commutant``: a kernel basis and its rank decision.
 
-    For a unital, sub-unital-dual family both spaces are the commutant of
-    the *-algebra the family generates, which ``algebra_structure`` finds
-    without a d^2 x d^2 system.  Any other family, or a structure it cannot
-    certify, goes to the dense kernel.
+    The structure path answers when it can certify that the dense kernel
+    would reach the same dimension with no rank warning
+    (``structure_fixed_space``, ``structure_commutant``); otherwise the
+    dense kernel answers.
     """
     kf = io.read_channel(args.channel)
-    try:
-        rep = normalization_report(kf, cfg)
-    except np.linalg.LinAlgError:
-        # the sums mu x*x overflow, so no hypothesis holds; the commutant
-        # ignores the weights and still has an answer
-        rep = None
-    structure = None
-    if rep is not None and rep.is_unital and rep.is_subunital_dual:
-        structure = algebra_structure(kf, cfg)
     obj, lines = {}, []
     if args.command == "fix":
-        ns = fixed_space_basis(kf, cfg) if structure is None else structure.commutant(hermitian=True)
-        obj["unital"] = rep is not None and rep.is_unital
+        ns = structure_fixed_space(kf, cfg)
+        if ns is None:
+            ns = fixed_space_basis(kf, cfg)
+        obj["unital"] = is_unital(kf, cfg)
         lines.append(f"fixed-space dimension: {ns.dimension}")
         if not obj["unital"]:
             lines.append("warning: family is not unital")
     else:
-        ns = commutant_basis(kf.operators, cfg) if structure is None else structure.commutant()
+        ns = structure_commutant(kf, cfg)
+        if ns is None:
+            ns = commutant_basis(kf.operators, cfg)
         lines.append(f"commutant dimension: {ns.dimension}")
     obj.update(
         dimension=ns.dimension,

@@ -293,11 +293,12 @@ class NullspaceResult:
     """Kernel basis of a linear map on matrices, plus rank diagnostics.
 
     Also the record of ``fixed_space_basis`` and ``commutant_basis``, and of
-    the structure path, ``AlgebraStructure.commutant``, which the CLI takes for
-    ``fix`` and ``commutant`` when the family is unital and sub-unital dual.
-    That path solves no linear system: its ``singular_values`` is empty and
-    its ``rank_warning`` is False, because an ambiguous cut of its eigenvalue
-    clusters sends the CLI back to the dense kernel instead.
+    the structure path (``structure_fixed_space``, ``structure_commutant``),
+    which the CLI asks first for ``fix`` and ``commutant``.  That path
+    solves no linear system: its ``singular_values`` is empty, and its
+    ``rank_warning`` is False because it answers only when it has bounded
+    every singular value of the dense system away from within a factor 10
+    of the rank threshold; otherwise the CLI runs the dense kernel.
     """
 
     basis: list[np.ndarray]

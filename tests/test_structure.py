@@ -2,7 +2,8 @@
 
 Under the theorem's hypotheses the fixed space and the commutant are both
 A', the commutant of the *-algebra A the family generates.  The CLI takes
-``algebra_structure`` for them and the dense ``fixed_space_basis`` /
+``structure_fixed_space`` / ``structure_commutant`` when they can certify the
+dense kernel's answer and the dense ``fixed_space_basis`` /
 ``commutant_basis`` otherwise; the dense kernel is the oracle here.
 """
 
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 from cpfix import algebra, cli, io
-from cpfix.algebra import algebra_structure, commutant_basis
+from cpfix.algebra import (
+    algebra_structure,
+    commutant_basis,
+    structure_commutant,
+    structure_fixed_space,
+)
 from cpfix.channel import KrausFamily, fixed_space_basis, is_unital, normalization_report
 from cpfix.matcore import ToleranceConfig
 from cpfix.verify import haar_unitary
@@ -65,12 +71,26 @@ def _matrix(obj) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in obj])
 
 
-def _report(tmp_path, capsys, command, kf, name="channel.json"):
+def _report(tmp_path, capsys, command, kf, name="channel.json", options=()):
     path = tmp_path / name
     io.write_channel(path, kf)
-    code = cli.run([command, str(path), "--json"])
+    code = cli.run([command, str(path), "--json", *options])
     out = capsys.readouterr().out
     return code, out, json.loads(out)
+
+
+def _oracle(command, kf, cfg=CFG):
+    if command == "fix":
+        return fixed_space_basis(kf, cfg)
+    return commutant_basis(kf.operators, cfg)
+
+
+def _dense_report(tmp_path, capsys, command, kf, options=()):
+    """The CLI's stdout with the structure path switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "structure_fixed_space", lambda *a: None)
+        m.setattr(cli, "structure_commutant", lambda *a: None)
+        return _report(tmp_path, capsys, command, kf, "dense.json", options)
 
 
 def _smallest_cosine(basis, other) -> float:
@@ -97,10 +117,7 @@ class TestDifferential:
     def test_structure_path_matches_dense_oracle(self, tmp_path, capsys, no_dense, name, command):
         kf = FAMILIES[name]()
         assert kf.dim <= 24
-        if command == "fix":
-            oracle = fixed_space_basis(kf, CFG)
-        else:
-            oracle = commutant_basis(kf.operators, CFG)
+        oracle = _oracle(command, kf)
         code, _, report = _report(tmp_path, capsys, command, kf)
         assert code == 0
         basis = [_matrix(m) for m in report["basis"]]
@@ -112,6 +129,25 @@ class TestDifferential:
         if command == "fix":
             assert report["unital"] is True
             assert all(np.array_equal(b, b.conj().T) for b in basis)
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-12, 3e-11, 1e-10, 1e-9, 1e-8, 1e-6])
+    @pytest.mark.parametrize("command", ["fix", "commutant"])
+    def test_near_threshold_perturbation_keeps_the_rank_decision(self, tmp_path, capsys, delta, command):
+        # near the dense kernel's cut the oracle sets rankWarning; the
+        # structure path must then leave the answer to it
+        base = block_family(SPECS["(2,3)+(3,2)"], 7)
+        rng = np.random.default_rng(3)
+        ops = []
+        for x in base.operators:
+            p = random_complex(base.dim, rng)
+            ops.append(x + delta * p / np.linalg.norm(p, 2))
+        kf = KrausFamily.from_operators(ops)
+        oracle = _oracle(command, kf)
+        code, out, report = _report(tmp_path, capsys, command, kf)
+        assert code == 0
+        assert (report["dimension"], report["rankWarning"]) == (oracle.dimension, oracle.rank_warning)
+        if oracle.rank_warning:
+            assert out == _dense_report(tmp_path, capsys, command, kf)[1]
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_blocks_are_the_construction(self, name):
@@ -133,11 +169,26 @@ class TestDifferential:
                 assert np.linalg.norm(x @ b - b @ x) <= 1e-12
                 assert np.linalg.norm(x.conj().T @ b - b @ x.conj().T) <= 1e-12
 
+    def test_separation_is_the_smallest_commutator_off_the_commutant(self):
+        # 0.5 (+) sigma_x and 0.25 (+) sigma_z generate C (+) M_2, blocks (1, 1)
+        # and (2, 1), so A' = span{e00, 1_2}
+        xs = np.zeros((2, 3, 3), dtype=complex)
+        xs[:, 0, 0] = 0.5, 0.25
+        xs[0, 1:, 1:] = [[0, 1], [1, 0]]
+        xs[1, 1:, 1:] = [[1, 0], [0, -1]]
+        st = algebra.AlgebraStructure((np.eye(3)[:, None, :1], np.eye(3)[:, 1:, None]))
+        defects, blocks = st.compress(xs)
+        assert defects.tolist() == [0.0, 0.0]
+        # the dense system a -> ([x_t, a])_t has 9 - dim A' = 7 nonzero singular values
+        s = commutant_basis(list(xs), CFG).singular_values
+        assert np.sum(s > 1e-12) == 7
+        assert algebra._separation(blocks) == pytest.approx(s[6], rel=1e-12)
+
 
 class TestFallback:
     def test_non_unital_fix_is_dense(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "algebra_structure", lambda *a: calls.append(a))
+        monkeypatch.setattr(algebra, "algebra_structure", lambda *a: calls.append(a))
         path = tmp_path / "e11.json"
         io.write_channel(path, KrausFamily.from_operators([E11]))
         assert cli.run(["fix", str(path)]) == 0
@@ -145,21 +196,42 @@ class TestFallback:
             "fixed-space dimension: 1",
             "warning: family is not unital",
         ]
-        assert calls == []
+        assert calls == []  # ||col - 1|| = 1 decides before any structure
 
-    def test_commutant_of_e01_is_span_of_identity_and_e01(self, tmp_path, capsys, monkeypatch):
-        # {x}' = span{I, x} is larger than {x, x*}' = C I: the dense kernel answers
-        calls = []
-        monkeypatch.setattr(cli, "algebra_structure", lambda *a: calls.append(a))
-        code, _, report = _report(tmp_path, capsys, "commutant", KrausFamily.from_operators([E12]))
-        assert code == 0 and calls == []
+    def test_commutant_of_e01_is_span_of_identity_and_e01(self, tmp_path, capsys):
+        # {x}' = span{1, x} is larger than {x, x*}' = C 1: the dense kernel answers
+        kf = KrausFamily.from_operators([E12])
+        assert algebra_structure(kf, CFG).blocks == [(2, 1)]
+        assert structure_commutant(kf, CFG) is None
+        code, _, report = _report(tmp_path, capsys, "commutant", kf)
+        assert code == 0
         basis = [_matrix(m) for m in report["basis"]]
         assert report["dimension"] == 2
         span = [np.eye(2) / np.sqrt(2), E12]
         assert _smallest_cosine(basis, span) >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("eps, tol", [(5e-10, None), (1e-4, "1e-3")])
+    @pytest.mark.parametrize("command", ["fix", "commutant"])
+    def test_nearly_unital_weight_eps_family_is_dense(self, tmp_path, capsys, eps, tol, command):
+        # (1 - eps) 1 + eps e01*e01 passes the unital flag at this tol, and
+        # {1, e01, e10}' = C 1, yet the dense kernels answer otherwise:
+        # {1, e01}' = span{1, e01}, and Phi(1) - 1 = -eps e00
+        kf = KrausFamily(dim=2, terms=((1.0 - eps, np.eye(2)), (eps, E12)))
+        options = ("--tol", tol) if tol else ()
+        code, out, report = _report(tmp_path, capsys, command, kf, options=options)
+        assert code == 0
+        assert out == _dense_report(tmp_path, capsys, command, kf, options)[1]
+        cfg = ToleranceConfig(eq_tol=float(tol)) if tol else CFG
+        oracle = _oracle(command, kf, cfg)
+        assert (report["dimension"], report["rankWarning"]) == (oracle.dimension, oracle.rank_warning)
+        if command == "commutant":
+            assert report["dimension"] == 2 and report["rankWarning"] is False
+        else:
+            assert report["unital"] is True
+            assert structure_fixed_space(kf, cfg) is None
+
     def test_overflowing_weights_keep_the_commutant(self, tmp_path, capsys):
-        # sum mu x*x overflows, so the report cannot be formed; {x}' needs no weights
+        # sum mu x*x overflows; {x}' needs no weights
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"dim": 2, "terms": [
             {"weight": 1e300, "matrix": [[[1e10, 0], [0, 0]], [[0, 0], [2e10, 0]]]}]}))
@@ -170,26 +242,56 @@ class TestFallback:
     @pytest.mark.parametrize("command", ["fix", "commutant"])
     def test_failed_certificate_gives_the_dense_result(self, tmp_path, capsys, monkeypatch, command):
         kf = block_family(SPECS["(2,3)+(3,2)"], 5)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "algebra_structure", lambda *a: None)
-            _, dense, _ = _report(tmp_path, capsys, command, kf)
-        defects = []
-        monkeypatch.setattr(algebra, "_form_defect", lambda *a: defects.append(a) or np.inf)
-        code, out, _ = _report(tmp_path, capsys, command, kf)
-        assert code == 0 and out == dense
-        assert len(defects) == 2  # the first draw and the redraw
-
-    def test_redraw_can_certify(self, monkeypatch):
-        real = algebra._form_defect
+        _, dense, _ = _dense_report(tmp_path, capsys, command, kf)
+        real = algebra.AlgebraStructure.compress
         calls = []
 
-        def fail_first(*args):
-            calls.append(args)
-            return np.inf if len(calls) == 1 else real(*args)
+        def fail(st, letters):
+            calls.append(letters)
+            defects, blocks = real(st, letters)
+            return np.full_like(defects, np.inf), blocks
 
-        monkeypatch.setattr(algebra, "_form_defect", fail_first)
+        monkeypatch.setattr(algebra.AlgebraStructure, "compress", fail)
+        code, out, _ = _report(tmp_path, capsys, command, kf)
+        assert code == 0 and out == dense
+        assert len(calls) == 2  # the first draw and the redraw
+
+    @pytest.mark.parametrize("command", ["fix", "commutant"])
+    def test_failed_gap_certificate_gives_the_dense_result(self, tmp_path, capsys, monkeypatch, command):
+        kf = block_family(SPECS["(2,3)+(3,2)"], 5)
+        _, dense, _ = _dense_report(tmp_path, capsys, command, kf)
+        monkeypatch.setattr(algebra, "_separation", lambda blocks: 0.0)
+        code, out, _ = _report(tmp_path, capsys, command, kf)
+        assert code == 0 and out == dense
+
+    def test_redraw_can_certify(self, monkeypatch):
+        real = algebra.AlgebraStructure.compress
+        calls = []
+
+        def fail_first(st, letters):
+            calls.append(letters)
+            defects, blocks = real(st, letters)
+            return (np.full_like(defects, np.inf) if len(calls) == 1 else defects), blocks
+
+        monkeypatch.setattr(algebra.AlgebraStructure, "compress", fail_first)
         st = algebra_structure(block_family(SPECS["(4,5)"], 5), CFG)
         assert len(calls) == 2 and st.blocks == [(4, 5)]
+
+    def test_link_near_its_cut_fails_certificate_a(self):
+        # two clusters of h1, of size 2; h2 links them by c * 1_2
+        v, starts = np.eye(4, dtype=complex), np.array([0, 2])
+        cut = CFG.eq_bound(float(np.linalg.norm(np.diag([1.0, 2.0, 3.0, 4.0]))))
+
+        def frames(c):
+            h2 = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+            h2[0, 2] = h2[2, 0] = h2[1, 3] = h2[3, 1] = c
+            found = algebra._aligned_frames(v, starts, h2, CFG)
+            return None if found is None else sorted(f.shape[1:] for f in found)
+
+        assert frames(cut / 20) == [(1, 2), (1, 2)]
+        assert frames(cut / 5) is None
+        assert frames(cut * 5) is None
+        assert frames(cut * 20) == [(2, 2)]
 
     def test_ambiguous_cut_has_no_answer(self):
         # cut = cluster_gap * max(1, ||h||) = 1e-8; a gap of 3e-8 is within 10x of it
@@ -224,7 +326,7 @@ class TestStructureCommand:
         assert code == 0 and report == {"blocks": [[2, 1]], "dimension": 1}
 
     def test_failed_certificate_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(algebra, "_form_defect", lambda *a: np.inf)
+        monkeypatch.setattr(algebra, "_aligned_frames", lambda *a: None)
         path = tmp_path / "blocks.json"
         io.write_channel(path, block_family(SPECS["(4,5)"], 7))
         assert cli.run(["structure", str(path)]) == 1
