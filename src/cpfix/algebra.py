@@ -17,11 +17,15 @@ from functools import cached_property
 import numpy as np
 
 from .matcore import (
+    AMBIGUITY,
     DEFAULT_TOL,
+    NULL_TOL,
     NullspaceResult,
     ToleranceConfig,
     as_cmatrix,
+    eigen_clusters,
     herm_part,
+    near_cut,
     nullspace_basis,
     opnorm,
 )
@@ -120,27 +124,32 @@ class BlockAlgebra:
         return float(total)
 
 
-def commutant_basis(
-    family: list[np.ndarray], cfg: ToleranceConfig = DEFAULT_TOL
-) -> NullspaceResult:
+def commutant_basis(family: list[np.ndarray]) -> NullspaceResult:
     """Orthonormal basis of {a : a x = x a for every x in the family}.
 
     Solves the stacked linear system (x a - a x)_x = 0 on vectorized
-    matrices, with rank cut relative to at least max ||x||.  The family must
-    be non-empty, with members of one shape.  Block t of the system is
-    kron(I, x_t) - kron(x_t^T, I), written entry by entry: as a (d, d, d, d)
-    array indexed [i, k, j, l] it is x_t[k, l] on i = j minus x_t[j, i] on
-    k = l.
+    matrices (``_sylvester``), with rank cut relative to at least max ||x||.
+    The family must be non-empty, with members of one shape.
     """
     if not family:
         raise ValueError("the commutant needs at least one family member")
     xs = np.stack([as_cmatrix(x) for x in family])
-    n, d = xs.shape[:2]
-    system = np.zeros((n, d, d, d, d), dtype=np.complex128)
-    r = np.arange(d)
-    system[:, r, :, r, :] = xs
-    system[:, :, r, :, r] -= xs.transpose(0, 2, 1)
-    return nullspace_basis(system.reshape(-1, d * d), d, cfg, float(opnorm(xs).max()))
+    return nullspace_basis(_sylvester(xs, xs), xs.shape[-1], float(opnorm(xs).max()))
+
+
+def _sylvester(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix of b -> (x_t b - b y_t)_t on column-stacked vectorizations.
+
+    ``x`` is (k, p, p), ``y`` (k, q, q) and b (p, q); the result is
+    (k p q, p q), and block t is kron(I_q, x_t) - kron(y_t^T, I_p), written
+    entry by entry: as a (q, p, q, p) array indexed [j, i, s, r] it is
+    x_t[i, r] on j = s minus y_t[s, j] on i = r.
+    """
+    (k, p, _), q = x.shape, y.shape[-1]
+    out = np.zeros((k, q, p, q, p), dtype=np.complex128)
+    out[:, np.arange(q), :, np.arange(q), :] = x
+    out[:, :, np.arange(p), :, np.arange(p)] -= y.transpose(0, 2, 1)
+    return out.reshape(k * q * p, q * p)
 
 
 def trace_tau(
@@ -188,12 +197,8 @@ def invariance_check(
 # The structure path draws its random elements of A from this fixed seed, so
 # its output is byte-stable; it is not a knob.
 _STRUCTURE_SEED = 2003
-# A decision within this factor of its cut is ambiguous.  It is also the
-# factor around the rank cut inside which ``nullspace_basis`` sets
-# ``rank_warning``.
-_AMBIGUITY = 10.0
 # The largest system the separation bound of ``_separation`` builds for one
-# pair of blocks, and the size of each stack of them it hands to one SVD.
+# ordered pair of blocks; a larger one makes it decline.
 _SEPARATION_BYTES = 16 * 2**20
 
 
@@ -284,21 +289,6 @@ def _word_sum(letters: np.ndarray, depth: int, rng: np.random.Generator) -> np.n
     return out
 
 
-def _clusters(h: np.ndarray, cfg: ToleranceConfig):
-    """Eigenvectors of h and the first column of each eigenvalue cluster, or None.
-
-    Eigenvalues more than the cut ``cfg.cluster_gap * max(1, ||h||)`` apart
-    start a new cluster; a gap within a factor ``_AMBIGUITY`` of the cut is
-    ambiguous, and then there is no answer.
-    """
-    w, v = np.linalg.eigh(h)
-    cut = cfg.cluster_gap * max(1.0, abs(w[0]), abs(w[-1]))
-    gaps = np.diff(w)
-    if np.any((gaps > cut / _AMBIGUITY) & (gaps < cut * _AMBIGUITY)):
-        return None
-    return v, np.concatenate([[0], np.flatnonzero(gaps > cut) + 1])
-
-
 def _spanning_forest(weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     """Components of the graph with edge weights ``weights`` > 0, each in Prim order.
 
@@ -334,8 +324,8 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
     polar factors.  Certificate (a): each block has clusters of one size,
     and every link has equal singular values.  Then every matrix commuting
     with h1 and h2 lies in the span of the frames' matrix units.  A link
-    norm within a factor ``_AMBIGUITY`` of the cut, or a spread of singular
-    values above the cut over ``_AMBIGUITY``, fails the certificate.
+    norm :func:`near_cut` the cut, or a spread of singular values above the
+    cut over ``AMBIGUITY``, fails the certificate.
     """
     d = len(v)
     bounds = np.append(starts, d)
@@ -344,7 +334,7 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(b) ** 2, starts, axis=0), starts, axis=1))
     np.fill_diagonal(norms, 0.0)
     bound = cfg.eq_bound(float(np.linalg.norm(h2)))
-    if np.any((norms > bound / _AMBIGUITY) & (norms < bound * _AMBIGUITY)):
+    if near_cut(norms, bound):
         return None
     weights = np.where(norms > bound, norms, 0.0)
     components, parent = _spanning_forest(weights)
@@ -359,7 +349,7 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         a, c = np.nonzero(np.triu(weights[np.ix_(comp, comp)], 1))
         if len(a):
             s = np.linalg.svd(links[a, c], compute_uv=False)
-            if np.max(s[:, 0] - s[:, -1]) > bound / _AMBIGUITY:
+            if np.max(s[:, 0] - s[:, -1]) > bound / AMBIGUITY:
                 return None
         position = {k: i for i, k in enumerate(comp)}
         up = [position[parent[k]] for k in comp[1:]]
@@ -382,14 +372,15 @@ def algebra_structure(
     are scaled to norm 1 (zero members generate nothing).  Two random
     Hermitian elements h = w + w* of A are drawn from a fixed-seed
     generator, w a combination of the words x_t and x_s x_t.  h1's
-    eigenvalue clusters split each block of A into m_i spaces of dimension
-    n_i, and h2 links the clusters of one block (``_aligned_frames``; its
-    certificate (a) shows that the result contains A').  Certificate (b),
-    every defect of ``AlgebraStructure.compress`` at most
-    ``cfg.eq_bound(1)`` / ``_AMBIGUITY``, shows that the result lies in A'.
-    When either certificate fails, the draw is repeated once with the words
-    of length up to 3 in the x_t and x_t*.  An ambiguous cluster cut (see
-    ``_clusters``), or a second failure, gives None.
+    eigenvalue clusters (``matcore.eigen_clusters``) split each block of A
+    into m_i spaces of dimension n_i, and h2 links the clusters of one
+    block (``_aligned_frames``; its certificate (a) shows that the result
+    contains A').  Certificate (b), every defect of
+    ``AlgebraStructure.compress`` at most ``cfg.eq_bound(1)`` /
+    ``AMBIGUITY``, shows that the result lies in A'.  When either
+    certificate fails, the draw is repeated once with the words of length
+    up to 3 in the x_t and x_t*.  An ambiguous cluster cut, or a second
+    failure, gives None.
 
     Under the theorem's hypotheses (unital, sub-unital dual) A' is both the
     family's commutant and the fixed space of Phi; ``structure_commutant``
@@ -401,32 +392,18 @@ def algebra_structure(
     rng = np.random.default_rng(_STRUCTURE_SEED)
     for letters, depth in ((xs, 2), (np.concatenate([xs, xs.conj().transpose(0, 2, 1)]), 3)):
         h1, h2 = (w + w.conj().T for w in (_word_sum(letters, depth, rng) for _ in range(2)))
-        clusters = _clusters(h1, cfg)
-        if clusters is None:
+        w, v = np.linalg.eigh(h1)
+        starts, ambiguous = eigen_clusters(w)
+        if ambiguous:
             return None
-        frames = _aligned_frames(*clusters, h2, cfg)
+        frames = _aligned_frames(v, starts, h2, cfg)
         if frames is None:
             continue
         frames.sort(key=lambda f: f.shape[1:])
         st = AlgebraStructure(tuple(frames))
-        if st.compress(xs)[0].max() <= cfg.eq_bound(1.0) / _AMBIGUITY:
+        if st.compress(xs)[0].max() <= cfg.eq_bound(1.0) / AMBIGUITY:
             return st
     return None
-
-
-def _sylvester(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix of b -> (x_t b - b y_t)_t, b of shape (p, q) in row-major order.
-
-    ``x`` is (..., k, p, p) and ``y`` (..., k, q, q); the result is
-    (..., k p q, p q).  Entry [t, i, j, r, s] is x_t[i, r] on j = s minus
-    y_t[s, j] on i = r.
-    """
-    p, q = x.shape[-1], y.shape[-1]
-    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    k = np.zeros((*lead, p, q, p, q), dtype=np.complex128)
-    k[..., np.arange(q), :, np.arange(q)] = x
-    k[..., np.arange(p), :, np.arange(p), :] -= np.swapaxes(y, -1, -2)
-    return k.reshape(*lead[:-1], lead[-1] * p * q, p * q)
 
 
 def _separation(blocks: list[np.ndarray]) -> float:
@@ -437,33 +414,25 @@ def _separation(blocks: list[np.ndarray]) -> float:
     takes an m_i x m_j matrix b to (X_{t,i} b - b X_{t,j})_t, and the part
     of A' there is 0 for i != j and 1 (x) M_{n_i} for i = j.  So the
     minimum is the least over ordered pairs of the smallest singular value
-    of K_ij, on matrices orthogonal to the identity when i = j, and that is
-    the value returned.  A pair costs O(k (m_i m_j)^3); pairs of one shape
-    share an SVD in stacks of at most ``_SEPARATION_BYTES``.  When one
-    pair's system alone is larger (an irreducible family at d > 24 with
-    three letters), the bound is 0: there the dense kernel costs no more.
+    of K_ij (``_sylvester``), on matrices orthogonal to the identity when
+    i = j, and that is the value returned.  A pair costs one SVD, O(k (m_i
+    m_j)^3).  When the largest pair's system is above ``_SEPARATION_BYTES``
+    (an irreducible family at d > 24 with three letters), the bound is 0:
+    there the dense kernel costs no more.
     """
     k = len(blocks[0])
-    largest = max(x.shape[-1] for x in blocks)
-    if 16 * k * largest**4 > _SEPARATION_BYTES:
+    if 16 * k * max(x.shape[-1] for x in blocks) ** 4 > _SEPARATION_BYTES:
         return 0.0
-    sizes = dict.fromkeys(x.shape[-1] for x in blocks)
-    stacks = {p: np.stack([x for x in blocks if x.shape[-1] == p]) for p in sizes}
     least = math.inf
-    for p, xp in stacks.items():
-        for q, xq in stacks.items():
-            i, j = np.nonzero(~np.eye(len(xp), len(xq), dtype=bool) | (p != q))
-            step = _SEPARATION_BYTES // (16 * k * (p * q) ** 2)
-            for c in range(0, len(i), step):
-                pairs = _sylvester(xp[i[c : c + step]], xq[j[c : c + step]])
-                least = min(least, float(np.linalg.svd(pairs, compute_uv=False)[..., -1].min()))
-        if p > 1:
-            eye = np.eye(p).ravel() / math.sqrt(p)
-            step = _SEPARATION_BYTES // (16 * k * p**4)
-            for c in range(0, len(xp), step):
-                own = _sylvester(xp[c : c + step], xp[c : c + step])
-                own -= (own @ eye)[..., None] * eye
-                least = min(least, float(np.linalg.svd(own, compute_uv=False)[..., -2].min()))
+    for i, x in enumerate(blocks):
+        for j, y in enumerate(blocks):
+            system = _sylvester(x, y)
+            if i != j:
+                least = min(least, float(np.linalg.svd(system, compute_uv=False)[-1]))
+            elif (p := x.shape[-1]) > 1:
+                eye = np.eye(p).ravel() / math.sqrt(p)
+                system -= (system @ eye)[:, None] * eye
+                least = min(least, float(np.linalg.svd(system, compute_uv=False)[-2]))
     return least
 
 
@@ -481,15 +450,15 @@ def _commutator_bounds(st: AlgebraStructure, letters: np.ndarray) -> tuple[np.nd
 def structure_commutant(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NullspaceResult | None:
-    """The answer of ``commutant_basis(kf.operators, cfg)`` from the structure path, or None.
+    """The answer of ``commutant_basis(kf.operators)`` from the structure path, or None.
 
     ``commutant_basis`` cuts the singular values of K: a -> (x_t a - a x_t)_t
-    at tau = null_tol * max(s_max, S), S = max ||x_t||, and s_max <= 2 S r
+    at tau = NULL_TOL * max(s_max, S), S = max ||x_t||, and s_max <= 2 S r
     with r^2 = sum ||x_t / S||^2.  With the letters z_t = x_t / S, their
     defects delta and the bound g of ``_commutator_bounds``: ||K a|| <=
     2 S ||delta|| on A' and ||K a|| >= S g on its complement (unit a).  The
-    path answers when the first is at most tau / ``_AMBIGUITY`` and the
-    second at least ``_AMBIGUITY`` tau.  Then K has exactly dim A' singular
+    path answers when the first is at most tau / ``AMBIGUITY`` and the
+    second at least ``AMBIGUITY`` tau.  Then K has exactly dim A' singular
     values below the cut and none within that factor of it: the dense
     kernel is A' to rounding, with the same dimension and rank_warning
     False.  A family whose commutant is larger than A' (x = e01: {x}' is
@@ -503,8 +472,8 @@ def structure_commutant(
     defects, gap = _commutator_bounds(st, np.stack(kf.operators) / scale)
     s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
     if (
-        2.0 * float(np.linalg.norm(defects)) <= cfg.null_tol / _AMBIGUITY
-        and gap >= _AMBIGUITY * cfg.null_tol * max(1.0, s_max)
+        2.0 * float(np.linalg.norm(defects)) <= NULL_TOL / AMBIGUITY
+        and gap >= AMBIGUITY * NULL_TOL * max(1.0, s_max)
     ):
         return st.commutant()
     return None
@@ -513,10 +482,10 @@ def structure_commutant(
 def structure_fixed_space(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NullspaceResult | None:
-    """The answer of ``fixed_space_basis(kf, cfg)`` from the structure path, or None.
+    """The answer of ``fixed_space_basis(kf)`` from the structure path, or None.
 
     The dense kernel cuts the singular values of Phi - id on Hermitian
-    matrices at tau = null_tol * max(s_max, 1), and s_max <= 1 + sqrt(||col||
+    matrices at tau = NULL_TOL * max(s_max, 1), and s_max <= 1 + sqrt(||col||
     ||row||) for col = sum mu x*x and row = sum mu x x*.  Let e_c = ||col -
     1||, e_r = ||row - 1||, s_t = sqrt(mu_t) x_t, S = max ||s_t||, and
     delta and g as in ``_commutator_bounds`` for the letters s_t / S.  For
@@ -531,13 +500,11 @@ def structure_fixed_space(
     The theorem's hypotheses are what make e_c and e_r small.  The path
     answers under the rule of ``structure_commutant``.  e_c is read first,
     from the cached column sum, so a family that is not unital to within
-    null_tol / ``_AMBIGUITY`` costs one norm.
+    NULL_TOL / ``AMBIGUITY`` costs one norm.
     """
     eye = np.eye(kf.dim)
-    if not np.all(np.isfinite(kf.column_sum)):
-        return None
     e_c = float(opnorm(kf.column_sum - eye))
-    if e_c > cfg.null_tol / _AMBIGUITY:
+    if e_c > NULL_TOL / AMBIGUITY:
         return None
     st = algebra_structure(kf, cfg)
     if st is None:
@@ -545,11 +512,11 @@ def structure_fixed_space(
     e_r = float(opnorm(kf.row_sum - eye))
     scale = float(np.max(kf.operator_norms * np.sqrt(kf.weights)))
     defects, gap = _commutator_bounds(st, np.stack(kf.scaled_operators) / scale)
-    tau = cfg.null_tol * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
+    tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
     if (
-        2.0 * scale**2 * float(np.sum(defects)) + e_c <= cfg.null_tol / _AMBIGUITY
+        2.0 * scale**2 * float(np.sum(defects)) + e_c <= NULL_TOL / AMBIGUITY
         and gap > 0.0
-        and (scale**2 * gap**2 - e_c - e_r) / 2.0 >= _AMBIGUITY * tau
+        and (scale**2 * gap**2 - e_c - e_r) / 2.0 >= AMBIGUITY * tau
     ):
         return st.commutant(hermitian=True)
     return None

@@ -73,6 +73,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``, or a ValueError naming it when an entry overflowed to inf or NaN."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"the {name} overflows double precision")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class KrausFamily:
     """Finite weighted family {(mu_t, x_t)} of square complex matrices."""
@@ -128,19 +135,23 @@ class KrausFamily:
 
     @cached_property
     def column_sum(self) -> np.ndarray:
-        """sum mu x*x, symmetrized: the unitality side."""
-        return self._gram(lambda s: s.conj().T @ s)
+        """sum mu x*x, symmetrized: the unitality side.
+
+        Raises ValueError when the sum overflows, as does ``row_sum``.
+        """
+        return _finite("column sum (sum mu x*x)", self._gram(lambda s: s.conj().T @ s))
 
     @cached_property
     def row_sum(self) -> np.ndarray:
         """sum mu x x*, symmetrized: the operator the setup bounds by I."""
-        return self._gram(lambda s: s @ s.conj().T)
+        return _finite("row sum (sum mu x x*)", self._gram(lambda s: s @ s.conj().T))
 
     def _gram(self, product) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for s in self.scaled_operators:
-            out += product(s)
-        return _frozen(herm_part(out))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in self.scaled_operators:
+                out += product(s)
+            return _frozen(herm_part(out))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -335,9 +346,7 @@ def _hermitian(c: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(c)) + (up + up.T + 1j * (lo - lo.T)) * _SQRT_HALF
 
 
-def fixed_space_basis(
-    kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
-) -> NullspaceResult:
+def fixed_space_basis(kf: KrausFamily) -> NullspaceResult:
     """HS-orthonormal Hermitian basis of {a : Phi(a) = a}.
 
     One rank decision: the kernel of the real matrix U*(S - I)U (module
@@ -347,5 +356,5 @@ def fixed_space_basis(
     """
     a = superoperator_matrix(kf).matrix - np.eye(kf.dim**2)
     system = _pair_rows(_pair_rows(a.T, 1j).T, -1j).real
-    ns = nullspace_basis(system, kf.dim, cfg, scale=1.0)
+    ns = nullspace_basis(system, kf.dim, scale=1.0)
     return replace(ns, basis=[_hermitian(c) for c in ns.basis])

@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--psd-tol", type=_tolerance, default=DEFAULT_TOL.psd_tol, help="positivity tolerance (default %(default)g)"
     )
-    common.add_argument("--seed", type=_seed, default=None, help="RNG seed (falls back to $CPFIX_SEED, then 0)")
     common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
 
     parser = argparse.ArgumentParser(
@@ -139,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--terms", type=_positive_int, default=3)
+    p.add_argument("--seed", type=_seed, default=None, help="RNG seed (falls back to $CPFIX_SEED, then 0)")
 
     return parser
 
@@ -190,7 +190,7 @@ def _cmd_kernel(args, cfg):
     if args.command == "fix":
         ns = structure_fixed_space(kf, cfg)
         if ns is None:
-            ns = fixed_space_basis(kf, cfg)
+            ns = fixed_space_basis(kf)
         obj["unital"] = is_unital(kf, cfg)
         lines.append(f"fixed-space dimension: {ns.dimension}")
         if not obj["unital"]:
@@ -198,7 +198,7 @@ def _cmd_kernel(args, cfg):
     else:
         ns = structure_commutant(kf, cfg)
         if ns is None:
-            ns = commutant_basis(kf.operators, cfg)
+            ns = commutant_basis(kf.operators)
         lines.append(f"commutant dimension: {ns.dimension}")
     obj.update(
         dimension=ns.dimension,

@@ -14,7 +14,11 @@ treated as immutable.  The Hermitian boundary is two functions:
   passes through ``herm_eig``, ``mat_func`` and ``psd_min_eig`` for free.
 
 Downstream code assumes exact self-adjointness after that.  Norms are
-spectral norms throughout; every threshold is a :class:`ToleranceConfig` bound.
+spectral norms throughout.  Every "= 0" and ">= 0" threshold is a
+:class:`ToleranceConfig` bound; the two cuts no option sets are the
+constants ``CLUSTER_GAP`` (:func:`eigen_clusters`) and ``NULL_TOL``
+(:func:`nullspace_basis`), and :func:`near_cut` is the one rule that calls a
+decision ambiguous.
 
 :func:`opnorm` takes one matrix or a (..., m, n) stack of them.  A stack
 costs one LAPACK call, and each of its norms is bit for bit the norm of
@@ -34,6 +38,9 @@ __all__ = [
     "HermiticityError",
     "EigenConvergenceError",
     "PreconditionError",
+    "CLUSTER_GAP",
+    "NULL_TOL",
+    "AMBIGUITY",
     "ToleranceConfig",
     "Check",
     "SpectralDecomposition",
@@ -44,6 +51,8 @@ __all__ = [
     "opnorm",
     "vec",
     "commutator",
+    "near_cut",
+    "eigen_clusters",
     "herm_eig",
     "mat_func",
     "psd_min_eig",
@@ -67,25 +76,30 @@ class PreconditionError(ValueError):
     """A named hypothesis of a verification pipeline is violated."""
 
 
+# Neighbouring eigenvalues more than CLUSTER_GAP * max(1, max |lambda|) apart
+# belong to different spectral projections (:func:`eigen_clusters`).
+CLUSTER_GAP = 1e-8
+# The rank cut of :func:`nullspace_basis`, relative to max(s_max, scale).
+NULL_TOL = 1e-10
+# A value within this factor of its cut is ambiguous (:func:`near_cut`).
+AMBIGUITY = 10.0
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds used by every check in the package.
+    """The two tolerances the CLI sets, ``--tol`` and ``--psd-tol``.
 
-    All values are dimensionless and relative to ``max(1, scale)``; only
-    the bound methods below read ``eq_tol`` and ``psd_tol``.
+    Both are dimensionless and relative to ``max(1, scale)``; only the
+    bound methods below read ``eq_tol`` and ``psd_tol``.
     """
 
     eq_tol: float = 1e-9
     psd_tol: float = 1e-8
-    cluster_gap: float = 1e-8
-    null_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eq_tol", "psd_tol", "cluster_gap", "null_tol"):
+        for name in ("eq_tol", "psd_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
-        if self.cluster_gap >= 1.0:
-            raise ValueError("cluster_gap must be < 1")
 
     def eq_bound(self, scale: float = 0.0, slack: float = 1.0) -> float:
         """Upper bound slack * eq_tol * max(1, scale) on an equality residual."""
@@ -190,14 +204,33 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def near_cut(values: np.ndarray, cut: float) -> bool:
+    """Whether any of ``values`` lies within a factor ``AMBIGUITY`` of ``cut``."""
+    return bool(np.any((values > cut / AMBIGUITY) & (values < cut * AMBIGUITY)))
+
+
+def eigen_clusters(w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The first index of each eigenvalue cluster of ascending ``w``, and whether the cut is ambiguous.
+
+    A gap between neighbours above the cut ``CLUSTER_GAP * max(1, max |w|)``
+    starts a new cluster, so distinct clusters are more than the cut apart:
+    the gap a spectral projection needs to be stable (the Davis-Kahan sin
+    theta theorem).  The cut is ambiguous when a gap is :func:`near_cut`.
+    """
+    cut = CLUSTER_GAP * max(1.0, abs(w[0]), abs(w[-1]))
+    gaps = np.diff(w)
+    return np.concatenate([[0], np.flatnonzero(gaps > cut) + 1]), near_cut(gaps, cut)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Clustered eigendecomposition a = sum_n lambda_n p_n.
 
     Eigenvalues are strictly decreasing after clustering; each projection
     is Hermitian, idempotent, and the family is mutually orthogonal with
-    sum equal to the identity.  ``norm`` is the spectral norm of a, the
-    scale of the clustering gap.
+    sum equal to the identity.  ``norm`` is the spectral norm of a; the
+    clustering cut scales with max(1, max |lambda|), the same number up to
+    rounding.
     """
 
     eigenvalues: np.ndarray
@@ -233,39 +266,25 @@ class SpectralDecomposition:
 def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with eigenvalue clustering.
 
-    Eigenvalues within ``cfg.cluster_gap * max(1, ||a||)`` of each other
-    are merged into a single spectral projection; the argument downstream
-    quantifies over spectral projections, which are unstable under
-    degeneracy splitting.
+    Each cluster of :func:`eigen_clusters` becomes one spectral projection;
+    the argument downstream quantifies over spectral projections, which are
+    unstable under degeneracy splitting.  An ambiguous cut still answers.
     """
     h = hermitize(a, cfg)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigh failed to converge: {exc}") from exc
-    # descending order
+    # descending order; -w ascends, with the same gaps
     w = w[::-1]
     v = v[:, ::-1]
-    norm = opnorm(h)
-    gap = cfg.cluster_gap * max(1.0, norm)
-    eigenvalues = []
-    projections = []
-    multiplicities = []
-    start = 0
-    n = w.size
-    for i in range(1, n + 1):
-        if i == n or w[start] - w[i] > gap:
-            block = v[:, start:i]
-            p = block @ block.conj().T
-            projections.append(herm_part(p))
-            eigenvalues.append(float(np.mean(w[start:i])))
-            multiplicities.append(i - start)
-            start = i
+    bounds = np.append(eigen_clusters(-w)[0], w.size)
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return SpectralDecomposition(
-        eigenvalues=np.array(eigenvalues),
-        projections=projections,
-        multiplicities=np.array(multiplicities, dtype=int),
-        norm=norm,
+        eigenvalues=np.array([float(np.mean(w[s])) for s in spans]),
+        projections=[herm_part(v[:, s] @ v[:, s].conj().T) for s in spans],
+        multiplicities=np.diff(bounds),
+        norm=opnorm(h),
     )
 
 
@@ -297,8 +316,9 @@ class NullspaceResult:
     which the CLI asks first for ``fix`` and ``commutant``.  That path
     solves no linear system: its ``singular_values`` is empty, and its
     ``rank_warning`` is False because it answers only when it has bounded
-    every singular value of the dense system away from within a factor 10
-    of the rank threshold; otherwise the CLI runs the dense kernel.
+    every singular value of the dense system away from the rank threshold
+    by more than a factor ``AMBIGUITY``; otherwise the CLI runs the dense
+    kernel.
     """
 
     basis: list[np.ndarray]
@@ -310,26 +330,24 @@ class NullspaceResult:
         return len(self.basis)
 
 
-def nullspace_basis(
-    system: np.ndarray, dim: int, cfg: ToleranceConfig = DEFAULT_TOL, scale: float = 0.0
-) -> NullspaceResult:
+def nullspace_basis(system: np.ndarray, dim: int, scale: float = 0.0) -> NullspaceResult:
     """HS-orthonormal basis of {m : system @ vec(m) = 0}.
 
     ``system`` has shape (rows, dim*dim) and acts on column-stacked
-    vectorizations.  The rank threshold is ``null_tol * max(s_max, scale)``:
+    vectorizations.  The rank threshold is ``NULL_TOL * max(s_max, scale)``:
     the caller's ``scale`` is the size of the map the system represents, so
     a system that is all rounding noise (s_max itself tiny) has full
     nullity.  A real system stays real: its SVD runs in float64 and
     its basis is real.  An empty system returns the full matrix space, as
-    the units e_ij in column-stacked order.  A singular value within a
-    factor 10 of the rank threshold sets ``rank_warning``.
+    the units e_ij in column-stacked order.  A singular value
+    :func:`near_cut` the rank threshold sets ``rank_warning``.
 
     A tall system A is first replaced by the square R factor of its
     Householder QR: A*A = R*R, so the singular values and right singular
     vectors are those of A, and the left factor of A, which no caller
     reads, is never formed.  Householder QR is backward stable, so the
     rank decision still sees the condition number of A; the Gram matrix
-    A*A would square it and push ``null_tol`` below rounding.
+    A*A would square it and push ``NULL_TOL`` below rounding.
     """
     system = np.asarray(system)
     system = system.astype(np.result_type(system, np.float64), copy=False)
@@ -340,9 +358,8 @@ def nullspace_basis(
     if system.shape[0] > system.shape[1]:
         system = np.linalg.qr(system, mode="r")
     _, s, vh = np.linalg.svd(system)
-    threshold = cfg.null_tol * max(s[0] if s.size else 0.0, scale)
+    threshold = NULL_TOL * max(s[0] if s.size else 0.0, scale)
     rank = int(np.sum(s > threshold))
-    warning = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
     kernel = vh[rank:].conj()
     basis = [row.reshape((dim, dim), order="F") for row in kernel]
-    return NullspaceResult(basis=basis, rank_warning=warning, singular_values=s)
+    return NullspaceResult(basis=basis, rank_warning=near_cut(s, threshold), singular_values=s)

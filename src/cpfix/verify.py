@@ -585,7 +585,7 @@ def hypothesis_explorer(
             ops = [x / np.sqrt(top) for x in raw]
         kf = KrausFamily.from_operators(ops)
         xs = np.stack(kf.operators)
-        for b in fixed_space_basis(kf, cfg).basis:
+        for b in fixed_space_basis(kf).basis:
             *comms, norm_b = opnorm(np.concatenate([commutator(b, xs), [b]])).tolist()
             res = max(comms)
             max_res = max(max_res, res)

@@ -55,8 +55,8 @@ def _span_residual(target, basis):
 def test_criterion_1_lueders_instance():
     start = time.perf_counter()
     lueders = KrausFamily.from_operators([E11, E22])
-    fs = fixed_space_basis(lueders, CFG)
-    cb = commutant_basis(lueders.operators, CFG)
+    fs = fixed_space_basis(lueders)
+    cb = commutant_basis(lueders.operators)
     ok = fs.dimension == 2
     worst = 0.0
     for target in (E11, E22):
@@ -77,7 +77,7 @@ def _bistochastic_fixed_points(seed_base, families_per_dim, dims=(2, 3, 4)):
         for k in range(families_per_dim):
             n = 2 + (k % 2)
             kf = random_bistochastic(d, n, seed_base + 1000 * d + k)
-            fs = fixed_space_basis(kf, CFG)
+            fs = fixed_space_basis(kf)
             for b in fs.basis:
                 out.append((kf, b + opnorm(b) * np.eye(d)))
     return out
@@ -157,7 +157,7 @@ def test_criterion_6_peel_suite():
         d = int(rng.integers(2, 6))
         n = int(rng.integers(2, d + 1))
         kf = random_selfadjoint_family(d, n, 60_000 + k)
-        basis = commutant_basis(kf.operators, CFG).basis
+        basis = commutant_basis(kf.operators).basis
         herm = []
         for b in basis:
             herm.append((b + b.conj().T) / 2.0)

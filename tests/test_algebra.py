@@ -48,17 +48,17 @@ class TestBlockAlgebra:
 
 class TestCommutant:
     def test_identity_family(self):
-        comm = commutant_basis([np.eye(2, dtype=complex)], CFG)
+        comm = commutant_basis([np.eye(2, dtype=complex)])
         assert comm.dimension == 4
 
     def test_rejects_empty_or_mixed_family(self):
         with pytest.raises(ValueError, match="at least one family member"):
-            commutant_basis([], CFG)
+            commutant_basis([])
         with pytest.raises(ValueError):
-            commutant_basis([np.eye(2), np.eye(3)], CFG)
+            commutant_basis([np.eye(2), np.eye(3)])
 
     def test_sigma_x(self):
-        comm = commutant_basis([SIGMA_X], CFG)
+        comm = commutant_basis([SIGMA_X])
         assert comm.dimension == 2
         for target in (np.eye(2, dtype=complex), SIGMA_X):
             proj = sum(np.vdot(vec(b), vec(target)) * b for b in comm.basis)
@@ -67,7 +67,7 @@ class TestCommutant:
     @pytest.mark.parametrize("c", [1e-12, 1.0, 1e9])
     def test_rank_cut_follows_family_scale(self, c):
         # a floor of 1 in place of max ||x|| would make 1e-12 sigma_x commute with everything
-        assert commutant_basis([c * SIGMA_X], CFG).dimension == 2
+        assert commutant_basis([c * SIGMA_X]).dimension == 2
 
     @pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (3, 2), (5, 4), (7, 1)])
     def test_system_equals_kron_blocks(self, monkeypatch, d, n):
@@ -84,7 +84,7 @@ class TestCommutant:
         rng = np.random.default_rng(40 + d)
         family = [random_complex(d, rng) for _ in range(n)]
         family[0][0, :] = -0.0
-        commutant_basis(family, CFG)
+        commutant_basis(family)
         eye = np.eye(d)
         want = np.concatenate([np.kron(eye, x) - np.kron(x.T, eye) for x in family])
         (got,) = systems
@@ -92,7 +92,7 @@ class TestCommutant:
         assert np.array_equal(got, want)
 
     def test_pauli_pair_gives_scalars(self):
-        comm = commutant_basis([SIGMA_X, SIGMA_Z], CFG)
+        comm = commutant_basis([SIGMA_X, SIGMA_Z])
         assert comm.dimension == 1
         b = comm.basis[0]
         assert opnorm(b - b[0, 0] * np.eye(2)) <= 1e-10
@@ -100,14 +100,14 @@ class TestCommutant:
     def test_elements_commute(self):
         rng = np.random.default_rng(21)
         x = random_hermitian(4, rng)
-        comm = commutant_basis([x], CFG)
+        comm = commutant_basis([x])
         for b in comm.basis:
             assert opnorm(b @ x - x @ b) <= CFG.eq_tol
 
     def test_closed_under_adjoint(self):
         rng = np.random.default_rng(22)
         x = random_hermitian(3, rng)
-        comm = commutant_basis([x], CFG)
+        comm = commutant_basis([x])
         for b in comm.basis:
             adj = b.conj().T
             proj = sum(np.vdot(vec(c), vec(adj)) * c for c in comm.basis)
@@ -116,7 +116,7 @@ class TestCommutant:
     def test_closed_under_products(self):
         rng = np.random.default_rng(23)
         x = random_hermitian(4, rng)
-        comm = commutant_basis([x], CFG)
+        comm = commutant_basis([x])
         for b in comm.basis[:3]:
             for c in comm.basis[:3]:
                 prod = b @ c
@@ -136,7 +136,7 @@ class TestCommutant:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         rng = np.random.default_rng(61)
-        comm = commutant_basis([random_complex(6, rng) for _ in range(3)], CFG)
+        comm = commutant_basis([random_complex(6, rng) for _ in range(3)])
         assert comm.dimension == 1
         assert shapes == [(36, 36)]
 

@@ -139,6 +139,13 @@ class TestCachedFamilyQuantities:
         assert np.array_equal(kf.row_sum, (row + row.conj().T) / 2.0)
         assert np.array_equal(kf.operator_norms, [np.linalg.norm(x, 2) for x in kf.operators])
 
+    def test_overflowing_sums_are_named(self):
+        kf = KrausFamily.from_operators([np.diag([1e10, 2e10])], weights=[1e300])
+        with pytest.raises(ValueError, match=r"^the column sum \(sum mu x\*x\) overflows"):
+            kf.column_sum
+        with pytest.raises(ValueError, match=r"^the row sum \(sum mu x x\*\) overflows"):
+            kf.row_sum
+
     def test_report_reads_the_cache(self, monkeypatch):
         kf = KrausFamily.from_operators([np.eye(3) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
         grams = []
@@ -293,17 +300,17 @@ class TestChoi:
 
 class TestFixedSpace:
     def test_identity_channel_full_space(self, identity_channel):
-        assert fixed_space_basis(identity_channel, CFG).dimension == 4
+        assert fixed_space_basis(identity_channel).dimension == 4
 
     def test_lueders_diagonal(self, lueders):
-        fs = fixed_space_basis(lueders, CFG)
+        fs = fixed_space_basis(lueders)
         assert fs.dimension == 2
         for target in (E11, E22):
             proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.basis)
             assert opnorm(proj - target) <= 1e-10
 
     def test_mixture_span(self, mixture):
-        fs = fixed_space_basis(mixture, CFG)
+        fs = fixed_space_basis(mixture)
         assert fs.dimension == 2
         for target in (np.eye(2, dtype=complex), SIGMA_X):
             proj = sum(np.vdot(vec(b), vec(target)) * b for b in fs.basis)
@@ -315,11 +322,11 @@ class TestFixedSpace:
         v = haar_unitary(5, np.random.default_rng(0))
         x = v @ v.conj().T
         assert 0 < opnorm(x - np.eye(5)) < 1e-14
-        assert fixed_space_basis(KrausFamily.from_operators([x]), CFG).dimension == 25
-        assert commutant_basis([x], CFG).dimension == 25
+        assert fixed_space_basis(KrausFamily.from_operators([x])).dimension == 25
+        assert commutant_basis([x]).dimension == 25
 
     def test_basis_is_hermitian_and_fixed(self, mixture):
-        fs = fixed_space_basis(mixture, CFG)
+        fs = fixed_space_basis(mixture)
         for b in fs.basis:
             assert opnorm(b - b.conj().T) <= 1e-12
             assert opnorm(apply_map(mixture, b) - b) <= CFG.eq_tol
@@ -329,7 +336,7 @@ class TestFixedSpace:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             kf = random_unital_family(d, 2, rng)
-            for b in commutant_basis(kf.operators, CFG).basis:
+            for b in commutant_basis(kf.operators).basis:
                 assert opnorm(apply_map(kf, b) - b) <= 1e-9
 
     def test_one_real_rank_decision(self, monkeypatch):
@@ -349,7 +356,7 @@ class TestFixedSpace:
 
         monkeypatch.setattr(channel_mod, "nullspace_basis", recording_nullspace)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert fixed_space_basis(random_bistochastic(5, 3, 0), CFG).dimension == 1
+        assert fixed_space_basis(random_bistochastic(5, 3, 0)).dimension == 1
         assert systems == [(np.float64, (25, 25))]
         assert svds == [np.float64]
 
@@ -358,8 +365,8 @@ class TestFixedSpace:
         counts = dict.fromkeys(FAMILY_KINDS, 0)
         for kind, kf in _families(np.random.default_rng(71), 120):
             d = kf.dim
-            oracle = nullspace_basis(superoperator_matrix(kf).matrix - np.eye(d * d), d, CFG)
-            fs = fixed_space_basis(kf, CFG)
+            oracle = nullspace_basis(superoperator_matrix(kf).matrix - np.eye(d * d), d)
+            fs = fixed_space_basis(kf)
             assert fs.dimension == oracle.dimension
             assert fs.rank_warning == oracle.rank_warning
             s, t = fs.singular_values, oracle.singular_values

@@ -378,6 +378,28 @@ class TestCli:
     def test_unknown_flag_exit_two(self, lueders_file, capsys):
         assert run(["check", lueders_file, "--frobnicate"]) == 2
 
+    def test_seed_is_an_explore_option(self, tmp_path, lueders_file, capsys):
+        a = _matrix_file(tmp_path, "a.json", np.diag([2.0, 1.0]))
+        for argv in (["check", lueders_file], ["verify", lueders_file, a]):
+            assert run([*argv, "--seed", "3"]) == 2
+            assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "fix", "verify", "peel", "jensen"])
+    def test_overflowing_family_sum_exit_one(self, tmp_path, capsys, command):
+        # sqrt(1e300) * 1e10 squared overflows; the commutant needs no weights
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "terms": [
+            {"weight": 1e300, "matrix": [[[1e10, 0], [0, 0]], [[0, 0], [2e10, 0]]]}]}))
+        argv = [command, str(path)]
+        if command not in ("check", "fix"):
+            argv.append(_matrix_file(tmp_path, "a.json", np.diag([2.0, 1.0])))
+        if command == "jensen":
+            argv += ["--eps", "0.1"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "precondition failure: the column sum (sum mu x*x) overflows double precision\n"
+        )
+
     @pytest.mark.parametrize(
         "term, field",
         [

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cpfix.matcore import (
+    AMBIGUITY,
+    NULL_TOL,
     Check,
     DomainError,
     HermiticityError,
@@ -77,7 +79,7 @@ class TestToleranceBounds:
         assert c.passed and c.failure == ""
 
 
-@pytest.mark.parametrize("field", ["eq_tol", "psd_tol", "cluster_gap", "null_tol"])
+@pytest.mark.parametrize("field", ["eq_tol", "psd_tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
 def test_tolerances_finite_positive(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and strictly positive"):
@@ -175,6 +177,12 @@ class TestHermEig:
         assert list(dec.multiplicities) == [1, 2]
         assert dec.eigenvalues[0] == pytest.approx(5.0)
 
+    def test_clustering_chains_neighbour_gaps(self):
+        # each neighbour gap 0.6e-8 is below the cut 1e-8; the ends are 1.2e-8 apart
+        dec = herm_eig(np.diag([0.0, 0.6e-8, 1.2e-8, 1.0]), CFG)
+        assert dec.multiplicities.tolist() == [1, 3]
+        assert dec.eigenvalues.tolist() == [1.0, pytest.approx(0.6e-8, rel=1e-12)]
+
 
 class TestMatFunc:
     def test_square_diagonal(self):
@@ -230,21 +238,21 @@ class TestPsdMinEig:
 
 class TestNullspace:
     def test_empty_system_is_full_space(self):
-        res = nullspace_basis(np.zeros((0, 4)), 2, CFG)
+        res = nullspace_basis(np.zeros((0, 4)), 2)
         assert res.dimension == 4
         assert not res.rank_warning
 
     def test_commutant_of_identity(self):
         eye = np.eye(2)
         system = np.kron(eye, eye) - np.kron(eye, eye)
-        res = nullspace_basis(system, 2, CFG)
+        res = nullspace_basis(system, 2)
         assert res.dimension == 4
 
     def test_commutant_of_sigma_x(self):
         # brute-force oracle: [a, sigma_x] = 0 forces span{I, sigma_x}
         eye = np.eye(2)
         system = np.kron(eye, SIGMA_X) - np.kron(SIGMA_X.T, eye)
-        res = nullspace_basis(system, 2, CFG)
+        res = nullspace_basis(system, 2)
         assert res.dimension == 2
         for target in (np.eye(2, dtype=complex), SIGMA_X):
             proj = sum(
@@ -253,7 +261,7 @@ class TestNullspace:
             assert opnorm(proj - target) <= 1e-10
 
     def test_identity_superoperator_kernel(self):
-        res = nullspace_basis(np.eye(9) - np.eye(9), 3, CFG)
+        res = nullspace_basis(np.eye(9) - np.eye(9), 3)
         assert res.dimension == 9
 
     def test_basis_orthonormal(self):
@@ -261,7 +269,7 @@ class TestNullspace:
         x = random_hermitian(3, rng)
         eye = np.eye(3)
         system = np.kron(eye, x) - np.kron(x.T, eye)
-        res = nullspace_basis(system, 3, CFG)
+        res = nullspace_basis(system, 3)
         for i, b in enumerate(res.basis):
             assert abs(np.vdot(vec(b), vec(b)) - 1.0) <= 1e-10
             for c in res.basis[i + 1 :]:
@@ -272,10 +280,10 @@ class TestNullspace:
         x = random_hermitian(4, rng)
         eye = np.eye(4)
         system = np.kron(eye, x) - np.kron(x.T, eye)
-        res = nullspace_basis(system, 4, CFG)
+        res = nullspace_basis(system, 4)
         smax = res.singular_values[0]
         for b in res.basis:
-            assert np.linalg.norm(system @ vec(b)) <= CFG.null_tol * smax
+            assert np.linalg.norm(system @ vec(b)) <= NULL_TOL * smax
 
     @pytest.mark.parametrize("blocks", [1, 2], ids=["square", "tall"])
     def test_real_system_stays_real(self, monkeypatch, blocks):
@@ -291,8 +299,8 @@ class TestNullspace:
         x = random_hermitian(4, np.random.default_rng(15)).real
         eye = np.eye(4)
         system = np.vstack([np.kron(eye, y) - np.kron(y.T, eye) for y in (x, x @ x)[:blocks]])
-        res = nullspace_basis(system, 4, CFG)
-        cast = nullspace_basis(system.astype(np.complex128), 4, CFG)
+        res = nullspace_basis(system, 4)
+        cast = nullspace_basis(system.astype(np.complex128), 4)
         assert dtypes == [np.float64, np.complex128]
         assert res.dimension == cast.dimension == 4
         assert all(b.dtype == np.float64 for b in res.basis)
@@ -306,8 +314,8 @@ class TestNullspace:
             kind = SYSTEM_KINDS[k % len(SYSTEM_KINDS)]
             d, n = int(rng.integers(2, 9)), int(rng.integers(2, 5))
             system = _commutant_system(kind, d, n, rng)
-            s, warning, kernel = _full_svd_oracle(system, CFG)
-            res = nullspace_basis(system, d, CFG)
+            s, warning, kernel = _full_svd_oracle(system)
+            res = nullspace_basis(system, d)
             assert res.dimension == len(kernel)
             assert res.rank_warning == warning
             assert np.max(np.abs(res.singular_values - s)) <= 1e-12 * s[0]
@@ -348,12 +356,12 @@ def _commutant_system(kind, d, n, rng):
     return np.vstack(rows)
 
 
-def _full_svd_oracle(system, cfg):
+def _full_svd_oracle(system):
     """Singular values, rank warning and kernel rows from the full SVD of ``system``."""
     _, s, vh = np.linalg.svd(system)
-    threshold = cfg.null_tol * max(s[0], 1e-300)
+    threshold = NULL_TOL * max(s[0], 1e-300)
     rank = int(np.sum(s > threshold))
-    warning = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
+    warning = bool(np.any((s > threshold / AMBIGUITY) & (s < threshold * AMBIGUITY)))
     return s, warning, vh[rank:].conj()
 
 
@@ -368,7 +376,7 @@ def test_vec_unvec_roundtrip():
 def test_matrix_units_orthonormal():
     # an empty system leaves the full space, as the units e_ij in
     # column-stacked order
-    units = nullspace_basis(np.zeros((0, 9)), 3, CFG).basis
+    units = nullspace_basis(np.zeros((0, 9)), 3).basis
     assert len(units) == 9
     for k, u in enumerate(units):
         np.testing.assert_array_equal(vec(u), np.eye(9)[k])
@@ -379,5 +387,3 @@ def test_matrix_units_orthonormal():
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(cluster_gap=1.5)

@@ -20,7 +20,7 @@ from cpfix.algebra import (
     structure_fixed_space,
 )
 from cpfix.channel import KrausFamily, fixed_space_basis, is_unital, normalization_report
-from cpfix.matcore import ToleranceConfig
+from cpfix.matcore import ToleranceConfig, eigen_clusters, vec
 from cpfix.verify import haar_unitary
 
 from conftest import E11, E12, random_complex, random_hermitian, random_unital_family
@@ -79,10 +79,10 @@ def _report(tmp_path, capsys, command, kf, name="channel.json", options=()):
     return code, out, json.loads(out)
 
 
-def _oracle(command, kf, cfg=CFG):
+def _oracle(command, kf):
     if command == "fix":
-        return fixed_space_basis(kf, cfg)
-    return commutant_basis(kf.operators, cfg)
+        return fixed_space_basis(kf)
+    return commutant_basis(kf.operators)
 
 
 def _dense_report(tmp_path, capsys, command, kf, options=()):
@@ -180,9 +180,24 @@ class TestDifferential:
         defects, blocks = st.compress(xs)
         assert defects.tolist() == [0.0, 0.0]
         # the dense system a -> ([x_t, a])_t has 9 - dim A' = 7 nonzero singular values
-        s = commutant_basis(list(xs), CFG).singular_values
+        s = commutant_basis(list(xs)).singular_values
         assert np.sum(s > 1e-12) == 7
         assert algebra._separation(blocks) == pytest.approx(s[6], rel=1e-12)
+
+    def test_sylvester_is_the_kron_stack(self):
+        rng = np.random.default_rng(5)
+        xs = np.stack([random_complex(4, rng) for _ in range(3)])
+        eye = np.eye(4)
+        kron = np.vstack([np.kron(eye, x) - np.kron(x.T, eye) for x in xs])
+        assert np.array_equal(algebra._sylvester(xs, xs), kron)
+
+    def test_sylvester_maps_vec_b_to_vec_of_x_b_minus_b_y(self):
+        rng = np.random.default_rng(6)
+        x = np.stack([random_complex(2, rng) for _ in range(3)])
+        y = np.stack([random_complex(3, rng) for _ in range(3)])
+        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        want = np.concatenate([vec(xt @ b - b @ yt) for xt, yt in zip(x, y)])
+        np.testing.assert_allclose(algebra._sylvester(x, y) @ vec(b), want, rtol=0, atol=1e-14)
 
 
 class TestFallback:
@@ -222,7 +237,7 @@ class TestFallback:
         assert code == 0
         assert out == _dense_report(tmp_path, capsys, command, kf, options)[1]
         cfg = ToleranceConfig(eq_tol=float(tol)) if tol else CFG
-        oracle = _oracle(command, kf, cfg)
+        oracle = _oracle(command, kf)
         assert (report["dimension"], report["rankWarning"]) == (oracle.dimension, oracle.rank_warning)
         if command == "commutant":
             assert report["dimension"] == 2 and report["rankWarning"] is False
@@ -237,7 +252,13 @@ class TestFallback:
             {"weight": 1e300, "matrix": [[[1e10, 0], [0, 0]], [[0, 0], [2e10, 0]]]}]}))
         with np.errstate(all="ignore"):
             assert cli.run(["commutant", str(path)]) == 0
-        assert capsys.readouterr().out == "commutant dimension: 2\n"
+            assert cli.run(["structure", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "commutant dimension: 2",
+            "block 0: m = 1, n = 1",
+            "block 1: m = 1, n = 1",
+            "commutant dimension: 2",
+        ]
 
     @pytest.mark.parametrize("command", ["fix", "commutant"])
     def test_failed_certificate_gives_the_dense_result(self, tmp_path, capsys, monkeypatch, command):
@@ -293,12 +314,13 @@ class TestFallback:
         assert frames(cut * 5) is None
         assert frames(cut * 20) == [(2, 2)]
 
-    def test_ambiguous_cut_has_no_answer(self):
-        # cut = cluster_gap * max(1, ||h||) = 1e-8; a gap of 3e-8 is within 10x of it
-        h = np.diag([0.0, 1e-13, 3e-8, 1.0])
-        assert algebra._clusters(h, CFG) is None
-        v, starts = algebra._clusters(np.diag([0.0, 1e-13, 2e-7, 1.0]), CFG)
-        assert starts.tolist() == [0, 2, 3]
+    def test_ambiguous_cut_has_no_answer(self, monkeypatch):
+        # cut = CLUSTER_GAP * max(1, max |w|) = 1e-8; a gap of 3e-8 is within 10x of it
+        assert eigen_clusters(np.array([0.0, 1e-13, 3e-8, 1.0]))[1]
+        starts, ambiguous = eigen_clusters(np.array([0.0, 1e-13, 2e-7, 1.0]))
+        assert starts.tolist() == [0, 2, 3] and not ambiguous
+        monkeypatch.setattr(algebra, "eigen_clusters", lambda w: (np.array([0]), True))
+        assert algebra_structure(block_family(SPECS["(2,3)+(3,2)"], 7), CFG) is None
 
     @pytest.mark.parametrize("command", ["fix", "commutant", "structure"])
     def test_same_command_twice_is_byte_identical(self, tmp_path, capsys, command):

@@ -484,7 +484,7 @@ class TestSpectralPeel:
 
 
 def _commutant_positive_element(kf, rng):
-    basis = commutant_basis(kf.operators, CFG).basis
+    basis = commutant_basis(kf.operators).basis
     herm = []
     for b in basis:
         herm.append((b + b.conj().T) / 2.0)
@@ -536,8 +536,8 @@ class TestFixCommutantCoincidence:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             kf = random_bistochastic(d, int(rng.integers(2, 4)), rng.integers(0, 2**32))
-            fs = fixed_space_basis(kf, CFG)
-            cb = commutant_basis(kf.operators, CFG)
+            fs = fixed_space_basis(kf)
+            cb = commutant_basis(kf.operators)
             assert fs.dimension == cb.dimension
             for b in fs.basis:
                 proj = sum(np.vdot(vec(c), vec(b)) * c for c in cb.basis)
@@ -549,7 +549,7 @@ class TestFixCommutantCoincidence:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             kf = random_bistochastic(d, 2, rng.integers(0, 2**32))
-            fs = fixed_space_basis(kf, CFG)
+            fs = fixed_space_basis(kf)
             for b in fs.basis:
                 a = b + opnorm(b) * np.eye(d)
                 assert psd_min_eig(apply_map(kf, a) - a) >= -CFG.psd_tol
