@@ -228,9 +228,9 @@ class SpectralDecomposition:
 
     Eigenvalues are strictly decreasing after clustering; each projection
     is Hermitian, idempotent, and the family is mutually orthogonal with
-    sum equal to the identity.  ``norm`` is the spectral norm of a; the
-    clustering cut scales with max(1, max |lambda|), the same number up to
-    rounding.
+    sum equal to the identity.  ``norm`` is the spectral norm of a, read
+    off the eigensolver's extreme eigenvalues before clustering as
+    max |lambda|: exactly the number the clustering cut scales with.
     """
 
     eigenvalues: np.ndarray
@@ -284,7 +284,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
         eigenvalues=np.array([float(np.mean(w[s])) for s in spans]),
         projections=[herm_part(v[:, s] @ v[:, s].conj().T) for s in spans],
         multiplicities=np.diff(bounds),
-        norm=opnorm(h),
+        norm=float(max(abs(w[0]), abs(w[-1]))),
     )
 
 

@@ -71,11 +71,11 @@ __all__ = [
 # Slack factor on eq_tol for residuals derived through an eigensolver.
 CONCLUSION_SLACK = 100.0
 
-# The spectral projections, and their off-diagonal blocks p x_t q and
-# q x_t p, go through the map and the norm in groups of at most this many
-# bytes: at d = 16 with up to 7 Kraus terms every projection fits in one
-# group, and at large d with many distinct eigenvalues the working memory
-# stays bounded instead of growing with their number.
+# The projection stage of the theorem and the peel takes the spectral
+# projections, and their blocks p x_t q and q x_t p, through the map and the
+# norm in groups of at most this many bytes: at d = 16 with up to 7 Kraus
+# terms all fit in one group, and at large d with many distinct eigenvalues
+# the working memory stays bounded instead of growing with their number.
 GROUP_BYTES = 1 << 20
 
 
@@ -235,16 +235,7 @@ def _theorem(
         msg = f"power residual at n={n}: {r:.3e}"
         checks.append(Check("powers", r, cfg.eq_bound(norm_h**n), msg))
 
-    xs = np.stack(kf.operators)
-    group = max(1, GROUP_BYTES // (xs[0].nbytes * (2 * len(xs) + 1)))
-    proj_res, off_res = [], []
-    for i in range(0, len(dec.projections), group):
-        ps = np.stack(dec.projections[i : i + group])
-        proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
-        # blocks[j, :k] = p_j x_t q_j and blocks[j, k:] = q_j x_t p_j, q_j = I - p_j
-        p, q = ps[:, None], np.eye(kf.dim) - ps[:, None]
-        blocks = np.concatenate([p @ xs @ q, q @ xs @ p], axis=1)
-        off_res += opnorm(blocks).max(axis=1).tolist()
+    proj_res, off_res = _projection_residuals(kf, dec.projections)
     for r in proj_res:
         msg = f"projection fixedness residual {r:.3e}"
         checks.append(Check("projections", r, cfg.eq_bound(slack=CONCLUSION_SLACK), msg))
@@ -254,6 +245,27 @@ def _theorem(
 
     checks += _commutator_checks(h, norm_h, kf, cfg, commutator_name, "commutator residual")
     return TheoremReport(hypotheses, checks)
+
+
+def _projection_residuals(
+    kf: KrausFamily, projections: list[np.ndarray]
+) -> tuple[list[float], list[float]]:
+    """(||Phi(p) - p||, max_t ||[x_t, p]||) for each spectral projection p.
+
+    [x, p] = q x p - p x q with q = I - p, two blocks between orthogonal
+    ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).
+    """
+    xs = np.stack(kf.operators)
+    group = max(1, GROUP_BYTES // (xs[0].nbytes * (2 * len(xs) + 1)))
+    proj_res, off_res = [], []
+    for i in range(0, len(projections), group):
+        ps = np.stack(projections[i : i + group])
+        proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
+        # blocks[j, :k] = p_j x_t q_j and blocks[j, k:] = q_j x_t p_j
+        p, q = ps[:, None], np.eye(kf.dim) - ps[:, None]
+        blocks = np.concatenate([p @ xs @ q, q @ xs @ p], axis=1)
+        off_res += opnorm(blocks).max(axis=1).tolist()
+    return proj_res, off_res
 
 
 def _power_residuals(kf: KrausFamily, h: np.ndarray, r: float, n_max: int) -> list[float]:
@@ -306,8 +318,9 @@ def corollary_verify(
     """
     h = hermitize(a, cfg)
     cfg.psd_check("aPositive", h, "corollary pipeline requires a >= 0").require()
-    phi_h, _, norm_h = _require_fixed_point(kf, h, cfg)
+    # the report first: an overflowing family sum is named, not a NaN residual
     rep = normalization_report(kf, cfg)
+    phi_h, _, norm_h = _require_fixed_point(kf, h, cfg)
     if not rep.is_unital:
         raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h2 = herm_part(h @ h)
@@ -373,12 +386,12 @@ class PeelTrace:
 def spectral_peel(
     kf: KrausFamily, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> PeelTrace:
-    """Peel eigenprojections off a super-fixed positive operator.
+    """Peel the spectral projections off a super-fixed positive operator.
 
-    Requires a self-adjoint unital family.  At each step the top
-    eigenprojection must commute with every family member and be fixed by
-    the map; the remainder must stay super-fixed.  Terminates when the
-    remainder is numerically zero.
+    Requires a self-adjoint unital family.  The projections of one
+    decomposition of a are peeled top eigenvalue first, down to the last
+    with |lambda| above ``cfg.eq_bound(||a||)``; each must commute with the
+    family and be fixed by the map, and each remainder must stay super-fixed.
     """
     rep = normalization_report(kf, cfg)
     if not rep.self_adjoint_family:
@@ -390,49 +403,32 @@ def spectral_peel(
     msg = "Phi(a) >= a fails: min eig of Phi(a) - a is {:.3e}"
     cfg.psd_check("superFixed", herm_part(apply_map(kf, h) - h), msg).require()
 
-    # each step's decomposition carries the norm of the remainder it peels
     dec = herm_eig(h, cfg)
     norm_h = dec.norm
-    done = cfg.eq_bound(norm_h)
-    xs = np.stack(kf.operators)
+    n = max(np.flatnonzero(np.abs(dec.eigenvalues) > cfg.eq_bound(norm_h)) + 1, default=0)
+    fix_res, comm_res = _projection_residuals(kf, dec.projections[:n])
+    bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
-    current = h.copy()
     total = np.zeros_like(h)
-    for k in range(kf.dim + 1):
-        if k:
-            # ||current||_F >= ||current||, so a remainder whose Frobenius
-            # norm is within the bound is done without a decomposition
-            if np.linalg.norm(current) <= done:
-                break
-            dec = herm_eig(current, cfg)
-        if dec.norm <= done:
-            break
-        lam = float(dec.eigenvalues[0])
-        p = dec.projections[0]
-        norms = opnorm(np.concatenate([commutator(xs, p), [apply_map(kf, p) - p]])).tolist()
-        comm_res, fix_res = max(norms[:-1]), norms[-1]
-        steps.append(PeelStep(lam, p, comm_res, fix_res))
+    peeled = zip(dec.eigenvalues[:n].tolist(), dec.projections, comm_res, fix_res)
+    for k, (lam, p, comm, fix) in enumerate(peeled):
+        steps.append(PeelStep(lam, p, comm, fix))
         msg = f"step {k}: negative eigenvalue {lam:.3e}"
         checks.append((k, Check("eigenvalue", lam, cfg.psd_bound(), msg, lower=True)))
         if not checks[-1][1].passed:
             break
-        bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
-        msg = f"step {k}: commutator residual {comm_res:.3e}"
-        checks.append((k, Check("commutator", comm_res, bound, msg)))
-        msg = f"step {k}: projection not fixed, residual {fix_res:.3e}"
-        checks.append((k, Check("fixedness", fix_res, bound, msg)))
+        msg = f"step {k}: commutator residual {comm:.3e}"
+        checks.append((k, Check("commutator", comm, bound, msg)))
+        msg = f"step {k}: projection not fixed, residual {fix:.3e}"
+        checks.append((k, Check("fixedness", fix, bound, msg)))
         total += lam * p
-        current = herm_part(current - lam * p)
+        rest = h - total
         msg = f"step {k}: super-fixed property lost, min eig {{:.3e}}"
-        gap = herm_part(apply_map(kf, current) - current)
+        gap = herm_part(apply_map(kf, rest) - rest)
         checks.append((k, cfg.psd_check("superFixed", gap, msg)))
         if not checks[-1][1].passed:
             break
-    else:
-        # a (dim + 1)-th step ran: dim steps peel at most dim distinct eigenvalues
-        msg = "peeling did not terminate within dim + 1 steps"
-        checks.append((len(steps), Check("steps", len(steps), kf.dim, msg)))
 
     recon = opnorm(h - total)
     if all(c.passed for _, c in checks):

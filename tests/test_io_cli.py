@@ -384,7 +384,7 @@ class TestCli:
             assert run([*argv, "--seed", "3"]) == 2
             assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["check", "fix", "verify", "peel", "jensen"])
+    @pytest.mark.parametrize("command", ["check", "fix", "verify", "corollary", "peel", "jensen"])
     def test_overflowing_family_sum_exit_one(self, tmp_path, capsys, command):
         # sqrt(1e300) * 1e10 squared overflows; the commutant needs no weights
         path = tmp_path / "big.json"

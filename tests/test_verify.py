@@ -194,9 +194,10 @@ class TestTheoremVerify:
 
     def test_membership_asked_once(self, monkeypatch):
         # on one block, aInAlgebra and tau(Phi(a)) take no SVD, and tau(a)
-        # reuses aInAlgebra's answer: 33 spectral norms (report 7, cached
-        # ||x_t|| 3, herm_eig 1, fixedness 1, f_eps 4, powers 7, projection 1,
-        # off-diagonal blocks 6, commutators 3) in 9 singular-value calls
+        # reuses aInAlgebra's answer; herm_eig reads ||a|| off its eigenvalues:
+        # 32 spectral norms (report 7, cached ||x_t|| 3, fixedness 1, f_eps 4,
+        # powers 7, projection 1, off-diagonal blocks 6, commutators 3) in 8
+        # singular-value calls
         svds = []
         real_svd = np.linalg.svd
 
@@ -207,7 +208,7 @@ class TestTheoremVerify:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         kf = random_bistochastic(6, 3, 0)
         assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
-        assert (sum(svds), len(svds)) == (33, 9)
+        assert (sum(svds), len(svds)) == (32, 8)
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
         # the deviation test (two spectral norms: deviation and scale) runs
@@ -428,9 +429,9 @@ class TestSpectralPeel:
         np.testing.assert_allclose(trace.steps[0].projection, E11, atol=1e-12)
         np.testing.assert_allclose(trace.steps[1].projection, E22, atol=1e-12)
 
-    def test_one_decomposition_per_step(self, lueders, monkeypatch):
-        # each step decomposes its remainder once, and the final, near-zero
-        # remainder is not decomposed
+    def test_one_decomposition_per_peel(self, lueders, monkeypatch):
+        # the steps peel the projections of one decomposition of a; no
+        # remainder is decomposed again
         import cpfix.verify as verify_mod
 
         calls = [0]
@@ -444,22 +445,21 @@ class TestSpectralPeel:
             calls[0] = 0
             trace = spectral_peel(lueders, a, CFG)
             assert trace.verdict
-            assert calls[0] == len(trace.steps)
+            assert calls[0] == 1
 
     def test_mixture_not_super_fixed(self, mixture):
         with pytest.raises(PreconditionError, match="Phi\\(a\\) >= a"):
             spectral_peel(mixture, np.diag([3.0, 1.0]).astype(complex), CFG)
 
     def test_failed_step_is_first_failing_step(self):
-        # exactly unital projections; an eq_tol below rounding leaves a noise
-        # remainder that is peeled until the step budget runs out, and
-        # failedStep names the first failing step, not where the loop gave up
+        # exactly unital projections; an eq_tol below rounding fails the
+        # commutator checks of every step, and failedStep names the first
+        # failing step, not the last one
         x1 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         x2 = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         kf = KrausFamily.from_operators([x1, x2])
         trace = spectral_peel(kf, 3 * x1 + x2, ToleranceConfig(eq_tol=1e-30))
         assert not trace.verdict
-        assert trace.failures[-1] == "peeling did not terminate within dim + 1 steps"
         assert trace.failed_step < len(trace.steps)
         assert trace.failures[0].startswith(f"step {trace.failed_step}: ")
         assert trace.to_dict()["failedStep"] == trace.failed_step
@@ -468,6 +468,41 @@ class TestSpectralPeel:
         kf = KrausFamily.from_operators([E12, E12.conj().T])
         with pytest.raises(PreconditionError, match="x_t"):
             spectral_peel(kf, np.eye(2), CFG)
+
+    @pytest.mark.parametrize("tail", [-5e-9, -2e-9])
+    def test_small_negative_eigenvalue_is_peeled_last(self, lueders, tail):
+        # a passes aPositive and superFixed; its two spectral projections are
+        # peeled in order, and no step peels I, which is not one of them
+        trace = spectral_peel(lueders, np.diag([1.0, tail]), CFG)
+        assert trace.verdict
+        assert [s.eigenvalue for s in trace.steps] == [1.0, tail]
+        np.testing.assert_array_equal(trace.steps[0].projection, E11)
+        np.testing.assert_array_equal(trace.steps[1].projection, E22)
+
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-5])
+    def test_steps_are_the_projections_of_a(self, perturbation):
+        # each step peels the matching projection of herm_eig(a), and its
+        # residuals are ||[x_t, p]|| and ||Phi(p) - p|| measured directly; a
+        # perturbed a fails the commutator checks, which end no peel
+        cfg = ToleranceConfig(psd_tol=1e-3)
+        rng = np.random.default_rng(57)
+        for _ in range(12):
+            d = int(rng.integers(2, 7))
+            n = int(rng.integers(2, d + 1))
+            kf = random_selfadjoint_family(d, n, rng.integers(0, 2**32))
+            a = _commutant_positive_element(kf, rng)
+            a = a + perturbation * random_hermitian(d, rng)
+            trace = spectral_peel(kf, a, cfg)
+            dec = herm_eig(a, cfg)
+            assert len(trace.steps) == len(dec.projections)
+            xs = np.stack(kf.operators)
+            for step, lam, p in zip(trace.steps, dec.eigenvalues, dec.projections):
+                assert step.eigenvalue == lam
+                np.testing.assert_array_equal(step.projection, p)
+                comm = max(opnorm(commutator(xs, p)))
+                assert abs(step.commutator_residual - comm) <= 1e-13
+                assert step.fixedness_residual == opnorm(apply_map(kf, p) - p)
+            assert trace.verdict == (perturbation == 0.0)
 
     def test_peel_commutant_agreement(self):
         # verdict true implies the full commutator claim reassembles
