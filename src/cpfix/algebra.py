@@ -197,8 +197,10 @@ def invariance_check(
 # The structure path draws its random elements of A from this fixed seed, so
 # its output is byte-stable; it is not a knob.
 _STRUCTURE_SEED = 2003
-# The largest system the separation bound of ``_separation`` builds for one
-# ordered pair of blocks; a larger one makes it decline.
+# The largest Gram matrix ``_separated`` builds for one ordered pair of
+# blocks, 16 (m_i m_j)^2 bytes whatever the number of letters; a larger one
+# makes it decline, so an irreducible block with m <= 32 stays on the path.
+# Pairs of one shape are batched up to this size.
 _SEPARATION_BYTES = 16 * 2**20
 
 
@@ -406,45 +408,106 @@ def algebra_structure(
     return None
 
 
-def _separation(blocks: list[np.ndarray]) -> float:
-    """A lower bound of sqrt(sum_t ||z_t a - a z_t||_F^2) over a orthogonal to A', ||a||_F = 1.
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Gram matrix K*K of the ``_sylvester`` system of every pair of an x and a y block.
+
+    ``x`` is (a, k, p, p) and ``y`` (b, k, q, q); the result is (a, b, q p,
+    q p).  With K_t = kron(I_q, x_t) - kron(y_t^T, I_p),
+    sum_t K_t* K_t = kron(I_q, sum x_t* x_t) + kron(sum conj(y_t) y_t^T, I_p)
+    - C - C* with C = sum_t kron(y_t^T, x_t*): O(k (p q)^2) per pair, from
+    one product of the two flattened stacks and no k-times-taller system.
+    """
+    a, k, p = x.shape[:3]
+    b, q = len(y), y.shape[-1]
+    # c[a, b, j, i, s, r] = sum_t y_t[s, j] conj(x_t[r, i]), C's entry ((j, i), (s, r))
+    c = y.transpose(0, 3, 2, 1).reshape(-1, k) @ x.conj().transpose(1, 0, 3, 2).reshape(k, -1)
+    c = c.reshape(b, q, q, a, p, p).transpose(3, 0, 1, 4, 2, 5).reshape(a, b, q * p, q * p)
+    # g = -(C + C*), with C conjugated in place: two pair-sized arrays, not four
+    g = -c
+    g -= np.conjugate(c, out=c).swapaxes(-1, -2)
+    g6 = g.reshape(a, b, q, p, q, p)
+    xx = np.sum(x.conj().swapaxes(-1, -2) @ x, axis=1)
+    g6[:, :, np.arange(q), :, np.arange(q), :] += xx[:, None]
+    g6[:, :, :, np.arange(p), :, np.arange(p)] += np.sum(y.conj() @ y.swapaxes(-1, -2), axis=1)
+    return g
+
+
+def _abs_norm(x: np.ndarray) -> np.ndarray:
+    """sqrt(||x||_1 ||x||_inf) over the last two axes, a bound of || |x| ||_2."""
+    m = np.abs(x)
+    return np.sqrt(m.sum(axis=-2).max(axis=-1) * m.sum(axis=-1).max(axis=-1))
+
+
+def _shifted_cholesky(x: np.ndarray, y: np.ndarray, diagonal: int | None, theta: float) -> bool:
+    """Whether every pair's Gram G of ``_gram(x, y)`` is proved >= theta^2 off its kernel.
+
+    ``diagonal`` is None when the x and y blocks differ in shape; otherwise
+    x[i] is y[i + diagonal], and for those pairs e = vec(1)/sqrt(p), the
+    exact kernel vector of G, is lifted by (tr G + theta^2 + 1) e e*, which
+    leaves the rest of the spectrum alone.  Then one batched Cholesky
+    factorization of G - (theta^2 + c) 1 decides.  The shift c = 2 gamma_N s,
+    gamma_N = N u / (1 - N u) with N = p q + (p + q + 4) k and u the unit
+    roundoff, covers the rounding of the closed-form Gram (Higham's gamma
+    bound against || sum_t |K_t|^T |K_t| ||, at most sum_t (r(x_t) +
+    r(y_t))^2 with r of ``_abs_norm``), of the lift and the shift, and of
+    the factorization (Rump's verified Cholesky test, against the trace);
+    s is the sum of those scales and theta^2.  A factorization that runs
+    to the end with finite entries proves the claim.
+    """
+    k, p, q = x.shape[1], x.shape[-1], y.shape[-1]
+    n = p * q
+    g = _gram(x, y)
+    trace = np.trace(g, axis1=-2, axis2=-1).real
+    lift = np.zeros_like(trace)
+    if diagonal is not None:
+        i = np.arange(len(x))
+        j = i + diagonal
+        lift[i, j] = trace[i, j] + theta**2 + 1.0
+        e = np.arange(p) * (p + 1)
+        g[i[:, None, None], j[:, None, None], e[:, None], e] += (lift[i, j] / p)[:, None, None]
+    norms = _abs_norm(x)[:, None] + _abs_norm(y)[None]
+    scale = np.sum(norms**2, axis=-1) + trace + lift + theta**2
+    nu = (n + (p + q + 4) * k) * np.finfo(float).eps / 2.0
+    gamma = nu / (1.0 - nu)
+    g[..., np.arange(n), np.arange(n)] -= (theta**2 + 2.0 * gamma * scale)[..., None]
+    try:
+        # a NaN passes through LAPACK's factorization without a breakdown
+        return bool(np.isfinite(np.linalg.cholesky(g)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _separated(blocks: list[np.ndarray], theta: float) -> bool:
+    """Whether sqrt(sum_t ||z_t a - a z_t||_F^2) >= theta for every a orthogonal to A', ||a||_F = 1.
 
     For z_t = (+)_i X_{t,i} (x) 1_{n_i}, with ``blocks[i]`` the stack of the
     X_{t,i}.  On the (i, j) block of a the map is K_ij (x) 1, where K_ij
     takes an m_i x m_j matrix b to (X_{t,i} b - b X_{t,j})_t, and the part
-    of A' there is 0 for i != j and 1 (x) M_{n_i} for i = j.  So the
-    minimum is the least over ordered pairs of the smallest singular value
-    of K_ij (``_sylvester``), on matrices orthogonal to the identity when
-    i = j, and that is the value returned.  A pair costs one SVD, O(k (m_i
-    m_j)^3).  When the largest pair's system is above ``_SEPARATION_BYTES``
-    (an irreducible family at d > 24 with three letters), the bound is 0:
-    there the dense kernel costs no more.
+    of A' there is 0 for i != j and 1 (x) M_{n_i} for i = j.  So the claim
+    is that the least singular value of every K_ij, off the identity when
+    i = j, is at least theta: a positive-definiteness test of its Gram,
+    which ``_shifted_cholesky`` makes for all pairs of one shape at once,
+    in batches of at most ``_SEPARATION_BYTES``.  False is a decline, and
+    the dense kernel answers: a pair whose Gram is above the cap (an
+    irreducible family at d > 32), or a factorization that breaks down.
+    The exact least singular value sigma decides every case but a sigma
+    in the rounding band theta <= sigma < sqrt(theta^2 + c) of that shift,
+    which declines.
     """
-    k = len(blocks[0])
-    if 16 * k * max(x.shape[-1] for x in blocks) ** 4 > _SEPARATION_BYTES:
-        return 0.0
-    least = math.inf
-    for i, x in enumerate(blocks):
-        for j, y in enumerate(blocks):
-            system = _sylvester(x, y)
-            if i != j:
-                least = min(least, float(np.linalg.svd(system, compute_uv=False)[-1]))
-            elif (p := x.shape[-1]) > 1:
-                eye = np.eye(p).ravel() / math.sqrt(p)
-                system -= (system @ eye)[:, None] * eye
-                least = min(least, float(np.linalg.svd(system, compute_uv=False)[-2]))
-    return least
-
-
-def _commutator_bounds(st: AlgebraStructure, letters: np.ndarray) -> tuple[np.ndarray, float]:
-    """Defects of the letters and a lower bound of sqrt(sum_t ||[z_t, a]||_F^2) on A'^perp.
-
-    In the frames z_t is (+)_i X_{t,i} (x) 1 plus a part of Frobenius norm
-    delta_t, which moves each commutator with a unit a by at most
-    2 delta_t ||a||, so the bound is ``_separation`` - 2 ||delta||.
-    """
-    defects, blocks = st.compress(letters)
-    return defects, _separation(blocks) - 2.0 * float(np.linalg.norm(defects))
+    if 16 * max(x.shape[-1] for x in blocks) ** 4 > _SEPARATION_BYTES:
+        return False
+    shapes: dict[int, list[np.ndarray]] = {}
+    for x in blocks:
+        shapes.setdefault(x.shape[-1], []).append(x)
+    stacks = {p: np.stack(xs) for p, xs in shapes.items()}
+    for p, xs in stacks.items():
+        for q, ys in stacks.items():
+            rows = max(1, _SEPARATION_BYTES // (16 * (p * q) ** 2 * len(ys)))
+            for start in range(0, len(xs), rows):
+                diagonal = start if p == q else None
+                if not _shifted_cholesky(xs[start : start + rows], ys, diagonal, theta):
+                    return False
+    return True
 
 
 def structure_commutant(
@@ -454,27 +517,32 @@ def structure_commutant(
 
     ``commutant_basis`` cuts the singular values of K: a -> (x_t a - a x_t)_t
     at tau = NULL_TOL * max(s_max, S), S = max ||x_t||, and s_max <= 2 S r
-    with r^2 = sum ||x_t / S||^2.  With the letters z_t = x_t / S, their
-    defects delta and the bound g of ``_commutator_bounds``: ||K a|| <=
-    2 S ||delta|| on A' and ||K a|| >= S g on its complement (unit a).  The
-    path answers when the first is at most tau / ``AMBIGUITY`` and the
-    second at least ``AMBIGUITY`` tau.  Then K has exactly dim A' singular
-    values below the cut and none within that factor of it: the dense
-    kernel is A' to rounding, with the same dimension and rank_warning
-    False.  A family whose commutant is larger than A' (x = e01: {x}' is
-    span{1, x}, while A' is C 1) fails here, whatever the weights.
+    with r^2 = sum ||x_t / S||^2.  With the letters z_t = x_t / S and their
+    defects delta (``AlgebraStructure.compress``), a unit a in A' has ||K a||
+    <= 2 S ||delta||, and a unit a orthogonal to A' has ||K a|| >= S (sigma -
+    2 ||delta||), sigma the separation of ``_separated``: in the aligned
+    basis z_t is (+)_i X_{t,i} (x) 1 plus a part of Frobenius norm delta_t,
+    which moves each commutator by at most 2 delta_t.  The path answers when
+    the first is at most tau / ``AMBIGUITY`` and the second at least
+    ``AMBIGUITY`` tau, that is, when ``_separated`` proves sigma >= theta =
+    ``AMBIGUITY`` NULL_TOL max(1, 2 r) + 2 ||delta||.  Then K has
+    exactly dim A' singular values below the cut and none within that
+    factor of it: the dense kernel is A' to rounding, with the same
+    dimension and rank_warning False.  A family whose commutant is larger
+    than A' (x = e01: {x}' is span{1, x}, while A' is C 1) fails here,
+    whatever the weights.
     """
     st = algebra_structure(kf, cfg)
     if st is None:
         return None
     norms = kf.operator_norms
     scale = float(norms.max()) or 1.0
-    defects, gap = _commutator_bounds(st, np.stack(kf.operators) / scale)
+    defects, blocks = st.compress(np.stack(kf.operators) / scale)
+    drift = 2.0 * float(np.linalg.norm(defects))
+    if drift > NULL_TOL / AMBIGUITY:
+        return None
     s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
-    if (
-        2.0 * float(np.linalg.norm(defects)) <= NULL_TOL / AMBIGUITY
-        and gap >= AMBIGUITY * NULL_TOL * max(1.0, s_max)
-    ):
+    if _separated(blocks, AMBIGUITY * NULL_TOL * max(1.0, s_max) + drift):
         return st.commutant()
     return None
 
@@ -488,19 +556,22 @@ def structure_fixed_space(
     matrices at tau = NULL_TOL * max(s_max, 1), and s_max <= 1 + sqrt(||col||
     ||row||) for col = sum mu x*x and row = sum mu x x*.  Let e_c = ||col -
     1||, e_r = ||row - 1||, s_t = sqrt(mu_t) x_t, S = max ||s_t||, and
-    delta and g as in ``_commutator_bounds`` for the letters s_t / S.  For
-    Hermitian a with ||a||_F = 1:
+    delta and sigma as in ``structure_commutant`` for the letters s_t / S.
+    For Hermitian a with ||a||_F = 1:
 
     - on A', Phi(a) - a = sum mu x*[a, x] + (col - 1) a, so ||Phi(a) - a||
       <= 2 S^2 sum delta + e_c;
     - on its complement, 2 Tr(a (a - Phi(a))) = sum mu ||[x, a]||_F^2 -
-      Tr(a^2 (col - 1)) - Tr(a^2 (row - 1)), so when g > 0,
-      ||Phi(a) - a|| >= (S^2 g^2 - e_c - e_r) / 2.
+      Tr(a^2 (col - 1)) - Tr(a^2 (row - 1)), so with g = sigma - 2
+      ||delta|| > 0, ||Phi(a) - a|| >= (S^2 g^2 - e_c - e_r) / 2.
 
     The theorem's hypotheses are what make e_c and e_r small.  The path
-    answers under the rule of ``structure_commutant``.  e_c is read first,
-    from the cached column sum, so a family that is not unital to within
-    NULL_TOL / ``AMBIGUITY`` costs one norm.
+    answers under the rule of ``structure_commutant``: the second bound is
+    at least ``AMBIGUITY`` tau exactly when sigma >= theta = sqrt((2
+    ``AMBIGUITY`` tau + e_c + e_r) / S^2) + 2 ||delta||, which
+    ``_separated`` decides.  e_c is read first, from the cached column sum,
+    so a family that is not unital to within NULL_TOL / ``AMBIGUITY`` costs
+    one norm.
     """
     eye = np.eye(kf.dim)
     e_c = float(opnorm(kf.column_sum - eye))
@@ -511,12 +582,11 @@ def structure_fixed_space(
         return None
     e_r = float(opnorm(kf.row_sum - eye))
     scale = float(np.max(kf.operator_norms * np.sqrt(kf.weights)))
-    defects, gap = _commutator_bounds(st, np.stack(kf.scaled_operators) / scale)
+    defects, blocks = st.compress(np.stack(kf.scaled_operators) / scale)
+    if 2.0 * scale**2 * float(np.sum(defects)) + e_c > NULL_TOL / AMBIGUITY:
+        return None
     tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
-    if (
-        2.0 * scale**2 * float(np.sum(defects)) + e_c <= NULL_TOL / AMBIGUITY
-        and gap > 0.0
-        and (scale**2 * gap**2 - e_c - e_r) / 2.0 >= AMBIGUITY * tau
-    ):
+    theta = math.sqrt((2.0 * AMBIGUITY * tau + e_c + e_r) / scale**2)
+    if _separated(blocks, theta + 2.0 * float(np.linalg.norm(defects))):
         return st.commutant(hermitian=True)
     return None

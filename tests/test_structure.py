@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cpfix import algebra, cli, io
 from cpfix.algebra import (
@@ -55,6 +56,14 @@ def near_identity_family(eps, seed, d=24):
     return KrausFamily.from_operators(ops)
 
 
+def commuting_family(d, seed):
+    """V diag(phases_t) V* / sqrt(3): A is the diagonal algebra, d blocks (1, 1), and A' = A."""
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng)
+    phases = np.exp(2j * np.pi * rng.random((N_TERMS, d)))
+    return KrausFamily.from_operators([(v * p) @ v.conj().T / np.sqrt(N_TERMS) for p in phases])
+
+
 SPECS = {
     "(2,1)^3": [(2, 1)] * 3,
     "(2,3)+(3,2)": [(2, 3), (3, 2)],
@@ -64,6 +73,7 @@ SPECS = {
 FAMILIES = {
     **{spec: (lambda s=s: block_family(s, 7)) for spec, s in SPECS.items()},
     **{f"exp eps={eps:g}": (lambda e=eps: near_identity_family(e, 11)) for eps in (1e-1, 1e-2, 1e-3, 1e-4)},
+    **{f"commuting d={d}": (lambda d=d: commuting_family(d, 1)) for d in (16, 24)},
 }
 
 
@@ -182,7 +192,8 @@ class TestDifferential:
         # the dense system a -> ([x_t, a])_t has 9 - dim A' = 7 nonzero singular values
         s = commutant_basis(list(xs)).singular_values
         assert np.sum(s > 1e-12) == 7
-        assert algebra._separation(blocks) == pytest.approx(s[6], rel=1e-12)
+        assert algebra._separated(blocks, (1.0 - 1e-6) * s[6])
+        assert not algebra._separated(blocks, (1.0 + 1e-6) * s[6])
 
     def test_sylvester_is_the_kron_stack(self):
         rng = np.random.default_rng(5)
@@ -198,6 +209,97 @@ class TestDifferential:
         b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         want = np.concatenate([vec(xt @ b - b @ yt) for xt, yt in zip(x, y)])
         np.testing.assert_allclose(algebra._sylvester(x, y) @ vec(b), want, rtol=0, atol=1e-14)
+
+
+def _letters_and_blocks(kf):
+    """The unweighted letters x_t / max ||x_t|| and their blocks in the certified structure."""
+    st = algebra_structure(kf, CFG)
+    letters = np.stack(kf.operators) / kf.operator_norms.max()
+    defects, blocks = st.compress(letters)
+    assert defects.max() <= 1e-12
+    return st, letters, blocks
+
+
+def _exact_separation(st, letters) -> float:
+    """The least nonzero singular value of the dense system a -> ([z_t, a])_t; A' is its kernel."""
+    s = np.sort(commutant_basis(list(letters)).singular_values)
+    assert s[st.dimension - 1] <= 1e-12 < s[st.dimension]
+    return float(s[st.dimension])
+
+
+class TestSeparation:
+    """``_separated`` against the exact separation of the dense system."""
+
+    @pytest.mark.parametrize(
+        "kf",
+        [block_family(s, 7) for s in SPECS.values()] + [commuting_family(d, 2) for d in (4, 9)],
+        ids=[*SPECS, "commuting d=4", "commuting d=9"],
+    )
+    def test_threshold_is_the_exact_separation(self, kf):
+        st, letters, blocks = _letters_and_blocks(kf)
+        sigma = _exact_separation(st, letters)
+        assert algebra._separated(blocks, (1.0 - 1e-6) * sigma)
+        assert not algebra._separated(blocks, (1.0 + 1e-6) * sigma)
+
+    # blocks (m, n) with m <= 3 and n <= 2, so d <= 18 and the dense oracle stays cheap
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        spec=strategies.lists(
+            strategies.tuples(strategies.integers(1, 3), strategies.integers(1, 2)), min_size=1, max_size=3
+        ),
+        seed=strategies.integers(0, 2**16),
+        factor=strategies.one_of(
+            strategies.sampled_from([1.0 - 1e-6, 1.0 + 1e-6]),
+            strategies.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-6),
+        ),
+    )
+    def test_certificate_agrees_with_the_exact_separation(self, spec, seed, factor):
+        kf = block_family(spec, seed)
+        st, letters, blocks = _letters_and_blocks(kf)
+        if st.dimension == kf.dim**2:
+            return  # A = C 1: nothing is orthogonal to A'
+        sigma = _exact_separation(st, letters)
+        assert algebra._separated(blocks, factor * sigma) is (factor < 1.0)
+
+    def test_gram_is_the_sylvester_gram(self):
+        rng = np.random.default_rng(8)
+        for p, q, a, b in [(2, 3, 2, 3), (1, 1, 4, 4), (3, 3, 2, 2), (4, 1, 1, 2)]:
+            x = np.stack([[random_complex(p, rng) for _ in range(N_TERMS)] for _ in range(a)])
+            y = np.stack([[random_complex(q, rng) for _ in range(N_TERMS)] for _ in range(b)])
+            gram = algebra._gram(x, y)
+            assert gram.shape == (a, b, p * q, p * q)
+            for i in range(a):
+                for j in range(b):
+                    system = algebra._sylvester(x[i], y[j])
+                    np.testing.assert_allclose(gram[i, j], system.conj().T @ system, rtol=0, atol=1e-13)
+
+    def test_rounding_shift_keeps_equivalent_blocks_apart(self):
+        # y_t = u x_t u* gives x_t u - u y_t = 0, so sigma = 0; rounding alone
+        # leaves the Gram's least eigenvalue near +-1e-16, which an unshifted
+        # factorization accepts at theta = 1e-12 on several of these seeds
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = np.stack([haar_unitary(3, rng) for _ in range(N_TERMS)])
+            u = haar_unitary(3, rng)
+            assert not algebra._separated([x, u @ x @ u.conj().T], 1e-12)
+
+    def test_non_finite_blocks_decline(self):
+        # LAPACK's factorization does not break down on a NaN
+        assert not algebra._separated([np.full((N_TERMS, 2, 2), np.nan)], 0.1)
+
+    def test_commuting_family_at_d64_stays_on_the_path(self):
+        found = structure_fixed_space(commuting_family(64, 1), CFG)
+        assert found is not None and found.dimension == 64
+
+    def test_irreducible_block_above_24_stays_on_the_path(self):
+        # the Gram of the one (32, 1) pair is 1024 x 1024, 16 MiB: at the cap
+        kf = block_family([(32, 1)], 7)
+        found = structure_fixed_space(kf, CFG)
+        oracle = fixed_space_basis(kf)
+        assert found is not None
+        assert (found.dimension, oracle.dimension, oracle.rank_warning) == (1, 1, False)
+        assert _smallest_cosine(found.basis, oracle.basis) >= 1.0 - 1e-8
+        assert structure_fixed_space(block_family([(33, 1)], 7), CFG) is None
 
 
 class TestFallback:
@@ -281,7 +383,7 @@ class TestFallback:
     def test_failed_gap_certificate_gives_the_dense_result(self, tmp_path, capsys, monkeypatch, command):
         kf = block_family(SPECS["(2,3)+(3,2)"], 5)
         _, dense, _ = _dense_report(tmp_path, capsys, command, kf)
-        monkeypatch.setattr(algebra, "_separation", lambda blocks: 0.0)
+        monkeypatch.setattr(algebra, "_separated", lambda blocks, theta: False)
         code, out, _ = _report(tmp_path, capsys, command, kf)
         assert code == 0 and out == dense
 

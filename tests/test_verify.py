@@ -464,6 +464,20 @@ class TestSpectralPeel:
         assert trace.failures[0].startswith(f"step {trace.failed_step}: ")
         assert trace.to_dict()["failedStep"] == trace.failed_step
 
+    def test_projection_stage_has_the_theorems_bounds(self, lueders):
+        # both pipelines measure 1e-6 for each projection's fixedness and
+        # commutator; a bound scaled by ||a|| = 2e4 would pass them in the
+        # peel while the theorem fails them
+        cfg = ToleranceConfig(psd_tol=0.1)
+        a = 1e4 * (np.diag([2.0, 1.0]) + 1e-6 * SIGMA_X)
+        trace = spectral_peel(lueders, a, cfg)
+        report = theorem_verify(lueders, BlockAlgebra.full(2), a, cfg)
+        assert all(report.hypotheses.values())
+        assert [c.passed for c in report.checks if c.name in ("projections", "offDiagonal")] == [False] * 4
+        assert [c.passed for _, c in trace.checks if c.name in ("fixedness", "commutator")] == [False] * 4
+        assert not trace.verdict and trace.failed_step == 0
+        assert all(s.fixedness_residual == pytest.approx(1e-6, rel=1e-3) for s in trace.steps)
+
     def test_rejects_non_selfadjoint_family(self):
         kf = KrausFamily.from_operators([E12, E12.conj().T])
         with pytest.raises(PreconditionError, match="x_t"):
