@@ -227,42 +227,36 @@ class NormalizationReport:
 def is_unital(kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """``normalization_report(kf, cfg).is_unital``, from the cached column sum alone.
 
-    The same rule on the same two norms: ||col - I|| <= ``cfg.eq_bound(||col||)``.
+    The same rule: ||col - I|| <= ``cfg.eq_bound(||col||)``, by ``cfg.norm_within``.
     """
-    eye = np.eye(kf.dim)
-    col_dev, col_norm = opnorm(np.stack([kf.column_sum - eye, kf.column_sum])).tolist()
-    return col_dev <= cfg.eq_bound(col_norm)
+    return cfg.norm_within(kf.column_sum - np.eye(kf.dim), kf.column_sum)
 
 
 def normalization_report(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NormalizationReport:
-    """Every flag from the family's cached sums, with all norms in one call.
+    """Every flag from the family's cached sums.
 
-    ``is_unital`` applies the rule of :func:`is_unital` to the same norms.
+    Each "= I" and self-adjointness flag is a rule ||dev|| <=
+    ``cfg.eq_bound(||m||)`` on a deviation of m, all decided in one
+    ``cfg.norm_within`` call, from Frobenius norms with an SVD only near a
+    bound; ``is_unital`` is the rule of :func:`is_unital`.
     """
     eye = np.eye(kf.dim)
     col, row = kf.column_sum, kf.row_sum
     xs = np.stack(kf.operators)
-    sums = np.stack([col - eye, col, row - eye, row])
-    norms = opnorm(np.concatenate([sums, xs - xs.conj().transpose(0, 2, 1)]))
-    col_dev, col_norm, row_dev, row_norm, *x_devs = norms.tolist()
-    unital = col_dev <= cfg.eq_bound(col_norm)
+    devs = np.concatenate([[col - eye, row - eye], xs - xs.conj().transpose(0, 2, 1)])
+    unital, is_tp, *self_adjoint = cfg.norm_within(devs, np.concatenate([[col, row], xs])).tolist()
     is_subunital = cfg.psd_check("subunitalDual", eye - row).passed
-    is_tp = row_dev <= cfg.eq_bound(row_norm)
-    self_adjoint = all(
-        dev <= cfg.eq_bound(norm) for dev, norm in zip(x_devs, kf.operator_norms.tolist())
-    )
     # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
-    # forces row_sum = I; numerically we grant a 10x slack on eq_tol.
-    rigidity = (not (unital and is_subunital)) or (
-        row_dev <= cfg.eq_bound(row_norm, slack=10.0)
-    )
+    # forces row_sum = I; numerically we grant a 10x slack on eq_tol, which
+    # is_tp already grants with slack 1.
+    rigidity = not (unital and is_subunital) or is_tp or cfg.norm_within(row - eye, row, slack=10.0)
     return NormalizationReport(
         is_unital=unital,
         is_subunital_dual=is_subunital,
         is_trace_preserving=is_tp,
-        self_adjoint_family=self_adjoint,
+        self_adjoint_family=all(self_adjoint),
         rigidity_holds=rigidity,
     )
 

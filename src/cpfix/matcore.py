@@ -9,14 +9,18 @@ treated as immutable.  The Hermitian boundary is two functions:
   output is exactly Hermitian.
 * :func:`hermitize` is the one Hermiticity check.  It rejects a deviation
   from self-adjointness above ``cfg.eq_tol`` and then symmetrizes, and it
-  runs its two SVDs only when ``a`` is not exactly Hermitian, so
+  tests the deviation only when ``a`` is not exactly Hermitian, so
   ``herm_part`` output (and its difference with a real diagonal matrix)
   passes through ``herm_eig``, ``mat_func`` and ``psd_min_eig`` for free.
 
-Downstream code assumes exact self-adjointness after that.  Norms are
-spectral norms throughout.  Every "= 0" and ">= 0" threshold is a
-:class:`ToleranceConfig` bound; the two cuts no option sets are the
-constants ``CLUSTER_GAP`` (:func:`eigen_clusters`) and ``NULL_TOL``
+Downstream code assumes exact self-adjointness after that.  Every norm a
+rule compares is a spectral norm.  A norm that is printed, or feeds a
+printed number, is measured by :func:`opnorm`; a "within tolerance"
+decision whose norms are never printed is made by
+:meth:`ToleranceConfig.norm_within`, from Frobenius norms, with an SVD only
+for a pair too close to its bound to tell.  Every "= 0" and ">= 0"
+threshold is a :class:`ToleranceConfig` bound; the two cuts no option sets
+are the constants ``CLUSTER_GAP`` (:func:`eigen_clusters`) and ``NULL_TOL``
 (:func:`nullspace_basis`), and :func:`near_cut` is the one rule that calls a
 decision ambiguous.
 
@@ -83,6 +87,10 @@ CLUSTER_GAP = 1e-8
 NULL_TOL = 1e-10
 # A value within this factor of its cut is ambiguous (:func:`near_cut`).
 AMBIGUITY = 10.0
+# The widening of the Frobenius norms that ToleranceConfig.norm_within decides
+# from, relative and absolute: the rounding of the two norms it brackets.
+_FROBENIUS_MARGIN = 1e-6
+_UNDERFLOW = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,47 @@ class ToleranceConfig:
     def psd_bound(self, scale: float = 0.0) -> float:
         """Lower bound -psd_tol * max(1, scale) on a smallest eigenvalue."""
         return -self.psd_tol * max(1.0, scale)
+
+    def norm_within(self, dev, scale, slack: float = 1.0) -> bool | np.ndarray:
+        """``opnorm(dev) <= self.eq_bound(opnorm(scale), slack)``, with an SVD only near the bound.
+
+        ``dev`` and ``scale`` are matrices of one shape (m, n), or (..., m,
+        n) stacks of them; a stack gives a bool array of shape (...).  With
+        r = min(m, n), ||M||_F / sqrt(r) <= ||M||_2 <= ||M||_F, and
+        ``eq_bound`` grows with its scale, so a pair is decided from its two
+        Frobenius norms when the whole band agrees: within when ||dev||_F
+        <= eq_bound(||scale||_F / sqrt(r)), beyond when ||dev||_F / sqrt(r)
+        > eq_bound(||scale||_F).  Only the pairs between, and every pair
+        with a non-finite Frobenius norm, go to one stacked :func:`opnorm`
+        call and the rule itself, so NaN and inf entries give the rule's
+        result, or its SVD's exception.
+
+        The decision is the one that rule makes on the computed SVD values.
+        Each Frobenius norm is widened by the relative margin
+        ``_FROBENIUS_MARGIN`` = 1e-6 and the absolute ``_UNDERFLOW`` =
+        2^-500.  The computed ||M||_F is within gamma_{mn+2} of the exact one
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+        ch. 3), plus sqrt(mn) 2^-537 from squares that underflow; LAPACK's
+        sigma_max is within p(m, n) u ||M||_2 of the exact one, p a modest
+        function of the dimensions (LAPACK Users' Guide, 3rd ed., 4.9).
+        The margin is 1e10 units of roundoff u, so it covers both for every
+        matrix with p(m, n) + mn below 1e9.
+        """
+        shape = np.shape(dev)
+        # pairs[k] = (dev_k, scale_k)
+        pairs = np.stack([dev, scale], axis=-3).reshape(math.prod(shape[:-2]), 2, *shape[-2:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            frob = np.linalg.norm(pairs, axis=(-2, -1))
+        high = frob * (1.0 + _FROBENIUS_MARGIN) + _UNDERFLOW
+        low = (frob / (1.0 + _FROBENIUS_MARGIN) - _UNDERFLOW) / math.sqrt(max(1, min(shape[-2:])))
+        bound = slack * self.eq_tol
+        finite = np.isfinite(frob[:, 0] + frob[:, 1])
+        within = finite & (high[:, 0] <= bound * np.maximum(1.0, low[:, 1]))
+        band = ~within & ~(finite & (low[:, 0] > bound * np.maximum(1.0, high[:, 1])))
+        if band.any():
+            norms = opnorm(pairs[band])
+            within[band] = [d <= self.eq_bound(s, slack) for d, s in norms.tolist()]
+        return bool(within[0]) if len(shape) == 2 else within.reshape(shape[:-2])
 
     def psd_check(self, name: str, m, failure: str = "") -> Check:
         """``m >= 0`` as a Check; ``failure``'s ``{:.3e}`` field gets the min eig."""
@@ -181,17 +230,17 @@ def herm_part(m: np.ndarray) -> np.ndarray:
 def hermitize(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Symmetrize ``a``, rejecting a deviation above ``cfg.eq_tol``.
 
-    The deviation is only measured when ``a`` is not exactly Hermitian.
+    The deviation is only tested when ``a`` is not exactly Hermitian, by
+    :meth:`ToleranceConfig.norm_within`, and only measured for the message
+    of a rejection.
     """
     m = as_cmatrix(a)
-    if not np.array_equal(m, m.conj().T):
+    if not np.array_equal(m, m.conj().T) and not cfg.norm_within(m - m.conj().T, m):
         dev, scale = opnorm(np.stack([m - m.conj().T, m])).tolist()
-        tol = cfg.eq_bound(scale)
-        if dev > tol:
-            raise HermiticityError(
-                f"matrix deviates from self-adjointness by {dev:.3e} "
-                f"(tolerance {tol:.3e})"
-            )
+        raise HermiticityError(
+            f"matrix deviates from self-adjointness by {dev:.3e} "
+            f"(tolerance {cfg.eq_bound(scale):.3e})"
+        )
     return herm_part(m)
 
 
@@ -231,12 +280,15 @@ class SpectralDecomposition:
     sum equal to the identity.  ``norm`` is the spectral norm of a, read
     off the eigensolver's extreme eigenvalues before clustering as
     max |lambda|: exactly the number the clustering cut scales with.
+    ``eigenvectors`` is a's orthonormal eigenframe V, clusters in order:
+    projection k is V_k V_k*, V_k the next ``multiplicities[k]`` columns.
     """
 
     eigenvalues: np.ndarray
     projections: list[np.ndarray]
     multiplicities: np.ndarray
     norm: float
+    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -285,6 +337,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
         projections=[herm_part(v[:, s] @ v[:, s].conj().T) for s in spans],
         multiplicities=np.diff(bounds),
         norm=float(max(abs(w[0]), abs(w[-1]))),
+        eigenvectors=v,
     )
 
 

@@ -72,10 +72,10 @@ __all__ = [
 CONCLUSION_SLACK = 100.0
 
 # The projection stage of the theorem and the peel takes the spectral
-# projections, and their blocks p x_t q and q x_t p, through the map and the
-# norm in groups of at most this many bytes: at d = 16 with up to 7 Kraus
-# terms all fit in one group, and at large d with many distinct eigenvalues
-# the working memory stays bounded instead of growing with their number.
+# projections through the map and the norm in groups of at most this many
+# bytes: at d = 16 all fit in one group, and at large d with many distinct
+# eigenvalues the working memory stays bounded instead of growing with their
+# number.
 GROUP_BYTES = 1 << 20
 
 
@@ -235,7 +235,8 @@ def _theorem(
         msg = f"power residual at n={n}: {r:.3e}"
         checks.append(Check("powers", r, cfg.eq_bound(norm_h**n), msg))
 
-    (proj_res, proj_bound), (off_res, off_bound) = _projection_residuals(kf, dec.projections, cfg)
+    stage = _projection_residuals(kf, dec, len(dec.projections), cfg)
+    (proj_res, proj_bound), (off_res, off_bound) = stage
     for r in proj_res:
         msg = f"projection fixedness residual {r:.3e}"
         checks.append(Check("projections", r, proj_bound, msg))
@@ -247,28 +248,44 @@ def _theorem(
 
 
 def _projection_residuals(
-    kf: KrausFamily, projections: list[np.ndarray], cfg: ToleranceConfig
+    kf: KrausFamily, dec: SpectralDecomposition, count: int, cfg: ToleranceConfig
 ) -> tuple[tuple[list[float], float], tuple[list[float], float]]:
-    """(||Phi(p) - p||, max_t ||[x_t, p]||) for each spectral projection p, each kind with its bound.
+    """(||Phi(p) - p||, max_t ||[x_t, p]||) for the first ``count`` spectral projections p of ``dec``, each kind with its bound.
 
     [x, p] = q x p - p x q with q = I - p, two blocks between orthogonal
-    ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).  The bounds scale
-    with what the residuals are made of, ||p|| = 1 and max ||x_t||, and not
-    with the operator whose projections they are; the theorem and the peel
-    judge their one projection stage by them alike.
+    ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).  In a's eigenframe
+    V, with W_t = V* x_t V and p = V_k V_k* of rank r, these are the norms
+    of the r x (d - r) block W_t[k, not k] and of the transpose of
+    W_t[not k, k]; the projections of one rank share one norm call, and a
+    projection of rank d has no such block and residual 0.  ||Phi(p) - p||
+    takes one map call and one norm call per group of ``GROUP_BYTES``.  The
+    bounds scale with what the residuals are made of, ||p|| = 1 and max
+    ||x_t||, and not with the operator whose projections they are; the
+    theorem and the peel judge their one projection stage by them alike.
     """
     xs = np.stack(kf.operators)
-    group = max(1, GROUP_BYTES // (xs[0].nbytes * (2 * len(xs) + 1)))
-    proj_res, off_res = [], []
-    for i in range(0, len(projections), group):
-        ps = np.stack(projections[i : i + group])
+    group = max(1, GROUP_BYTES // (4 * xs[0].nbytes))
+    proj_res = []
+    for i in range(0, count, group):
+        ps = np.stack(dec.projections[i : min(i + group, count)])
         proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
-        # blocks[j, :k] = p_j x_t q_j and blocks[j, k:] = q_j x_t p_j
-        p, q = ps[:, None], np.eye(kf.dim) - ps[:, None]
-        blocks = np.concatenate([p @ xs @ q, q @ xs @ p], axis=1)
-        off_res += opnorm(blocks).max(axis=1).tolist()
+    d, v = kf.dim, dec.eigenvectors
+    w = v.conj().T @ xs @ v
+    # frame[:n] = W_t and frame[n:] = W_t^T, so frame[:, rows_k, cols_k] holds
+    # p_k x_t q_k and (q_k x_t p_k)^T in the eigenbasis
+    frame = np.concatenate([w, w.swapaxes(-1, -2)])
+    ranks = dec.multiplicities[:count]
+    starts = np.cumsum(dec.multiplicities) - dec.multiplicities
+    off_res = np.zeros(count)
+    for r in sorted(set(ranks.tolist()) - {d}):
+        ks = np.flatnonzero(ranks == r)
+        rows = starts[ks, None] + np.arange(r)
+        outside = np.ones((len(ks), d), dtype=bool)
+        outside[np.arange(len(ks))[:, None], rows] = False
+        cols = np.nonzero(outside)[1].reshape(len(ks), d - r)
+        off_res[ks] = opnorm(frame[:, rows[:, :, None], cols[:, None, :]]).max(axis=0)
     op_bound = cfg.eq_bound(float(kf.operator_norms.max()), CONCLUSION_SLACK)
-    return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res, op_bound)
+    return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res.tolist(), op_bound)
 
 
 def _power_residuals(kf: KrausFamily, h: np.ndarray, r: float, n_max: int) -> list[float]:
@@ -412,7 +429,7 @@ def spectral_peel(
     dec = herm_eig(h, cfg)
     norm_h = dec.norm
     n = max(np.flatnonzero(np.abs(dec.eigenvalues) > cfg.eq_bound(norm_h)) + 1, default=0)
-    stage = _projection_residuals(kf, dec.projections[:n], cfg)
+    stage = _projection_residuals(kf, dec, n, cfg)
     (fix_res, fix_bound), (comm_res, comm_bound) = stage
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []

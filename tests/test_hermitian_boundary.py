@@ -74,8 +74,10 @@ class TestHermitize:
             hermitize(NEAR_HERMITIAN, STRICT)
 
     def test_exactly_hermitian_input_costs_no_norm(self, monkeypatch):
-        # herm_part output passes hermitize without the deviation test, whose
-        # two matrices (deviation and scale) share one singular-value call
+        # herm_part output passes hermitize without the deviation test; a
+        # deviation far from its bound is decided from Frobenius norms, and
+        # only a rejection measures its two spectral norms (deviation and
+        # scale, one singular-value call) for its message
         calls = []
         real_svd = np.linalg.svd
 
@@ -88,6 +90,9 @@ class TestHermitize:
         np.testing.assert_array_equal(hermitize(h, STRICT), h)
         assert calls == []
         hermitize(NEAR_HERMITIAN)
+        assert calls == []
+        with pytest.raises(HermiticityError, match="by 1.000e-10"):
+            hermitize(NEAR_HERMITIAN, STRICT)
         assert calls == [2]
 
     def test_psd_min_eig_checks_against_cfg(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cpfix.matcore import (
     AMBIGUITY,
@@ -117,6 +118,138 @@ class TestOpnormStack:
         m = random_complex(4, np.random.default_rng(6))
         assert type(opnorm(m)) is float and opnorm(m) == np.linalg.norm(m, 2)
         assert type(opnorm(np.zeros((0, 3)))) is float and opnorm(np.zeros((0, 3))) == 0.0
+
+
+def _outcome(f):
+    """``f()``, or the name of the LinAlgError it raises."""
+    try:
+        return f()
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+def _spectral_rule(cfg, dev, scale, slack):
+    """opnorm(dev) <= cfg.eq_bound(opnorm(scale), slack), pair by pair, from two SVD calls."""
+    devs, scales = opnorm(dev), opnorm(scale)
+    if np.ndim(dev) == 2:
+        return devs <= cfg.eq_bound(scales, slack)
+    rule = [d <= cfg.eq_bound(s, slack) for d, s in zip(devs.ravel().tolist(), scales.ravel().tolist())]
+    return np.reshape(np.array(rule, dtype=bool), devs.shape)
+
+
+def _with_norms(stack, norms):
+    """Each matrix of ``stack`` rescaled to the spectral norm ``norms`` (empty ones stay)."""
+    if stack.size == 0:
+        return stack
+    return stack * (np.asarray(norms) / opnorm(stack))[..., None, None]
+
+
+class TestNormWithin:
+    """The Frobenius-first rule decides exactly as the spectral-norm rule."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        shape=strategies.tuples(strategies.integers(0, 3), strategies.integers(0, 5), strategies.integers(0, 5)),
+        stacked=strategies.booleans(),
+        rank_one=strategies.booleans(),
+        seed=strategies.integers(0, 2**16),
+        slack=strategies.sampled_from([1.0, 10.0, 100.0]),
+        scale_norm=strategies.one_of(
+            strategies.sampled_from([1e-3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1e3]), strategies.floats(1e-3, 1e3)
+        ),
+        factor=strategies.one_of(
+            strategies.sampled_from([1.0 - 1e-6, 1.0 + 1e-6]),
+            strategies.floats(1e-3, 1e3).filter(lambda f: abs(f - 1.0) > 1e-6),
+        ),
+    )
+    def test_is_the_spectral_rule(self, shape, stacked, rank_one, seed, slack, scale_norm, factor):
+        k, m, n = shape
+        rng = np.random.default_rng(seed)
+        scale = _with_norms(rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n)), scale_norm)
+        dev = rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n))
+        if rank_one:
+            dev = dev[..., :1] * dev[..., :1, :]
+        bounds = [CFG.eq_bound(s, slack) for s in opnorm(scale).tolist()]
+        dev = _with_norms(dev, factor * np.array(bounds))
+        if not stacked and k:
+            dev, scale = dev[0], scale[0]
+        expected = _spectral_rule(CFG, dev, scale, slack)
+        got = CFG.norm_within(dev, scale, slack)
+        if dev.ndim == 2:
+            assert type(got) is bool and got == expected
+        else:
+            assert got.shape == (k,) and np.array_equal(got, expected)
+        if m and n:
+            assert np.all(expected == (factor < 1.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        seed=strategies.integers(0, 2**16),
+        value=strategies.sampled_from([np.nan, np.inf, -np.inf, 1e200, 1e-200, complex(np.inf, 1.0)]),
+        in_dev=strategies.booleans(),
+        k=strategies.integers(1, 3),
+        stacked=strategies.booleans(),
+        size=strategies.sampled_from([1e-12, 1e-3, 1e3]),
+    )
+    def test_non_finite_entries_match_the_spectral_rule(self, seed, value, in_dev, k, stacked, size):
+        rng = np.random.default_rng(seed)
+        scale = rng.standard_normal((k, 3, 3)) + 0j
+        dev = size * rng.standard_normal((k, 3, 3)) + 0j
+        target = dev if in_dev else scale
+        target[rng.integers(k), rng.integers(3), rng.integers(3)] = value
+        if not stacked:
+            dev, scale = dev[0], scale[0]
+        expected = _outcome(lambda: _spectral_rule(CFG, dev, scale, 1.0))
+        got = _outcome(lambda: CFG.norm_within(dev, scale))
+        assert type(got) is type(expected) and np.array_equal(got, expected)
+
+    def test_svd_only_for_pairs_near_the_bound(self, monkeypatch):
+        # ||dev|| at 1e-3, 1 - 1e-6 and 1e3 times its bound, for full-rank
+        # 4 x 4 pairs: only the middle one is within sqrt(4) of its bound
+        svds = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        rng = np.random.default_rng(2)
+        scale = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        bounds = [CFG.eq_bound(s) for s in opnorm(scale).tolist()]
+        dev = _with_norms(np.stack([np.eye(4)] * 3), np.array([1e-3, 1.0 - 1e-6, 1e3]) * bounds)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert CFG.norm_within(dev, scale).tolist() == [True, True, False]
+        assert svds == [(1, 2, 4, 4)]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1)])
+    def test_rounding_at_the_bound(self, shape):
+        # a vector's Frobenius and spectral norms agree up to rounding, so
+        # only the margin sends it to the SVD: a sweep over the last units
+        # of the bound must still match the SVD's decision
+        rng = np.random.default_rng(sum(shape))
+        for scale_norm in (0.5, 3.0):
+            scale = _with_norms(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), scale_norm)
+            bound = CFG.eq_bound(opnorm(scale))
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            devs = _with_norms(np.stack([v] * 17), bound * (1.0 + np.arange(-8, 9) * 2.0**-52))
+            assert np.array_equal(CFG.norm_within(devs, np.stack([scale] * 17)),
+                                  _spectral_rule(CFG, devs, np.stack([scale] * 17), 1.0))
+
+    def test_overflowing_frobenius_norm_goes_to_the_svd(self):
+        # ||dev||_F^2 overflows to inf while ||dev|| = 2e160 is finite
+        loose = ToleranceConfig(eq_tol=1e10)
+        dev = np.full((2, 2), 1e160, dtype=complex)
+        assert loose.norm_within(dev, 1e153 * np.eye(2))
+        assert not loose.norm_within(dev, 1e149 * np.eye(2))
+
+    def test_underflowing_frobenius_norm_goes_to_the_svd(self):
+        # t^2 is subnormal, so the computed ||dev||_F is off by about 1e-4
+        # relative, far beyond the relative margin; the absolute floor sends
+        # these pairs to the SVD, which decides them exactly
+        tiny = ToleranceConfig(eq_tol=1e-160)
+        for t in np.linspace(0.999e-160, 1.001e-160, 41):
+            dev = np.array([[t]], dtype=complex)
+            assert tiny.norm_within(dev, np.eye(1)) == (t <= tiny.eq_bound(1.0))
 
 
 class TestHermitize:

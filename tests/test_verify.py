@@ -194,10 +194,11 @@ class TestTheoremVerify:
 
     def test_membership_asked_once(self, monkeypatch):
         # on one block, aInAlgebra and tau(Phi(a)) take no SVD, and tau(a)
-        # reuses aInAlgebra's answer; herm_eig reads ||a|| off its eigenvalues:
-        # 32 spectral norms (report 7, cached ||x_t|| 3, fixedness 1, f_eps 4,
-        # powers 7, projection 1, off-diagonal blocks 6, commutators 3) in 8
-        # singular-value calls
+        # reuses aInAlgebra's answer; herm_eig reads ||a|| off its eigenvalues;
+        # the report's flags are decided from Frobenius norms, and a = 2 I has
+        # one cluster, so no off-diagonal block: 19 spectral norms (cached
+        # ||x_t|| 3, fixedness 1, f_eps 4, powers 7, projection 1,
+        # commutators 3) in 6 singular-value calls
         svds = []
         real_svd = np.linalg.svd
 
@@ -207,23 +208,62 @@ class TestTheoremVerify:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         kf = random_bistochastic(6, 3, 0)
-        assert theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG).verdict
-        assert (sum(svds), len(svds)) == (32, 8)
+        report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
+        assert report.verdict and report.residuals("offDiagonal") == [0.0]
+        assert (sum(svds), len(svds)) == (19, 6)
+
+    def test_off_diagonal_norms_are_eigenframe_blocks(self, monkeypatch):
+        # a rotated block fixed point with clusters of ranks 3, 2 and 1: the
+        # off-diagonal stage takes one norm call per rank, of the 2n blocks
+        # r x (d - r) of V* x_t V per projection; no SVD has the hermitize
+        # test or a report flag behind it
+        svds = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        rng = np.random.default_rng(4)
+        v = haar_unitary(6, rng)
+        ops = []
+        for _ in range(3):
+            u = np.zeros((6, 6), dtype=complex)
+            u[:3, :3], u[3:5, 3:5], u[5:, 5:] = haar_unitary(3, rng), haar_unitary(2, rng), 1.0
+            ops.append(v @ u @ v.conj().T / np.sqrt(3))
+        kf = KrausFamily.from_operators(ops)
+        a = v @ np.diag([3.0, 3.0, 3.0, 2.0, 2.0, 1.0]) @ v.conj().T
+        assert not np.array_equal(a, a.conj().T)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert theorem_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
+        # fixedness, f_eps, powers, projections, the off-diagonal blocks by
+        # rank, the cached ||x_t|| of the off-diagonal bound, commutators
+        assert svds == [
+            (6, 6), (2, 2, 6, 6), (7, 6, 6), (3, 6, 6),
+            (6, 1, 1, 5), (6, 1, 2, 4), (6, 1, 3, 3),
+            (3, 6, 6), (3, 6, 6),
+        ]
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
-        # the deviation test (two spectral norms: deviation and scale) runs
-        # once per not exactly Hermitian input; herm_eig, psd_min_eig, the
-        # internal ">= 0" tests (I - row sum, a, Phi(a) - a) and the
-        # corollary's a^2 run none
+        # the deviation test runs once per not exactly Hermitian input, and
+        # a deviation far below its bound is decided from Frobenius norms,
+        # with no SVD; herm_eig, psd_min_eig, the internal ">= 0" tests
+        # (I - row sum, a, Phi(a) - a) and the corollary's a^2 run none
         import sys
 
-        svds, depth = [0], [0]
-        real_svd = np.linalg.svd
+        from cpfix.matcore import ToleranceConfig as Tolerances
+
+        svds, tests, depth = [0], [0], [0]
+        real_svd, real_within = np.linalg.svd, Tolerances.norm_within
 
         def counting_svd(a, *args, **kwargs):
             if depth[0] > 0:
                 svds[0] += int(np.prod(np.shape(a)[:-2]))
             return real_svd(a, *args, **kwargs)
+
+        def counting_within(*args, **kwargs):
+            tests[0] += depth[0] > 0
+            return real_within(*args, **kwargs)
 
         def counting_hermitize(*args, **kwargs):
             depth[0] += 1
@@ -233,19 +273,20 @@ class TestTheoremVerify:
                 depth[0] -= 1
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(Tolerances, "norm_within", counting_within)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("cpfix") and getattr(mod, "hermitize", None) is hermitize:
                 monkeypatch.setattr(mod, "hermitize", counting_hermitize)
         kf = random_bistochastic(6, 3, 0)
         normalization_report(kf, CFG)
-        assert svds == [0]
+        assert (tests, svds) == ([0], [0])
         skew = np.triu(np.full((6, 6), 1e-14j), 1)
         a = 2.0 * np.eye(6) + skew + skew.T
         assert not np.array_equal(a, a.conj().T)
         assert theorem_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
-        assert svds == [2]
+        assert (tests, svds) == ([1], [0])
         assert corollary_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
-        assert svds == [4]
+        assert (tests, svds) == ([2], [0])
 
     def test_failures_follow_stage_order(self):
         # a fixed point with a 2-block spectral gap of 5e-8, plus a 3e-9
@@ -530,6 +571,81 @@ class TestSpectralPeel:
             assert trace.verdict
             for x in kf.operators:
                 assert opnorm(commutator(a, x)) <= 10 * CFG.eq_tol * max(1.0, opnorm(a))
+
+
+def _dense_off_diagonal(kf, projections):
+    """max_t max(||p x_t q||, ||q x_t p||), q = 1 - p, with d x d products for each projection."""
+    eye = np.eye(kf.dim)
+    return [max(max(opnorm(p @ x @ (eye - p)), opnorm((eye - p) @ x @ p)) for x in kf.operators) for p in projections]
+
+
+def _clustered_instance(sizes, seed, projective):
+    """A family of blocks of ``sizes`` in a Haar frame, and a = (+)_i c_i 1 + 1e-9 H there.
+
+    ``projective`` gives the block projections (self-adjoint and unital, for
+    the peel); otherwise x_t = u sqrt(w_t), u a block unitary and w_t >= 0
+    diagonal with sum_t w_t = 1, so sum x_t* x_t = sum x_t x_t* = 1 while
+    each x_t is far from normal and ||p x_t q|| != ||q x_t p||.  The perturbation
+    keeps every hypothesis and moves each spectral projection by about
+    1e-9, so the off-diagonal residuals are well above rounding.
+    """
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    v = haar_unitary(d, rng)
+    bounds = np.cumsum((0, *sizes))
+    if projective:
+        ops = [np.diag(((bounds[i] <= np.arange(d)) & (np.arange(d) < bounds[i + 1])).astype(complex)) for i in range(len(sizes))]
+    else:
+        u = np.zeros((d, d), dtype=complex)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            u[lo:hi, lo:hi] = haar_unitary(hi - lo, rng)
+        ops = [u * np.sqrt(w) for w in rng.dirichlet(np.ones(3), size=d).T]
+    kf = KrausFamily.from_operators([v @ x @ v.conj().T for x in ops])
+    a = v @ np.diag(np.repeat(1.0 + np.arange(len(sizes)), sizes)) @ v.conj().T
+    h = random_hermitian(d, rng)
+    return kf, a + 1e-9 * h / opnorm(h)
+
+
+class TestEigenframeStage:
+    """The off-diagonal residuals from a's eigenframe equal the d x d formula."""
+
+    CLUSTERS = {"1, d-1": (1, 5), "d/2, d/2": (3, 3), "three of rank 2": (2, 2, 2), "ranks 1, 1, 2, 2": (1, 2, 1, 2)}
+
+    @pytest.mark.parametrize("sizes", CLUSTERS.values(), ids=CLUSTERS.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_theorem(self, sizes, seed):
+        kf, a = _clustered_instance(sizes, seed, projective=False)
+        report = theorem_verify(kf, BlockAlgebra.full(kf.dim), a, CFG)
+        assert all(report.hypotheses.values())
+        dec = herm_eig(hermitize(a, CFG), CFG)
+        assert list(dec.multiplicities) == list(sizes[::-1])
+        dense = _dense_off_diagonal(kf, dec.projections)
+        assert min(dense) > 1e-11
+        tol = 1e-13 * max(opnorm(x) for x in kf.operators)
+        np.testing.assert_allclose(report.residuals("offDiagonal"), dense, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("sizes", CLUSTERS.values(), ids=CLUSTERS.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_peel(self, sizes, seed):
+        kf, a = _clustered_instance(sizes, seed, projective=True)
+        trace = spectral_peel(kf, a, CFG)
+        dec = herm_eig(hermitize(a, CFG), CFG)
+        assert list(dec.multiplicities) == list(sizes[::-1]) and len(trace.steps) == len(sizes)
+        dense = _dense_off_diagonal(kf, dec.projections)
+        assert min(dense) > 1e-11
+        tol = 1e-13 * max(opnorm(x) for x in kf.operators)
+        np.testing.assert_allclose([s.commutator_residual for s in trace.steps], dense, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 7.5, 1e6])
+    def test_one_cluster_has_no_off_diagonal_block(self, c):
+        # a = c 1 has one spectral projection, p = 1: its residual is exactly 0
+        kf = random_bistochastic(5, 3, 0)
+        a = c * np.eye(5)
+        report = theorem_verify(kf, BlockAlgebra.full(5), a, CFG)
+        assert report.residuals("offDiagonal") == [0.0]
+        assert _dense_off_diagonal(kf, herm_eig(a, CFG).projections)[0] <= 1e-13
+        selfadjoint = random_selfadjoint_family(5, 2, 0)
+        assert [s.commutator_residual for s in spectral_peel(selfadjoint, a, CFG).steps] == [0.0]
 
 
 def _commutant_positive_element(kf, rng):
