@@ -10,7 +10,8 @@ Matrices are row-major; complex entries are two-element [re, im] arrays.
 Writing uses sorted keys and Python's shortest round-trip float
 formatting, so write(read(x)) is byte-stable and files stay diffable.
 ``canonical_dumps`` writes 2-D numpy arrays in the matrix wire format
-directly, byte for byte as json would write their ``matrix_to_obj`` lists.
+directly, byte for byte as json would write their ``matrix_to_obj`` lists,
+formatting each distinct magnitude once per batch of matrices.
 Reading rejects non-finite numbers (json's ``NaN``, ``Infinity``, 1e400)
 with a ``SchemaError`` that names the field.
 """
@@ -53,6 +54,9 @@ class SchemaError(ValueError):
 _PLACEHOLDER = "\x00cpfix-matrix\x00"
 _ENCODED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Floats formatted together: bounds the index arrays and the number strings
+# that one batch of matrices holds at a time.
+_BATCH_FLOATS = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -64,14 +68,52 @@ def _matrix_template(rows: int, cols: int, level: int) -> str:
     return "[" + nl[1] + ("," + nl[1]).join([row] * rows) + nl[0] + "]"
 
 
-def _render_matrix(m: np.ndarray, level: int) -> str:
-    """json.dumps(matrix_to_obj(m), indent=2) at indent ``level``, in bulk."""
-    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
+def _float_texts(values: np.ndarray) -> list[str]:
+    """json's spelling of each float in ``values``: its shortest repr, or NaN/Infinity."""
     # repr of a list of floats takes each float's repr, as json does
-    numbers = repr(parts.tolist())[1:-1].split(", ")
-    if not np.isfinite(parts).all():
-        numbers = [_NON_FINITE.get(x, x) for x in numbers]
-    return _matrix_template(*m.shape, level) % tuple(numbers)
+    texts = repr(values.tolist())[1:-1].split(", ")
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(x, x) for x in texts]
+    return texts
+
+
+def _batches(sizes):
+    """(lo, hi) runs of consecutive matrices with at most _BATCH_FLOATS floats.
+
+    ``sizes`` counts each matrix's complex entries.  A matrix larger than the
+    cap makes a run of its own.
+    """
+    lo = floats = 0
+    for k, size in enumerate(sizes):
+        if k > lo and floats + 2 * size > _BATCH_FLOATS:
+            yield lo, k
+            lo, floats = k, 0
+        floats += 2 * size
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
+def _render_batch(matrices, levels) -> list[str]:
+    """json.dumps(matrix_to_obj(m), indent=2) of each matrix at its indent level.
+
+    The matrices' floats are formatted together, each distinct magnitude
+    once; a sign is put in front where the float has one.
+    """
+    parts = np.concatenate(
+        [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel() for m in matrices]
+    )
+    mags, inv = np.unique(np.abs(parts), return_inverse=True)
+    numbers = np.array(_float_texts(mags), dtype=object)[inv]
+    # json writes every NaN as NaN, whatever its sign bit
+    negative = np.signbit(parts) & ~np.isnan(parts)
+    numbers[negative] = "-" + numbers[negative]
+    numbers = numbers.tolist()
+    out, start = [], 0
+    for m, level in zip(matrices, levels):
+        stop = start + 2 * m.size
+        out.append(_matrix_template(*m.shape, level) % tuple(numbers[start:stop]))
+        start = stop
+    return out
 
 
 def _is_matrix(o) -> bool:
@@ -91,7 +133,11 @@ def canonical_dumps(obj) -> str:
     2-D numpy arrays are written as matrices in the wire format, byte for
     byte as their ``matrix_to_obj`` lists would be, but rendered in bulk: a
     placeholder string holds each one's place in the json text and is
-    replaced by the matrix at that line's indentation.
+    replaced by the matrix at that line's indentation.  Runs of consecutive
+    matrices of up to ``_BATCH_FLOATS`` floats are rendered together, and
+    each distinct magnitude in a run is formatted once: a kernel basis is
+    closed under adjoints, and an element and its adjoint in one run share
+    their magnitudes.
     """
     matrices = []
 
@@ -105,11 +151,14 @@ def canonical_dumps(obj) -> str:
     pieces = text.split(_ENCODED_PLACEHOLDER)
     if len(pieces) != len(matrices) + 1:
         # a string in obj spells the placeholder: write every matrix as lists
-        pieces = [json.dumps(obj, sort_keys=True, indent=2, default=_matrix_list)]
+        return json.dumps(obj, sort_keys=True, indent=2, default=_matrix_list) + "\n"
     out = [pieces[0]]
-    for m, piece in zip(matrices, pieces[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += [_render_matrix(m, (len(line) - len(line.lstrip(" "))) // 2), piece]
+    for lo, hi in _batches([m.size for m in matrices]):
+        # each matrix takes the indent level of the line its placeholder is on
+        lines = [p[p.rfind("\n") + 1 :] for p in pieces[lo:hi]]
+        levels = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+        for rendered, piece in zip(_render_batch(matrices[lo:hi], levels), pieces[lo + 1 : hi + 1]):
+            out += [rendered, piece]
     return "".join(out) + "\n"
 
 
@@ -244,8 +293,10 @@ def read_algebra(path) -> BlockAlgebra:
 
 
 def write_matrix(path, m: np.ndarray):
-    Path(path).write_text(canonical_dumps({"matrix": matrix_to_obj(m)}))
+    Path(path).write_text(canonical_dumps({"matrix": np.asarray(m, dtype=np.complex128)}))
 
 
 def write_channel(path, kf: KrausFamily):
-    Path(path).write_text(canonical_dumps(channel_to_obj(kf)))
+    # channel_to_obj's layout, with the matrices left to canonical_dumps
+    terms = [{"weight": float(w), "matrix": x} for w, x in kf.terms]
+    Path(path).write_text(canonical_dumps({"dim": kf.dim, "terms": terms}))

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cpfix import io
 from cpfix.channel import KrausFamily
 from cpfix.cli import run
+from cpfix.verify import haar_unitary
 
 from conftest import SIGMA_X, random_unital_family
 
@@ -53,6 +55,12 @@ class TestIo:
             io.channel_from_obj(
                 {"dim": 2, "terms": [{"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]}
             )
+
+    def test_written_channel_is_json_of_its_lists(self, tmp_path):
+        kf = random_unital_family(5, 3, np.random.default_rng(61))
+        path = tmp_path / "c.json"
+        io.write_channel(path, kf)
+        assert path.read_text() == json.dumps(io.channel_to_obj(kf), sort_keys=True, indent=2) + "\n"
 
     def test_channel_roundtrip_byte_stable(self, tmp_path, mixture):
         p1 = tmp_path / "a.json"
@@ -124,7 +132,7 @@ class TestIo:
 
 
 # Values whose shortest repr, sign or json spelling a bulk writer could get wrong
-EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, np.nan, np.inf, -np.inf, 0.0, -2.5]
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, np.nan, -np.nan, np.inf, -np.inf, 0.0, -2.5]
 
 
 def _as_lists(obj):
@@ -157,7 +165,14 @@ class TestCanonicalDumps:
         one = np.array([[-0.0 + 5e-324j]])
         real = rng.choice(np.array(EDGE_VALUES), size=(2, 2))
         wide = _edge_matrix(2, 4, rng)
+        # 15 x 4608 floats: the last matrix, m0's adjoint, opens a second batch
+        g = rng.standard_normal((14, 48, 48)) + 1j * rng.standard_normal((14, 48, 48))
+        batches = [*g, g[0].conj().T]
+        # one matrix of 66 248 floats, above the cap on its own
+        big = rng.standard_normal((182, 182)) + 1j * rng.standard_normal((182, 182))
         return [
+            {"basis": [m, m.conj().T, -m, wide, -wide.conj().T], "dimension": 5},
+            {"basis": batches, "big": [big, -big.T]},
             m,  # depth 0
             {"matrix": m},
             [one, real],
@@ -182,8 +197,56 @@ class TestCanonicalDumps:
             assert io.canonical_dumps(doc) == _old_dumps(doc)
 
     def test_non_finite_spelled_as_json(self):
-        out = io.canonical_dumps(np.array([[complex(np.nan, np.inf), -np.inf]]))
-        assert out.split() == "[ [ [ NaN, Infinity ], [ -Infinity, 0.0 ] ] ]".split()
+        out = io.canonical_dumps(np.array([[complex(np.nan, np.inf), -np.inf, complex(-0.0, -np.nan)]]))
+        assert out.split() == "[ [ [ NaN, Infinity ], [ -Infinity, 0.0 ], [ -0.0, NaN ] ] ]".split()
+
+    def test_batches_are_runs_under_the_cap(self):
+        cap = io._BATCH_FLOATS // 2  # complex entries per batch
+        assert list(io._batches([])) == []
+        assert list(io._batches([cap, 1, cap - 1, 1])) == [(0, 1), (1, 3), (3, 4)]
+        assert list(io._batches([1, cap + 1, 1])) == [(0, 1), (1, 2), (2, 3)]
+        sizes = [48 * 48] * 15
+        assert list(io._batches(sizes)) == [(0, 14), (14, 15)]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=strategies.data())
+    def test_parity_with_json_on_drawn_documents(self, data):
+        magnitudes = strategies.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.5, 1e16, 1e22, np.nan, np.inf])
+        signed = strategies.tuples(magnitudes, strategies.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+        matrices, items = [], []
+        for _ in range(data.draw(strategies.integers(0, 4))):
+            if matrices and data.draw(strategies.booleans()):
+                # the adjoint, negation or copy of a matrix already drawn
+                m = data.draw(strategies.sampled_from(matrices))
+                m = data.draw(strategies.sampled_from([m.conj().T, -m, -m.conj().T, m]))
+            else:
+                rows, cols = data.draw(strategies.integers(0, 5)), data.draw(strategies.integers(0, 5))
+                floats = data.draw(strategies.lists(signed, min_size=2 * rows * cols, max_size=2 * rows * cols))
+                m = np.array(floats, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+            matrices.append(m)
+            for _ in range(data.draw(strategies.integers(0, 2))):
+                m = data.draw(strategies.sampled_from([[m], {"m": m}, {"a": [m], "z": None}]))
+            items.append(m)
+        doc = data.draw(strategies.sampled_from([items, {"basis": items, "dimension": len(items)}]))
+        assert io.canonical_dumps(doc) == _old_dumps(doc)
+
+    def test_tensor_basis_formats_each_magnitude_once(self, monkeypatch, tmp_path, capsys):
+        # V (u_t (x) 1_4) V* / sqrt(3) at d = 20: fix prints 16 Hermitian
+        # 20 x 20 matrices, 12 800 floats; every off-diagonal magnitude occurs
+        # twice and every diagonal imaginary part is 0.0
+        rng = np.random.default_rng(17)
+        v = haar_unitary(20, rng)
+        ops = [v @ np.kron(haar_unitary(5, rng), np.eye(4)) @ v.conj().T / np.sqrt(3) for _ in range(3)]
+        path = tmp_path / "tensor.json"
+        io.write_channel(path, KrausFamily.from_operators(ops))
+        formatted = []
+        float_texts = io._float_texts
+        monkeypatch.setattr(io, "_float_texts", lambda values: formatted.append(len(values)) or float_texts(values))
+        assert run(["fix", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dimension"] == 16
+        assert sum(2 * len(b) * len(b[0]) for b in report["basis"]) == 12800
+        assert formatted == [6401]
 
     def test_string_spelling_the_placeholder(self):
         # a string that collides with the splice marker does not move a matrix
