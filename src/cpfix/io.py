@@ -12,8 +12,12 @@ formatting, so write(read(x)) is byte-stable and files stay diffable.
 ``canonical_dumps`` writes 2-D numpy arrays in the matrix wire format
 directly, byte for byte as json would write their ``matrix_to_obj`` lists,
 formatting each distinct magnitude once per batch of matrices.
-Reading rejects non-finite numbers (json's ``NaN``, ``Infinity``, 1e400)
-with a ``SchemaError`` that names the field.
+Reading parses with orjson, which rejects ``NaN``, ``Infinity``, literals
+that overflow a float (1e400), lone surrogates and malformed text.  A
+rejected document is parsed again with json: json reads the first four, and
+a non-finite number then fails with a ``SchemaError`` that names the field;
+on malformed text, json's ``JSONDecodeError`` says where.  orjson reads an
+integer literal of 2**64 or more as a float.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .algebra import BlockAlgebra
 from .channel import KrausFamily
@@ -54,6 +60,18 @@ class SchemaError(ValueError):
 _PLACEHOLDER = "\x00cpfix-matrix\x00"
 _ENCODED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# orjson 3.8 builds nested arrays and objects on the C stack with no depth
+# limit: a valid document some 10**5 levels deep overflows an 8 MiB stack.  A
+# level takes at most about 170 bytes of stack and at least 2 bytes of text
+# (5 for an object), so a text of up to _SHALLOW_BYTES needs under 3 MiB;
+# a longer one goes to orjson only if it nests at most _ORJSON_MAX_DEPTH deep.
+_SHALLOW_BYTES = 1 << 16
+_ORJSON_MAX_DEPTH = 1 << 13
+_NESTING_STEP = np.zeros(256, dtype=np.int8)
+_NESTING_STEP[list(b"[{")] = 1
+_NESTING_STEP[list(b"]}")] = -1
+_UNMARKED = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STRING = re.compile(rb'"[^"]*"')
 # Floats formatted together: bounds the index arrays and the number strings
 # that one batch of matrices holds at a time.
 _BATCH_FLOATS = 1 << 16
@@ -190,19 +208,23 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{path}: expected a nonempty list of rows")
     n = len(obj)
-    # Fast path for JSON-parsed input: one conversion of the whole nested
-    # list; the float64 (re, im) pairs reinterpreted as complex128 keep every
-    # bit, signed zeros included.  Anything else takes the per-entry loop,
-    # which names the offending field (a non-finite entry among them).
-    if set(map(type, obj)) == {list} and set(map(type, chain.from_iterable(obj))) == {list}:
-        try:
-            pairs = np.array(obj, dtype=object)
-            if pairs.shape == (n, n, 2) and set(map(type, pairs.flat)) <= {int, float}:
-                pairs = pairs.astype(np.float64)
-                if np.isfinite(pairs).all():
-                    return pairs.view(np.complex128).reshape(n, n)
-        except (ValueError, OverflowError):
-            pass
+    # Fast path for JSON-parsed input: the nested lists flattened once and
+    # converted in one call; the float64 (re, im) pairs reinterpreted as
+    # complex128 keep every bit, signed zeros included.  Anything else takes
+    # the per-entry loop, which names the offending field (a non-finite
+    # entry among them).
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {n}:
+        entries = list(chain.from_iterable(obj))
+        if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+            parts = list(chain.from_iterable(entries))
+            if set(map(type, parts)) <= {int, float}:
+                try:
+                    pairs = np.array(parts, dtype=np.float64)
+                except OverflowError:  # an integer beyond the float range
+                    pass
+                else:
+                    if np.isfinite(pairs).all():
+                        return pairs.view(np.complex128).reshape(n, n)
     out = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
@@ -270,9 +292,34 @@ def algebra_from_obj(obj) -> BlockAlgebra:
         raise SchemaError(f"algebra: {exc}") from exc
 
 
+def _nesting_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in the JSON text ``data``.
+
+    Exact on a valid document and on every valid prefix of one.
+    """
+    # without its escaped backslashes and quotes, a JSON text's quotes each
+    # open or close a string; brackets inside a string do not nest
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _STRING.sub(b"", data.translate(None, _UNMARKED))
+    return int(np.cumsum(_NESTING_STEP[np.frombuffer(brackets, dtype=np.uint8)]).max(initial=0))
+
+
 def read_json(path):
-    text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    data = Path(path).read_bytes()
+    if len(data) <= _SHALLOW_BYTES or _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    # json reads NaN, Infinity, 1e400 and lone surrogates, which the schema
+    # checks then name, and explains malformed text in its own words; the
+    # text is decoded as Path.read_text would, universal newlines included
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
 
 
 def read_matrix(path) -> np.ndarray:

@@ -1,4 +1,11 @@
+import contextlib
 import json
+import os
+import struct
+import subprocess
+import sys
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +136,241 @@ class TestIo:
         assert alg.block_dims == (2, 1)
         with pytest.raises(io.SchemaError):
             io.algebra_from_obj({"blocks": [2, 0], "weights": [1.0, 2.0]})
+
+
+def _number_bits(v):
+    return struct.pack("<d", float(v))
+
+
+def _same_document(got, want, path="$"):
+    """got == want, floats compared bit for bit.
+
+    orjson reads an integer literal outside [-2**63, 2**64) as the nearest
+    float; json, which reads the rejected documents, as an int.
+    """
+    if isinstance(want, bool) or want is None or isinstance(want, str):
+        assert type(got) is type(want) and got == want, path
+    elif isinstance(want, int) and -(2**63) <= want < 2**64:
+        assert type(got) is int and got == want, path
+    elif isinstance(want, int):
+        assert type(got) in (int, float) and _number_bits(got) == _number_bits(want), path
+    elif isinstance(want, float):
+        assert type(got) is float and _number_bits(got) == _number_bits(want), path
+    elif isinstance(want, list):
+        assert type(got) is list and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _same_document(g, w, f"{path}[{k}]")
+    else:
+        assert type(got) is dict and list(got) == list(want), path
+        for k in want:
+            _same_document(got[k], want[k], f"{path}.{k}")
+
+
+# Spellings whose value a float parser could round differently from json's
+_EDGE_SPELLINGS = [
+    "0.0", "-0.0", "0", "-0", "5e-324", "-5e-324", "2.2250738585072011e-308",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1e-400", "0.1", "1E22",
+    str(2**53 + 1), str(2**63), str(2**64), str(-(2**63) - 1),
+]
+_POSITIVE_SPELLINGS = ["5e-324", "2.2250738585072011e-308", "1.7976931348623157e308", "0.1", "1",
+                       str(2**53 + 1), str(2**63), str(2**64)]
+
+
+def _spellings(floats):
+    """A float's shortest repr and its %.25g and %.3e spellings."""
+    return floats.flatmap(lambda x: strategies.sampled_from([repr(x), "%.25g" % x, "%.3e" % x]))
+
+
+def _run_quietly(argv):
+    """cli.run with its stdout and stderr captured: (code, out, err)."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_in_subprocess(argv):
+    """cli.run in a fresh interpreter, so that a crash of the parser fails one test."""
+    src = str(Path(io.__file__).parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    script = "import sys; from cpfix.cli import run; sys.exit(run(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+_GOOD_MATRIX = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+class TestReader:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=strategies.data())
+    def test_parity_with_json_on_drawn_documents(self, tmp_path_factory, data):
+        numbers = strategies.one_of(
+            strategies.sampled_from(_EDGE_SPELLINGS),
+            _spellings(strategies.floats(allow_nan=False, allow_infinity=False)),
+        )
+        weights = strategies.one_of(
+            strategies.sampled_from(_POSITIVE_SPELLINGS),
+            _spellings(strategies.floats(min_value=1e-300, max_value=1e300)),
+        )
+        dim = data.draw(strategies.integers(1, 4))
+
+        def matrix():
+            entries = [
+                "[%s, %s]" % (data.draw(numbers), data.draw(numbers)) for _ in range(dim * dim)
+            ]
+            return "[%s]" % ", ".join("[%s]" % ", ".join(entries[i * dim : (i + 1) * dim]) for i in range(dim))
+
+        if data.draw(strategies.booleans()):
+            terms = [
+                '{"weight": %s, "matrix": %s}' % (data.draw(weights), matrix())
+                for _ in range(data.draw(strategies.integers(1, 3)))
+            ]
+            text, read = '{"dim": %d, "terms": [%s]}' % (dim, ", ".join(terms)), io.read_channel
+        else:
+            text = data.draw(strategies.sampled_from(['{"matrix": %s}', "%s"])) % matrix()
+            read = io.read_matrix
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        path.write_text(text)
+        want = json.loads(text)
+        _same_document(io.read_json(path), want)
+        if "inf" in repr(want):
+            # a %.3e spelling rounded past the largest float
+            with pytest.raises(io.SchemaError, match="expected a finite number, got -?inf"):
+                read(path)
+            return
+        # the arrays hold the very floats json read, as complex(re, im) puts them
+        got = read(path)
+        if read is io.read_matrix:
+            matrices = [(got, want if isinstance(want, list) else want["matrix"])]
+        else:
+            matrices = [(x, t["matrix"]) for (_, x), t in zip(got.terms, want["terms"])]
+            assert [w for w, _ in got.terms] == [float(t["weight"]) for t in want["terms"]]
+        for m, lists in matrices:
+            exact = np.array([[complex(float(re), float(im)) for re, im in row] for row in lists])
+            assert m.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dim": 2, "terms": [{"weight": 1.0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}]}',
+             "error: terms[0].matrix[1][1]: expected a finite number, got nan\n"),
+            ('{"dim": 2, "terms": [{"weight": 1.0, "matrix": [[[1, 0], [0, Infinity]], [[0, 0], [1, 0]]]}]}',
+             "error: terms[0].matrix[0][1]: expected a finite number, got inf\n"),
+            ('{"dim": 2, "terms": [{"weight": -Infinity, "matrix": %s}]}' % _GOOD_MATRIX,
+             "error: terms[0].weight: must be a strictly positive number\n"),
+            ('{"dim": 2, "terms": [{"weight": 1e400, "matrix": %s}]}' % _GOOD_MATRIX,
+             "error: terms[0].weight: expected a finite number, got inf\n"),
+            ('{"dim": "\\udc80", "terms": [{"weight": 1.0, "matrix": %s}]}' % _GOOD_MATRIX,
+             "error: dim: must be a positive integer\n"),
+            ('\ufeff{"dim": 2, "terms": [{"weight": 1.0, "matrix": %s}]}' % _GOOD_MATRIX,
+             "error: malformed JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"),
+            ('{"dim": 2, "terms": [{"weight": 1.0, "matrix": %s},]}' % _GOOD_MATRIX,
+             "error: malformed JSON at line 1, column 86: Expecting value\n"),
+            ('{"dim": 2,\r\n "terms": [\r\n x]}', "error: malformed JSON at line 3, column 2: Expecting value\n"),
+            ('{"dim": 2,\r "terms": [\r x]}', "error: malformed JSON at line 3, column 2: Expecting value\n"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "overflow", "lone-surrogate", "bom", "trailing-comma", "crlf", "cr"],
+    )
+    def test_rejected_document_explained_by_json(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text.encode())
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_lone_surrogate_key_read_as_json_reads_it(self, tmp_path):
+        path = tmp_path / "c.json"
+        text = '{"dim": 2, "\\ud800": 1, "terms": [{"weight": 1.0, "matrix": %s}]}' % _GOOD_MATRIX
+        path.write_text(text)
+        assert io.read_json(path) == json.loads(text)
+        assert io.read_channel(path).dim == 2
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # read by json as an int, the dimension used to fail the shape check
+            ("check", '{"dim": 18446744073709551616, "terms": [{"weight": 1.0, "matrix": %s}]}' % _GOOD_MATRIX,
+             "error: dim: must be a positive integer\n"),
+            ("algebra", '{"blocks": [18446744073709551616], "weights": [1]}',
+             "error: blocks: expected a list of positive integers\n"),
+        ],
+        ids=["dim", "block"],
+    )
+    def test_integer_of_2_64_is_read_as_float(self, tmp_path, lueders_file, capsys, command, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        if command == "algebra":
+            argv = ["verify", lueders_file, _matrix_file(tmp_path, "a.json", np.eye(2)), "--algebra", str(path)]
+        else:
+            argv = [command, str(path)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", message)
+        assert type(io.read_json(path)) is dict
+
+    def test_nesting_depth(self):
+        for text, depth in [
+            ("", 0), ("1", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4),
+            ('["]]]", "[[[[", [1]]', 2), ('["\\\\", "\\"]]", [[]]]', 3), ('{"\\\\\\"[": [{}]}', 3),
+        ]:
+            assert io._nesting_depth(text.encode()) == depth, text
+            if text:
+                json.loads(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 2000 + "]" * 2000, "error: channel: expected a JSON object\n"),
+            ("[" * 200_000 + "]" * 200_000, "error: JSON nested too deeply\n"),
+            ('{"a":' * 100_000 + "1" + "}" * 100_000, "error: JSON nested too deeply\n"),
+            # brackets inside strings neither hide nor add nesting
+            ('["' + "]" * 300_000 + '", "\\\\", "\\"]]", ' + "[" * 150_000 + "]" * 150_000 + "]",
+             "error: JSON nested too deeply\n"),
+            ('{"a": "' + "[" * 100_000 + '", "dim": 1, "terms": [{"weight": 1, "matrix": [[[1, 0]]]}]}', ""),
+        ],
+        ids=["arrays-2000", "arrays-200000", "objects-100000", "deep-after-string", "brackets-in-string"],
+    )
+    def test_deep_nesting_exit_two_without_traceback(self, tmp_path, text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        done = _run_in_subprocess(["check", str(path)])
+        assert (done.returncode, done.stderr) == (2 if message else 0, message)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        edits=strategies.lists(
+            strategies.tuples(
+                strategies.sampled_from(["insert", "delete", "replace"]),
+                strategies.integers(0, 10**6),
+                strategies.one_of(strategies.sampled_from(b'[]{}",:-+.0123456789eE \\NaIfinty'),
+                                  strategies.integers(0, 255)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_mutated_channel_never_raises(self, tmp_path_factory, edits):
+        text = bytearray(
+            b'{"dim": 2, "terms": [{"weight": 0.5, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},'
+            b' {"weight": 2, "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]}]}'
+        )
+        for op, at, byte in edits:
+            at %= len(text) + (op == "insert")
+            if op == "insert":
+                text.insert(at, byte)
+            elif op == "delete":
+                del text[at]
+            else:
+                text[at] = byte
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_bytes(bytes(text))
+        code, out, err = _run_quietly(["check", str(path), "--json"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            json.loads(out)
 
 
 # Values whose shortest repr, sign or json spelling a bulk writer could get wrong
