@@ -17,7 +17,8 @@ that overflow a float (1e400), lone surrogates and malformed text.  A
 rejected document is parsed again with json: json reads the first four, and
 a non-finite number then fails with a ``SchemaError`` that names the field;
 on malformed text, json's ``JSONDecodeError`` says where.  orjson reads an
-integer literal of 2**64 or more as a float.
+integer literal of 2**64 or more as a float.  A text over 64 KiB is read by
+json alone, since orjson 3.8 nests on the C stack without a depth limit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from itertools import chain
 from pathlib import Path
 
@@ -61,17 +61,12 @@ _PLACEHOLDER = "\x00cpfix-matrix\x00"
 _ENCODED_PLACEHOLDER = json.dumps(_PLACEHOLDER)
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # orjson 3.8 builds nested arrays and objects on the C stack with no depth
-# limit: a valid document some 10**5 levels deep overflows an 8 MiB stack.  A
-# level takes at most about 170 bytes of stack and at least 2 bytes of text
-# (5 for an object), so a text of up to _SHALLOW_BYTES needs under 3 MiB;
-# a longer one goes to orjson only if it nests at most _ORJSON_MAX_DEPTH deep.
+# limit (later releases stop at 1024 levels): a valid document some 10**5
+# levels deep overflows an 8 MiB main-thread stack.  Measured with orjson
+# 3.8.3, an array level takes about 64 bytes of stack and 2 bytes of text, an
+# object level about 152 bytes and 5 bytes of text, so a text of up to
+# _SHALLOW_BYTES needs at most about 2 MiB; a longer one is read by json.
 _SHALLOW_BYTES = 1 << 16
-_ORJSON_MAX_DEPTH = 1 << 13
-_NESTING_STEP = np.zeros(256, dtype=np.int8)
-_NESTING_STEP[list(b"[{")] = 1
-_NESTING_STEP[list(b"]}")] = -1
-_UNMARKED = bytes(sorted(set(range(256)) - set(b'[]{}"')))
-_STRING = re.compile(rb'"[^"]*"')
 # Floats formatted together: bounds the index arrays and the number strings
 # that one batch of matrices holds at a time.
 _BATCH_FLOATS = 1 << 16
@@ -292,22 +287,9 @@ def algebra_from_obj(obj) -> BlockAlgebra:
         raise SchemaError(f"algebra: {exc}") from exc
 
 
-def _nesting_depth(data: bytes) -> int:
-    """How deep arrays and objects nest in the JSON text ``data``.
-
-    Exact on a valid document and on every valid prefix of one.
-    """
-    # without its escaped backslashes and quotes, a JSON text's quotes each
-    # open or close a string; brackets inside a string do not nest
-    if b"\\" in data:
-        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = _STRING.sub(b"", data.translate(None, _UNMARKED))
-    return int(np.cumsum(_NESTING_STEP[np.frombuffer(brackets, dtype=np.uint8)]).max(initial=0))
-
-
 def read_json(path):
     data = Path(path).read_bytes()
-    if len(data) <= _SHALLOW_BYTES or _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
+    if len(data) <= _SHALLOW_BYTES:
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:

@@ -287,6 +287,18 @@ class TestReader:
         assert io.read_json(path) == json.loads(text)
         assert io.read_channel(path).dim == 2
 
+    @pytest.mark.parametrize("size, read_by_orjson", [(1 << 16, True), ((1 << 16) + 1, False)])
+    def test_text_over_64_kib_read_by_json(self, tmp_path, size, read_by_orjson):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        # orjson reads 2**64 as a float, json as an int
+        head = '{"n": 18446744073709551616, "matrix": %s}' % json.dumps(io.matrix_to_obj(m))
+        text = head + " " * (size - len(head))
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert type(io.read_json(path)["n"]) is (float if read_by_orjson else int)
+        assert io.read_matrix(path).tobytes() == m.tobytes()
+
     @pytest.mark.parametrize(
         "command, text, message",
         [
@@ -309,33 +321,25 @@ class TestReader:
         assert capsys.readouterr() == ("", message)
         assert type(io.read_json(path)) is dict
 
-    def test_nesting_depth(self):
-        for text, depth in [
-            ("", 0), ("1", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4),
-            ('["]]]", "[[[[", [1]]', 2), ('["\\\\", "\\"]]", [[]]]', 3), ('{"\\\\\\"[": [{}]}', 3),
-        ]:
-            assert io._nesting_depth(text.encode()) == depth, text
-            if text:
-                json.loads(text)
-
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[" * 2000 + "]" * 2000, "error: channel: expected a JSON object\n"),
+            # orjson 3.8 reads 2 000 levels and the schema check rejects them;
+            # a release that stops at 1024 levels hands the text to json
+            ("[" * 2000 + "]" * 2000, None),
             ("[" * 200_000 + "]" * 200_000, "error: JSON nested too deeply\n"),
             ('{"a":' * 100_000 + "1" + "}" * 100_000, "error: JSON nested too deeply\n"),
-            # brackets inside strings neither hide nor add nesting
-            ('["' + "]" * 300_000 + '", "\\\\", "\\"]]", ' + "[" * 150_000 + "]" * 150_000 + "]",
-             "error: JSON nested too deeply\n"),
-            ('{"a": "' + "[" * 100_000 + '", "dim": 1, "terms": [{"weight": 1, "matrix": [[[1, 0]]]}]}', ""),
         ],
-        ids=["arrays-2000", "arrays-200000", "objects-100000", "deep-after-string", "brackets-in-string"],
+        ids=["arrays-2000", "arrays-200000", "objects-100000"],
     )
     def test_deep_nesting_exit_two_without_traceback(self, tmp_path, text, message):
         path = tmp_path / "deep.json"
         path.write_text(text)
         done = _run_in_subprocess(["check", str(path)])
-        assert (done.returncode, done.stderr) == (2 if message else 0, message)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        if message is not None:
+            assert done.stderr == message
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
