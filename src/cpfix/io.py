@@ -10,8 +10,9 @@ Matrices are row-major; complex entries are two-element [re, im] arrays.
 Writing uses sorted keys and Python's shortest round-trip float
 formatting, so write(read(x)) is byte-stable and files stay diffable.
 ``canonical_dumps`` writes 2-D numpy arrays in the matrix wire format
-directly, byte for byte as json would write their ``matrix_to_obj`` lists,
-formatting each distinct magnitude once per batch of matrices.
+directly, byte for byte as json would write their ``matrix_to_obj`` lists;
+orjson spells each matrix's floats, and repr only those it lays out
+differently from json.
 Reading parses with orjson, which rejects ``NaN``, ``Infinity``, literals
 that overflow a float (1e400), lone surrogates and malformed text.  A
 rejected document is parsed again with json: json reads the first four, and
@@ -67,9 +68,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # object level about 152 bytes and 5 bytes of text, so a text of up to
 # _SHALLOW_BYTES needs at most about 2 MiB; a longer one is read by json.
 _SHALLOW_BYTES = 1 << 16
-# Floats formatted together: bounds the index arrays and the number strings
-# that one batch of matrices holds at a time.
-_BATCH_FLOATS = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -82,51 +80,25 @@ def _matrix_template(rows: int, cols: int, level: int) -> str:
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
-    """json's spelling of each float in ``values``: its shortest repr, or NaN/Infinity."""
-    # repr of a list of floats takes each float's repr, as json does
-    texts = repr(values.tolist())[1:-1].split(", ")
-    if not np.isfinite(values).all():
-        texts = [_NON_FINITE.get(x, x) for x in texts]
+    """json's spelling of each float in the flat float64 array ``values``.
+
+    orjson writes the shortest round-trip digits, as repr does, and one call
+    spells the whole array.  Its layout differs from json's in three bands,
+    whose floats take repr, and json's NaN and Infinity, instead:
+
+    * 1e-9 <= |x| < 1e-4: orjson writes 1.69e-05 as 0.0000169 and 1.32e-07
+      as 1.32e-7 (json pads the exponent to two digits);
+    * |x| >= 1e16: orjson writes 3.16e+17 as 3.16e17;
+    * NaN and +-inf: orjson writes null.
+    """
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mags = np.abs(values)
+    # NaN fails every comparison, so it falls out of band
+    out_of_band = ~((mags < 1e-9) | ((mags >= 1e-4) & (mags < 1e16)))
+    for k in np.flatnonzero(out_of_band).tolist():
+        text = repr(float(values[k]))
+        texts[k] = _NON_FINITE.get(text, text)
     return texts
-
-
-def _batches(sizes):
-    """(lo, hi) runs of consecutive matrices with at most _BATCH_FLOATS floats.
-
-    ``sizes`` counts each matrix's complex entries.  A matrix larger than the
-    cap makes a run of its own.
-    """
-    lo = floats = 0
-    for k, size in enumerate(sizes):
-        if k > lo and floats + 2 * size > _BATCH_FLOATS:
-            yield lo, k
-            lo, floats = k, 0
-        floats += 2 * size
-    if lo < len(sizes):
-        yield lo, len(sizes)
-
-
-def _render_batch(matrices, levels) -> list[str]:
-    """json.dumps(matrix_to_obj(m), indent=2) of each matrix at its indent level.
-
-    The matrices' floats are formatted together, each distinct magnitude
-    once; a sign is put in front where the float has one.
-    """
-    parts = np.concatenate(
-        [np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel() for m in matrices]
-    )
-    mags, inv = np.unique(np.abs(parts), return_inverse=True)
-    numbers = np.array(_float_texts(mags), dtype=object)[inv]
-    # json writes every NaN as NaN, whatever its sign bit
-    negative = np.signbit(parts) & ~np.isnan(parts)
-    numbers[negative] = "-" + numbers[negative]
-    numbers = numbers.tolist()
-    out, start = [], 0
-    for m, level in zip(matrices, levels):
-        stop = start + 2 * m.size
-        out.append(_matrix_template(*m.shape, level) % tuple(numbers[start:stop]))
-        start = stop
-    return out
 
 
 def _is_matrix(o) -> bool:
@@ -144,13 +116,10 @@ def canonical_dumps(obj) -> str:
     """Sorted-key, indent-2 json of ``obj`` plus a newline.
 
     2-D numpy arrays are written as matrices in the wire format, byte for
-    byte as their ``matrix_to_obj`` lists would be, but rendered in bulk: a
+    byte as their ``matrix_to_obj`` lists would be, but each in one go: a
     placeholder string holds each one's place in the json text and is
-    replaced by the matrix at that line's indentation.  Runs of consecutive
-    matrices of up to ``_BATCH_FLOATS`` floats are rendered together, and
-    each distinct magnitude in a run is formatted once: a kernel basis is
-    closed under adjoints, and an element and its adjoint in one run share
-    their magnitudes.
+    replaced by the matrix, its floats spelled by ``_float_texts``, at that
+    line's indentation.
     """
     matrices = []
 
@@ -166,12 +135,12 @@ def canonical_dumps(obj) -> str:
         # a string in obj spells the placeholder: write every matrix as lists
         return json.dumps(obj, sort_keys=True, indent=2, default=_matrix_list) + "\n"
     out = [pieces[0]]
-    for lo, hi in _batches([m.size for m in matrices]):
-        # each matrix takes the indent level of the line its placeholder is on
-        lines = [p[p.rfind("\n") + 1 :] for p in pieces[lo:hi]]
-        levels = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
-        for rendered, piece in zip(_render_batch(matrices[lo:hi], levels), pieces[lo + 1 : hi + 1]):
-            out += [rendered, piece]
+    for m, before, after in zip(matrices, pieces, pieces[1:]):
+        # the matrix takes the indent level of the line its placeholder is on
+        line = before[before.rfind("\n") + 1 :]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
+        out += [_matrix_template(*m.shape, level) % tuple(_float_texts(parts)), after]
     return "".join(out) + "\n"
 
 

@@ -201,6 +201,47 @@ def _run_in_subprocess(argv):
 
 
 _GOOD_MATRIX = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+# The seeds of the CLI fuzz: a d = 2 channel, and an operator and a diagonal
+# algebra on which verify holds for it
+_CHANNEL_BYTES = (
+    b'{"dim": 2, "terms": [{"weight": 0.5, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},'
+    b' {"weight": 2, "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]}]}'
+)
+_OPERATOR_BYTES = b'{"matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}'
+_ALGEBRA_BYTES = b'{"blocks": [1, 1], "weights": [1, 2.5]}'
+# 1-4 byte insertions, deletions or replacements, at positions taken modulo the length
+_EDITS = strategies.lists(
+    strategies.tuples(
+        strategies.sampled_from(["insert", "delete", "replace"]),
+        strategies.integers(0, 10**6),
+        strategies.one_of(strategies.sampled_from(b'[]{}",:-+.0123456789eE \\NaIfinty'),
+                          strategies.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutated(text, edits):
+    text = bytearray(text)
+    for op, at, byte in edits:
+        at %= len(text) + (op == "insert")
+        if op == "insert":
+            text.insert(at, byte)
+        elif op == "delete":
+            del text[at]
+        else:
+            text[at] = byte
+    return bytes(text)
+
+
+def _assert_exit_contract(code, out, err):
+    """Exit 0, 1 or 2; an exit 2 prints one error line, any other canonical JSON."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestReader:
@@ -342,43 +383,38 @@ class TestReader:
             assert done.stderr == message
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(
-        edits=strategies.lists(
-            strategies.tuples(
-                strategies.sampled_from(["insert", "delete", "replace"]),
-                strategies.integers(0, 10**6),
-                strategies.one_of(strategies.sampled_from(b'[]{}",:-+.0123456789eE \\NaIfinty'),
-                                  strategies.integers(0, 255)),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    @given(edits=_EDITS)
     def test_mutated_channel_never_raises(self, tmp_path_factory, edits):
-        text = bytearray(
-            b'{"dim": 2, "terms": [{"weight": 0.5, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},'
-            b' {"weight": 2, "matrix": [[[0, 0], [0.5, 0]], [[0.5, 0], [0, 0]]]}]}'
-        )
-        for op, at, byte in edits:
-            at %= len(text) + (op == "insert")
-            if op == "insert":
-                text.insert(at, byte)
-            elif op == "delete":
-                del text[at]
-            else:
-                text[at] = byte
         path = tmp_path_factory.getbasetemp() / "mutated.json"
-        path.write_bytes(bytes(text))
-        code, out, err = _run_quietly(["check", str(path), "--json"])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        path.write_bytes(_mutated(_CHANNEL_BYTES, edits))
+        _assert_exit_contract(*_run_quietly(["check", str(path), "--json"]))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(target=strategies.sampled_from(["fix", "commutant", "operator", "algebra"]), edits=_EDITS)
+    def test_mutated_report_inputs_never_raise(self, tmp_path_factory, target, edits):
+        # fix and commutant print a kernel basis read from a mutated channel;
+        # verify reads a mutated operator or algebra beside a valid channel
+        base = tmp_path_factory.getbasetemp()
+        files = {"channel": _CHANNEL_BYTES, "operator": _OPERATOR_BYTES, "algebra": _ALGEBRA_BYTES}
+        mutated = "channel" if target in ("fix", "commutant") else target
+        for name, text in files.items():
+            (base / f"{name}.json").write_bytes(_mutated(text, edits) if name == mutated else text)
+        channel, operator, algebra = (str(base / f"{name}.json") for name in files)
+        if target in ("fix", "commutant"):
+            argv = [target, channel]
         else:
-            json.loads(out)
+            argv = ["verify", channel, operator, "--algebra", algebra]
+        _assert_exit_contract(*_run_quietly([*argv, "--json"]))
 
 
+# Floats at the edges of the bands where orjson lays out the shortest digits
+# differently from json: 1e-9 <= |x| < 1e-4 and |x| >= 1e16
+BAND_EDGES = [1e-5, 1.69e-05, 1.32e-07, 9.999999999999999e-05, 1e-4,
+              float(np.nextafter(1e-9, 0)), 1e-9, float(np.nextafter(1e-9, 1)),
+              1e15, 9999999999999998.0, 3.16e17]
 # Values whose shortest repr, sign or json spelling a bulk writer could get wrong
-EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, np.nan, -np.nan, np.inf, -np.inf, 0.0, -2.5]
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, np.nan, -np.nan, np.inf, -np.inf, 0.0, -2.5,
+               *BAND_EDGES, -1.32e-07, -3.16e17]
 
 
 def _as_lists(obj):
@@ -411,14 +447,14 @@ class TestCanonicalDumps:
         one = np.array([[-0.0 + 5e-324j]])
         real = rng.choice(np.array(EDGE_VALUES), size=(2, 2))
         wide = _edge_matrix(2, 4, rng)
-        # 15 x 4608 floats: the last matrix, m0's adjoint, opens a second batch
+        # 15 x 4608 floats, the last matrix m0's adjoint
         g = rng.standard_normal((14, 48, 48)) + 1j * rng.standard_normal((14, 48, 48))
-        batches = [*g, g[0].conj().T]
-        # one matrix of 66 248 floats, above the cap on its own
+        many = [*g, g[0].conj().T]
+        # one matrix of 66 248 floats
         big = rng.standard_normal((182, 182)) + 1j * rng.standard_normal((182, 182))
         return [
             {"basis": [m, m.conj().T, -m, wide, -wide.conj().T], "dimension": 5},
-            {"basis": batches, "big": [big, -big.T]},
+            {"basis": many, "big": [big, -big.T]},
             m,  # depth 0
             {"matrix": m},
             [one, real],
@@ -446,18 +482,34 @@ class TestCanonicalDumps:
         out = io.canonical_dumps(np.array([[complex(np.nan, np.inf), -np.inf, complex(-0.0, -np.nan)]]))
         assert out.split() == "[ [ [ NaN, Infinity ], [ -Infinity, 0.0 ], [ -0.0, NaN ] ] ]".split()
 
-    def test_batches_are_runs_under_the_cap(self):
-        cap = io._BATCH_FLOATS // 2  # complex entries per batch
-        assert list(io._batches([])) == []
-        assert list(io._batches([cap, 1, cap - 1, 1])) == [(0, 1), (1, 3), (3, 4)]
-        assert list(io._batches([1, cap + 1, 1])) == [(0, 1), (1, 2), (2, 3)]
-        sizes = [48 * 48] * 15
-        assert list(io._batches(sizes)) == [(0, 14), (14, 15)]
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(values=strategies.lists(strategies.floats(), min_size=1, max_size=50))
+    def test_float_texts_match_json_on_drawn_floats(self, values):
+        # the whole float range, NaN and +-inf included
+        assert io._float_texts(np.array(values, dtype=np.float64)) == [json.dumps(v) for v in values]
+
+    def test_float_texts_match_json_around_powers_of_ten(self):
+        # +-6 ulps around +-10**p, p = -323 ... 308: every digit-count and
+        # exponent change of both spellings, the band edges among them
+        values = [0.0, -0.0]
+        for p in range(-323, 309):
+            for x in (float(f"1e{p}"), -float(f"1e{p}")):
+                below = above = x
+                for _ in range(6):
+                    below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                    values += [float(below), float(above)]
+                values.append(x)
+        assert len(values) == 2 + 632 * 2 * 13
+        texts = io._float_texts(np.array(values))
+        assert texts == [json.dumps(v) for v in values]
+        # and in place in a matrix
+        doc = {"m": np.array(values).view(np.complex128).reshape(-1, 11)}
+        assert io.canonical_dumps(doc) == _old_dumps(doc)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=strategies.data())
     def test_parity_with_json_on_drawn_documents(self, data):
-        magnitudes = strategies.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.5, 1e16, 1e22, np.nan, np.inf])
+        magnitudes = strategies.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.5, 1e16, 1e22, np.nan, np.inf, *BAND_EDGES])
         signed = strategies.tuples(magnitudes, strategies.booleans()).map(lambda p: -p[0] if p[1] else p[0])
         matrices, items = [], []
         for _ in range(data.draw(strategies.integers(0, 4))):
@@ -476,23 +528,28 @@ class TestCanonicalDumps:
         doc = data.draw(strategies.sampled_from([items, {"basis": items, "dimension": len(items)}]))
         assert io.canonical_dumps(doc) == _old_dumps(doc)
 
-    def test_tensor_basis_formats_each_magnitude_once(self, monkeypatch, tmp_path, capsys):
+    def test_tensor_basis_spelled_one_matrix_at_a_time(self, monkeypatch, tmp_path, capsys):
         # V (u_t (x) 1_4) V* / sqrt(3) at d = 20: fix prints 16 Hermitian
-        # 20 x 20 matrices, 12 800 floats; every off-diagonal magnitude occurs
-        # twice and every diagonal imaginary part is 0.0
+        # 20 x 20 matrices, 12 800 floats.  Each takes one orjson call, and
+        # repr sees only the floats that orjson lays out differently from json
         rng = np.random.default_rng(17)
         v = haar_unitary(20, rng)
         ops = [v @ np.kron(haar_unitary(5, rng), np.eye(4)) @ v.conj().T / np.sqrt(3) for _ in range(3)]
         path = tmp_path / "tensor.json"
         io.write_channel(path, KrausFamily.from_operators(ops))
-        formatted = []
-        float_texts = io._float_texts
-        monkeypatch.setattr(io, "_float_texts", lambda values: formatted.append(len(values)) or float_texts(values))
+        dumped, spelled = [], []
+        dumps = io.orjson.dumps
+        monkeypatch.setattr(io.orjson, "dumps", lambda values, **kw: dumped.append(len(values)) or dumps(values, **kw))
+        monkeypatch.setattr(io, "repr", lambda x: spelled.append(x) or repr(x), raising=False)
         assert run(["fix", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dimension"] == 16
-        assert sum(2 * len(b) * len(b[0]) for b in report["basis"]) == 12800
-        assert formatted == [6401]
+        magnitudes = np.abs(np.array(report["basis"])).ravel()
+        assert magnitudes.size == 12800
+        assert dumped == [800] * 16
+        out_of_band = (magnitudes >= 1e-9) & (magnitudes < 1e-4) | (magnitudes >= 1e16)
+        assert len(spelled) == out_of_band.sum() == 31
+        assert all(1e-9 <= abs(x) < 1e-4 for x in spelled)
 
     def test_string_spelling_the_placeholder(self):
         # a string that collides with the splice marker does not move a matrix
