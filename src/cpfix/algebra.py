@@ -120,16 +120,17 @@ class BlockAlgebra:
         return float(total)
 
 
-def commutant_basis(family: list[np.ndarray]) -> NullspaceResult:
+def commutant_basis(family) -> NullspaceResult:
     """Orthonormal basis of {a : a x = x a for every x in the family}.
 
-    Solves the stacked linear system (x a - a x)_x = 0 on vectorized
-    matrices (``_sylvester``), with rank cut relative to at least max ||x||.
-    The family must be non-empty, with members of one shape.
+    ``family`` is a (k, d, d) stack, such as ``kf.operators``, or a sequence
+    of d x d matrices.  Solves the stacked linear system (x a - a x)_x = 0
+    on vectorized matrices (``_sylvester``), with rank cut relative to at
+    least max ||x||.
     """
-    if not family:
-        raise ValueError("the commutant needs at least one family member")
-    xs = np.stack([as_cmatrix(x) for x in family])
+    xs = np.asarray(family, dtype=np.complex128)
+    if xs.ndim != 3 or not len(xs) or xs.shape[1] != xs.shape[2] or not np.isfinite(xs).all():
+        raise ValueError("the commutant needs at least one family member; all finite, square, of one shape")
     return nullspace_basis(_sylvester(xs, xs), xs.shape[-1], float(opnorm(xs).max()))
 
 
@@ -181,7 +182,7 @@ def invariance_check(
         raise ValueError("algebra and family dimensions differ")
     if len(alg.block_dims) == 1:
         return True
-    ops = np.stack(kf.scaled_operators)
+    ops = kf.scaled_operators
     for s in alg.slices:
         for i in range(s.start, s.stop):
             images = np.einsum("tp,tjq->jpq", ops[:, i, :].conj(), ops[:, s, :])
@@ -384,9 +385,10 @@ def algebra_structure(
     family's commutant and the fixed space of Phi; ``structure_commutant``
     and ``structure_fixed_space`` answer for the dense kernels from it.
     """
-    d = kf.dim
-    members = [x / s for x, s in zip(kf.operators, kf.operator_norms.tolist()) if s > 0.0]
-    xs = np.stack(members or [np.eye(d, dtype=np.complex128)])
+    live = kf.operator_norms > 0.0
+    xs = kf.operators[live] / kf.operator_norms[live, None, None]
+    if not len(xs):  # only zero members: A is the scalars
+        xs = np.eye(kf.dim, dtype=np.complex128)[None]
     rng = np.random.default_rng(_STRUCTURE_SEED)
     for letters, depth in ((xs, 2), (np.concatenate([xs, xs.conj().transpose(0, 2, 1)]), 3)):
         h1, h2 = (w + w.conj().T for w in (_word_sum(letters, depth, rng) for _ in range(2)))
@@ -533,7 +535,7 @@ def structure_commutant(
         return None
     norms = kf.operator_norms
     scale = float(norms.max()) or 1.0
-    defects, blocks = st.compress(np.stack(kf.operators) / scale)
+    defects, blocks = st.compress(kf.operators / scale)
     drift = 2.0 * float(np.linalg.norm(defects))
     if drift > NULL_TOL / AMBIGUITY:
         return None
@@ -578,7 +580,7 @@ def structure_fixed_space(
         return None
     e_r = float(opnorm(kf.row_sum - eye))
     scale = float(np.max(kf.operator_norms * np.sqrt(kf.weights)))
-    defects, blocks = st.compress(np.stack(kf.scaled_operators) / scale)
+    defects, blocks = st.compress(kf.scaled_operators / scale)
     if 2.0 * scale**2 * float(np.sum(defects)) + e_c > NULL_TOL / AMBIGUITY:
         return None
     tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))

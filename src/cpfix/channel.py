@@ -1,12 +1,12 @@
 """Weighted Kraus families and the completely positive map they induce.
 
-A family is a finite list of (weight, operator) pairs; the map acts as
+A family is a stack of operators x_t with weights mu_t; the map acts as
 
     Phi(a) = sum_t mu_t x_t* a x_t
 
 and its dual as sum_t mu_t x_t a x_t*.  Weights stay explicit so both
 counting-measure and quadrature-style discretizations are expressible
-losslessly; internally the sqrt(mu)-scaled operators are cached.
+losslessly; the stack of sqrt(mu)-scaled operators is cached.
 
 Superoperators use the column-stacking convention
 
@@ -82,56 +82,55 @@ def _finite(name: str, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausFamily:
-    """Finite weighted family {(mu_t, x_t)} of square complex matrices."""
+    """Finite weighted family {(mu_t, x_t)} of square complex matrices.
 
-    dim: int
-    terms: tuple[tuple[float, np.ndarray], ...]
+    Built from ``dim`` and the (weight, operator) pairs ``terms``, and held
+    as two read-only stacks in term order: the (n,) ``weights`` and the
+    (n, d, d) ``operators``.
+    """
 
-    def __post_init__(self):
-        if self.dim < 1:
+    weights: np.ndarray
+    operators: np.ndarray
+
+    def __init__(self, dim: int, terms):
+        terms = list(terms)
+        if dim < 1:
             raise ValueError("dim must be positive")
-        if not self.terms:
+        if not terms:
             raise ValueError("a Kraus family needs at least one term")
-        checked = []
-        for k, (w, x) in enumerate(self.terms):
-            w = float(w)
-            if not 0.0 < w < math.inf:
+        weights, ops = [], []
+        for k, (w, x) in enumerate(terms):
+            weights.append(float(w))
+            if not 0.0 < weights[-1] < math.inf:
                 raise ValueError(f"term {k}: weight must be finite and strictly positive")
-            m = as_cmatrix(x)
-            if m.shape != (self.dim, self.dim):
+            ops.append(as_cmatrix(x))
+            if ops[-1].shape != (dim, dim):
                 raise DimensionMismatchError(
-                    f"term {k}: operator has shape {m.shape}, expected "
-                    f"({self.dim}, {self.dim})"
+                    f"term {k}: operator has shape {ops[-1].shape}, expected ({dim}, {dim})"
                 )
-            checked.append((w, m))
-        object.__setattr__(self, "terms", tuple(checked))
+        object.__setattr__(self, "weights", _frozen(np.array(weights)))
+        object.__setattr__(self, "operators", _frozen(np.stack(ops)))
 
     @classmethod
     def from_operators(cls, operators, weights=None) -> "KrausFamily":
+        """The family of ``operators``, each of weight 1 unless ``weights`` are given."""
         ops = [as_cmatrix(x) for x in operators]
-        if not ops:
-            raise ValueError("a Kraus family needs at least one term")
-        if weights is None:
-            weights = [1.0] * len(ops)
-        return cls(dim=ops[0].shape[0], terms=tuple(zip(weights, ops)))
+        weights = [1.0] * len(ops) if weights is None else weights
+        return cls(ops[0].shape[0] if ops else 1, zip(weights, ops, strict=True))
 
     @property
-    def weights(self) -> list[float]:
-        return [w for w, _ in self.terms]
-
-    @property
-    def operators(self) -> list[np.ndarray]:
-        return [x for _, x in self.terms]
+    def dim(self) -> int:
+        return self.operators.shape[-1]
 
     @cached_property
-    def scaled_operators(self) -> list[np.ndarray]:
-        """sqrt(mu_t) x_t, so sums of scaled products realize the integrals."""
-        return [np.sqrt(w) * x for w, x in self.terms]
+    def scaled_operators(self) -> np.ndarray:
+        """The stack of sqrt(mu_t) x_t, so sums of scaled products realize the integrals."""
+        return _frozen(np.sqrt(self.weights)[:, None, None] * self.operators)
 
     @cached_property
     def operator_norms(self) -> np.ndarray:
         """||x_t|| for every term, in one stacked norm call."""
-        return _frozen(opnorm(np.stack(self.operators)))
+        return _frozen(opnorm(self.operators))
 
     @cached_property
     def column_sum(self) -> np.ndarray:
@@ -152,9 +151,6 @@ class KrausFamily:
             for s in self.scaled_operators:
                 out += product(s)
             return _frozen(herm_part(out))
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def _operand(kf: KrausFamily, a) -> np.ndarray:
@@ -244,7 +240,7 @@ def normalization_report(
     """
     eye = np.eye(kf.dim)
     col, row = kf.column_sum, kf.row_sum
-    xs = np.stack(kf.operators)
+    xs = kf.operators
     devs = np.concatenate([[col - eye, row - eye], xs - xs.conj().transpose(0, 2, 1)])
     unital, is_tp, *self_adjoint = cfg.norm_within(devs, np.concatenate([[col, row], xs])).tolist()
     is_subunital = cfg.psd_check("subunitalDual", eye - row).passed

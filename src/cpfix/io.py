@@ -148,6 +148,16 @@ def matrix_to_obj(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number: true and false are not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    """Whether ``v`` is a JSON integer >= 1, the rule of ``dim`` and of every block size."""
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+
 def _as_float(v, path: str) -> float:
     try:
         f = float(v)
@@ -162,7 +172,7 @@ def _as_complex_entry(entry, path: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+        or not all(map(_is_number, entry))
     ):
         raise SchemaError(f"{path}: complex entries must be [re, im] number pairs")
     return complex(_as_float(entry[0], path), _as_float(entry[1], path))
@@ -199,12 +209,9 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
 
 
 def channel_to_obj(kf: KrausFamily) -> dict:
-    return {
-        "dim": kf.dim,
-        "terms": [
-            {"weight": float(w), "matrix": matrix_to_obj(x)} for w, x in kf.terms
-        ],
-    }
+    """The channel wire format, each matrix a 2-D array for ``canonical_dumps`` to write."""
+    terms = [{"weight": w, "matrix": x} for w, x in zip(kf.weights.tolist(), kf.operators)]
+    return {"dim": kf.dim, "terms": terms}
 
 
 def channel_from_obj(obj) -> KrausFamily:
@@ -213,7 +220,7 @@ def channel_from_obj(obj) -> KrausFamily:
     if "dim" not in obj or "terms" not in obj:
         raise SchemaError("channel: keys 'dim' and 'terms' are required")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_count(dim):
         raise SchemaError("dim: must be a positive integer")
     terms = obj["terms"]
     if not isinstance(terms, list) or not terms:
@@ -223,7 +230,7 @@ def channel_from_obj(obj) -> KrausFamily:
         if not isinstance(term, dict) or "weight" not in term or "matrix" not in term:
             raise SchemaError(f"terms[{k}]: keys 'weight' and 'matrix' are required")
         w = term["weight"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
+        if not _is_number(w) or not w > 0:
             raise SchemaError(f"terms[{k}].weight: must be a strictly positive number")
         w = _as_float(w, f"terms[{k}].weight")
         m = matrix_from_obj(term["matrix"], f"terms[{k}].matrix")
@@ -240,14 +247,9 @@ def algebra_from_obj(obj) -> BlockAlgebra:
         raise SchemaError("algebra: keys 'blocks' and 'weights' are required")
     blocks = obj["blocks"]
     weights = obj["weights"]
-    if not isinstance(blocks, list) or not all(
-        isinstance(b, int) and b > 0 for b in blocks
-    ):
+    if not isinstance(blocks, list) or not all(map(_is_count, blocks)):
         raise SchemaError("blocks: expected a list of positive integers")
-    if not isinstance(weights, list) or not all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) and w > 0
-        for w in weights
-    ):
+    if not isinstance(weights, list) or not all(_is_number(w) and w > 0 for w in weights):
         raise SchemaError("weights: expected a list of positive numbers")
     weights = [_as_float(w, f"weights[{i}]") for i, w in enumerate(weights)]
     try:
@@ -295,6 +297,4 @@ def write_matrix(path, m: np.ndarray):
 
 
 def write_channel(path, kf: KrausFamily):
-    # channel_to_obj's layout, with the matrices left to canonical_dumps
-    terms = [{"weight": float(w), "matrix": x} for w, x in kf.terms]
-    Path(path).write_text(canonical_dumps({"dim": kf.dim, "terms": terms}))
+    Path(path).write_text(canonical_dumps(channel_to_obj(kf)))

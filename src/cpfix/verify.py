@@ -46,7 +46,7 @@ from .algebra import (
     invariance_check,
     trace_tau,
 )
-from .io import channel_to_obj, matrix_to_obj
+from .io import channel_to_obj
 from .jensen import EpsFunction
 
 __all__ = [
@@ -263,14 +263,13 @@ def _projection_residuals(
     ||x_t||, and not with the operator whose projections they are; the
     theorem and the peel judge their one projection stage by them alike.
     """
-    xs = np.stack(kf.operators)
-    group = max(1, GROUP_BYTES // (4 * xs[0].nbytes))
+    group = max(1, GROUP_BYTES // (4 * kf.operators[0].nbytes))
     proj_res = []
     for i in range(0, count, group):
         ps = np.stack(dec.projections[i : min(i + group, count)])
         proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
     d, v = kf.dim, dec.eigenvectors
-    w = v.conj().T @ xs @ v
+    w = v.conj().T @ kf.operators @ v
     # frame[:n] = W_t and frame[n:] = W_t^T, so frame[:, rows_k, cols_k] holds
     # p_k x_t q_k and (q_k x_t p_k)^T in the eigenbasis
     frame = np.concatenate([w, w.swapaxes(-1, -2)])
@@ -307,7 +306,7 @@ def _commutator_checks(
 ) -> list[Check]:
     """||[h, x_t]|| <= eq_bound(||h||, CONCLUSION_SLACK) for each family member."""
     bound = cfg.eq_bound(norm_h, CONCLUSION_SLACK)
-    residuals = opnorm(commutator(h, np.stack(kf.operators))).tolist()
+    residuals = opnorm(commutator(h, kf.operators)).tolist()
     return [Check(name, r, bound, f"{label} {r:.3e}") for r in residuals]
 
 
@@ -461,10 +460,13 @@ def spectral_peel(
 # ---------------------------------------------------------------------------
 
 
+def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase-fixed diagonal."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_random_complex(dim, rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -487,12 +489,7 @@ def _random_projective_partition(
         [np.arange(n_terms), rng.integers(0, n_terms, size=dim - n_terms)]
     )
     rng.shuffle(assignment)
-    out = []
-    for k in range(n_terms):
-        mask = np.diag((assignment == k).astype(np.complex128))
-        p = u @ mask @ u.conj().T
-        out.append(herm_part(p))
-    return out
+    return [herm_part((u * (assignment == k)) @ u.conj().T) for k in range(n_terms)]
 
 
 def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
@@ -507,10 +504,6 @@ def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
         raise ValueError("at most dim nonzero orthogonal projections exist")
     rng = np.random.default_rng(seed)
     return KrausFamily.from_operators(_random_projective_partition(dim, n_terms, rng))
-
-
-def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -589,19 +582,14 @@ def hypothesis_explorer(
     max_res = 0.0
     for trial in range(trial_cfg.trials):
         rng = np.random.default_rng([trial_cfg.seed, trial])
-        raw = [_random_complex(d, rng) for _ in range(trial_cfg.n_terms)]
+        raw = KrausFamily.from_operators([_random_complex(d, rng) for _ in range(trial_cfg.n_terms)])
         if trial_cfg.mode == "unital-only":
-            col = sum(x.conj().T @ x for x in raw)
-            col_inv_root = mat_func(lambda t: t**-0.5, herm_part(col))
-            ops = [x @ col_inv_root for x in raw]
+            ops = raw.operators @ mat_func(lambda t: t**-0.5, raw.column_sum)
         else:
-            row = sum(x @ x.conj().T for x in raw)
-            top = float(np.linalg.eigvalsh(herm_part(row))[-1])
-            ops = [x / np.sqrt(top) for x in raw]
+            ops = raw.operators / np.sqrt(float(np.linalg.eigvalsh(raw.row_sum)[-1]))
         kf = KrausFamily.from_operators(ops)
-        xs = np.stack(kf.operators)
         for b in fixed_space_basis(kf).basis:
-            *comms, norm_b = opnorm(np.concatenate([commutator(b, xs), [b]])).tolist()
+            *comms, norm_b = opnorm(np.concatenate([commutator(b, kf.operators), [b]])).tolist()
             res = max(comms)
             max_res = max(max_res, res)
             if res > cfg.eq_bound(norm_b, CONCLUSION_SLACK):
@@ -609,7 +597,7 @@ def hypothesis_explorer(
                     {
                         "trial": trial,
                         "commutatorResidual": res,
-                        "fixedElement": matrix_to_obj(b),
+                        "fixedElement": b,
                         "family": channel_to_obj(kf),
                     }
                 )

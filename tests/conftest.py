@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpfix import KrausFamily
+from cpfix.verify import haar_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -43,6 +44,40 @@ def random_subunital_dual_family(dim, n_terms, rng):
     row = sum(x @ x.conj().T for x in ops)
     top = float(np.linalg.eigvalsh((row + row.conj().T) / 2.0)[-1])
     return KrausFamily.from_operators([x / np.sqrt(top) for x in ops])
+
+
+def su2_tensor_family(k, n_terms=3, seed=5):
+    """x_t = U_t^{(x)k} on (C^2)^{(x)k}, U_t Haar in SU(2), mu_t = 1/n: Schur-Weyl duality.
+
+    The generated algebra is (+)_j M_{2j+1} (x) 1_{m_j}, m_j = C(k, k/2 - j) -
+    C(k, k/2 - j - 1), and its commutant, the fixed space, is spanned by the
+    permutations of the k factors: of dimension the Catalan number C_k.
+    """
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n_terms):
+        u = haar_unitary(2, rng)
+        u /= np.sqrt(np.linalg.det(u))
+        x = np.ones((1, 1), dtype=complex)
+        for _ in range(k):
+            x = np.kron(x, u)
+        ops.append(x)
+    return KrausFamily.from_operators(ops, [1.0 / n_terms] * n_terms)
+
+
+def transposition_family(k):
+    """The swaps of adjacent factors of (C^2)^{(x)k}, mu_t = 1/(k - 1).
+
+    The commutant is the algebra the U^{(x)k} generate, of dimension
+    sum_j (2j + 1)^2 over the spins j of k qubits.
+    """
+    eye = np.eye(2**k, dtype=complex).reshape([2] * k + [2**k])
+    ops = []
+    for i in range(k - 1):
+        axes = list(range(k + 1))
+        axes[i], axes[i + 1] = i + 1, i
+        ops.append(eye.transpose(axes).reshape(2**k, 2**k))
+    return KrausFamily.from_operators(ops, [1.0 / (k - 1)] * (k - 1))
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ class TestKrausFamily:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             KrausFamily(dim=2, terms=((1.0, np.eye(3)),))
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0]])
+    def test_one_weight_per_operator(self, weights):
+        with pytest.raises(ValueError, match="zip"):
+            KrausFamily.from_operators([np.eye(2), 2.0 * np.eye(2)], weights)
 
     def test_scaled_operators_absorb_weights(self):
         kf = KrausFamily(dim=2, terms=((4.0, np.eye(2)),))
@@ -160,6 +167,59 @@ class TestCachedFamilyQuantities:
         normalization_report(kf, CFG)
         # one column sum and one row sum, built once and then read from the cache
         assert len(grams) == 2
+
+
+def _term_sum(terms) -> np.ndarray:
+    """The per-term reference: matrices summed one by one into a zero buffer."""
+    out = np.zeros_like(terms[0], dtype=np.complex128)
+    for m in terms:
+        out += m
+    return out
+
+
+class TestStacks:
+    """The family's two stacks against per-term references built from its input lists."""
+
+    @pytest.fixture
+    def weighted(self):
+        rng = np.random.default_rng(73)
+        ops = [random_complex(4, rng) for _ in range(3)] + [np.zeros((4, 4))]
+        ops[1].imag[0] = -0.0
+        weights = [0.3, 2.0, 1e-5, 7.0]
+        return weights, ops, KrausFamily.from_operators(ops, weights)
+
+    def test_every_stacked_quantity_equals_the_per_term_reference(self, weighted):
+        weights, ops, kf = weighted
+        scaled = [np.sqrt(w) * np.asarray(x, dtype=complex) for w, x in zip(weights, ops)]
+        a = random_complex(4, np.random.default_rng(74))
+        stack = np.stack([a, a.conj().T])
+        assert np.array_equal(kf.weights, weights) and np.array_equal(kf.operators, np.stack(ops))
+        assert np.array_equal(kf.scaled_operators, np.stack(scaled))
+        assert np.array_equal(kf.operator_norms, [np.linalg.norm(x, 2) for x in ops])
+        assert np.array_equal(apply_map(kf, a), _term_sum([s.conj().T @ a @ s for s in scaled]))
+        assert np.array_equal(apply_map(kf, stack), _term_sum([s.conj().T @ stack @ s for s in scaled]))
+        assert np.array_equal(dual_apply(kf, a), _term_sum([s @ a @ s.conj().T for s in scaled]))
+        col = _term_sum([s.conj().T @ s for s in scaled])
+        row = _term_sum([s @ s.conj().T for s in scaled])
+        assert np.array_equal(kf.column_sum, (col + col.conj().T) / 2.0)
+        assert np.array_equal(kf.row_sum, (row + row.conj().T) / 2.0)
+        want = _term_sum([np.kron(s.T, s.conj().T) for s in scaled])
+        assert np.array_equal(superoperator_matrix(kf).matrix, want)
+
+    def test_stacks_are_read_only(self, weighted):
+        kf = weighted[2]
+        names = ["weights", "operators", "scaled_operators", "operator_norms", "column_sum", "row_sum"]
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(kf, name)[0] = 1.0
+        assert all(isinstance(v, np.ndarray) and not v.flags.writeable for v in vars(kf).values())
+        with pytest.raises(FrozenInstanceError):
+            kf.operators = np.zeros((1, 4, 4))
+
+    def test_dim_is_the_stack_shape(self, weighted):
+        kf = weighted[2]
+        assert kf.dim == 4 and type(kf.dim) is int
+        assert kf.weights.shape == (4,) and kf.operators.shape == (4, 4, 4)
 
 
 class TestNormalizationReport:

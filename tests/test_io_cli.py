@@ -67,7 +67,8 @@ class TestIo:
         kf = random_unital_family(5, 3, np.random.default_rng(61))
         path = tmp_path / "c.json"
         io.write_channel(path, kf)
-        assert path.read_text() == json.dumps(io.channel_to_obj(kf), sort_keys=True, indent=2) + "\n"
+        lists = json.dumps(io.channel_to_obj(kf), sort_keys=True, indent=2, default=io.matrix_to_obj)
+        assert path.read_text() == lists + "\n"
 
     def test_channel_roundtrip_byte_stable(self, tmp_path, mixture):
         p1 = tmp_path / "a.json"
@@ -240,6 +241,8 @@ def _assert_exit_contract(code, out, err):
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif code == 1 and out == "":
+        assert err.startswith("precondition failure: ") and err.count("\n") == 1
     else:
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
@@ -287,8 +290,8 @@ class TestReader:
         if read is io.read_matrix:
             matrices = [(got, want if isinstance(want, list) else want["matrix"])]
         else:
-            matrices = [(x, t["matrix"]) for (_, x), t in zip(got.terms, want["terms"])]
-            assert [w for w, _ in got.terms] == [float(t["weight"]) for t in want["terms"]]
+            matrices = [(x, t["matrix"]) for x, t in zip(got.operators, want["terms"])]
+            assert got.weights.tolist() == [float(t["weight"]) for t in want["terms"]]
         for m, lists in matrices:
             exact = np.array([[complex(float(re), float(im)) for re, im in row] for row in lists])
             assert m.tobytes() == exact.tobytes()
@@ -320,6 +323,23 @@ class TestReader:
         path.write_bytes(text.encode())
         assert run(["check", str(path)]) == 2
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("command", ["check", "fix", "commutant", "structure", "verify"])
+    def test_boolean_dim_is_no_integer(self, tmp_path, capsys, command):
+        path = tmp_path / "c.json"
+        path.write_text('{"dim": true, "terms": [{"weight": 1.0, "matrix": [[[1, 0]]]}]}')
+        operand = [_matrix_file(tmp_path, "m.json", [[1]])] if command == "verify" else []
+        assert run([command, str(path), *operand]) == 2
+        assert capsys.readouterr() == ("", "error: dim: must be a positive integer\n")
+
+    def test_boolean_block_size_is_no_integer(self, tmp_path, capsys):
+        channel = tmp_path / "c.json"
+        channel.write_text('{"dim": 1, "terms": [{"weight": 1.0, "matrix": [[[1, 0]]]}]}')
+        algebra = tmp_path / "a.json"
+        algebra.write_text('{"blocks": [true], "weights": [1.0]}')
+        operator = _matrix_file(tmp_path, "m.json", [[1]])
+        assert run(["verify", str(channel), operator, "--algebra", str(algebra)]) == 2
+        assert capsys.readouterr() == ("", "error: blocks: expected a list of positive integers\n")
 
     def test_lone_surrogate_key_read_as_json_reads_it(self, tmp_path):
         path = tmp_path / "c.json"
@@ -405,6 +425,23 @@ class TestReader:
         else:
             argv = ["verify", channel, operator, "--algebra", algebra]
         _assert_exit_contract(*_run_quietly([*argv, "--json"]))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        command=strategies.sampled_from(["structure", "corollary", "peel", "jensen"]),
+        target=strategies.sampled_from(["channel", "operator"]),
+        edits=_EDITS,
+    )
+    def test_mutated_inputs_of_the_other_commands_never_raise(self, tmp_path_factory, command, target, edits):
+        # structure reads no operator, so its draws all mutate the channel
+        base = tmp_path_factory.getbasetemp()
+        files = {"channel": _CHANNEL_BYTES, "operator": _OPERATOR_BYTES}
+        mutated = "channel" if command == "structure" else target
+        for name, text in files.items():
+            (base / f"{name}.json").write_bytes(_mutated(text, edits) if name == mutated else text)
+        channel, operator = (str(base / f"{name}.json") for name in files)
+        operands = {"structure": [], "corollary": [operator], "peel": [operator], "jensen": [operator, "--eps", "0.1"]}
+        _assert_exit_contract(*_run_quietly([command, channel, *operands[command], "--json"]))
 
 
 # Floats at the edges of the bands where orjson lays out the shortest digits

@@ -24,7 +24,15 @@ from cpfix.channel import KrausFamily, fixed_space_basis, is_unital, normalizati
 from cpfix.matcore import ToleranceConfig, eigen_clusters, vec
 from cpfix.verify import haar_unitary
 
-from conftest import E11, E12, random_complex, random_hermitian, random_unital_family
+from conftest import (
+    E11,
+    E12,
+    random_complex,
+    random_hermitian,
+    random_unital_family,
+    su2_tensor_family,
+    transposition_family,
+)
 
 CFG = ToleranceConfig()
 N_TERMS = 3
@@ -430,6 +438,35 @@ class TestFallback:
         first = _report(tmp_path, capsys, command, kf)[1]
         second = _report(tmp_path, capsys, command, kf)[1]
         assert first == second
+
+
+class TestSchurWeyl:
+    """Known answers past the dense oracle's reach: no dense kernel runs at d = 64."""
+
+    @pytest.mark.parametrize(
+        "k, blocks, catalan",
+        [(4, [(1, 2), (3, 3), (5, 1)], 14), (6, [(1, 5), (3, 9), (5, 5), (7, 1)], 132)],
+    )
+    def test_tensor_powers_give_the_catalan_number(self, k, blocks, catalan):
+        kf = su2_tensor_family(k)
+        assert algebra_structure(kf, CFG).blocks == blocks
+        for ns in (structure_commutant(kf, CFG), structure_fixed_space(kf, CFG)):
+            assert ns.dimension == catalan and not ns.rank_warning
+
+    def test_dense_oracle_agrees_at_k4(self):
+        kf = su2_tensor_family(4)
+        for ns in (fixed_space_basis(kf), commutant_basis(kf.operators)):
+            assert ns.dimension == 14 and not ns.rank_warning
+
+    @pytest.mark.parametrize("k, dimension", [(4, 35), (5, 56)])
+    def test_transpositions(self, k, dimension):
+        ns = structure_commutant(transposition_family(k), CFG)
+        assert ns.dimension == dimension and not ns.rank_warning
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="frames accurate only to rounding over h1's gap")
+    def test_transpositions_at_k6(self):
+        ns = structure_commutant(transposition_family(6), CFG)
+        assert ns is not None and ns.dimension == 84
 
 
 class TestStructureCommand:

@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cpfix import io, verify
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
 from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
@@ -676,9 +680,8 @@ class TestGenerators:
     def test_bistochastic_deterministic(self):
         a = random_bistochastic(3, 2, 99)
         b = random_bistochastic(3, 2, 99)
-        for (wa, xa), (wb, xb) in zip(a.terms, b.terms):
-            assert wa == wb
-            np.testing.assert_array_equal(xa, xb)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.operators, b.operators)
 
     def test_selfadjoint_single_term_is_symmetry(self):
         kf = random_selfadjoint_family(3, 1, 5)
@@ -728,9 +731,10 @@ class TestExplorer:
 
     def test_deterministic(self):
         cfg = TrialConfig(dim=2, trials=5, seed=7, mode="subunital-only")
+        # violations carry arrays, which dict equality cannot compare: compare the written reports
         a = hypothesis_explorer(cfg, CFG).to_dict()
         b = hypothesis_explorer(cfg, CFG).to_dict()
-        assert a == b
+        assert io.canonical_dumps(a) == io.canonical_dumps(b)
 
     def test_report_schema(self):
         d = hypothesis_explorer(TrialConfig(dim=2, trials=2, seed=0, mode="unital-only"), CFG).to_dict()
@@ -741,6 +745,19 @@ class TestExplorer:
             "violations",
             "maxCommutatorResidual",
         }
+
+    def test_violations_carry_arrays_written_as_their_lists(self, monkeypatch):
+        # random families are primitive, so a violation is planted: diag(0.5i, 1.5i) commutes with no draw
+        real = verify.fixed_space_basis
+        planted = np.diag([0.5j, 1.5j])
+        monkeypatch.setattr(verify, "fixed_space_basis", lambda kf: replace(real(kf), basis=[planted]))
+        report = hypothesis_explorer(TrialConfig(dim=2, trials=2, seed=3, mode="unital-only"), CFG).to_dict()
+        assert report["violationCount"] == 2
+        for v in report["violations"]:
+            assert v["fixedElement"] is planted
+            assert all(isinstance(t["matrix"], np.ndarray) for t in v["family"]["terms"])
+        lists = json.dumps(report, sort_keys=True, indent=2, default=io.matrix_to_obj) + "\n"
+        assert io.canonical_dumps(report) == lists
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
