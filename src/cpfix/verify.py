@@ -460,13 +460,10 @@ def spectral_peel(
 # ---------------------------------------------------------------------------
 
 
-def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase-fixed diagonal."""
-    q, r = np.linalg.qr(_random_complex(dim, rng))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -489,7 +486,12 @@ def _random_projective_partition(
         [np.arange(n_terms), rng.integers(0, n_terms, size=dim - n_terms)]
     )
     rng.shuffle(assignment)
-    return [herm_part((u * (assignment == k)) @ u.conj().T) for k in range(n_terms)]
+    out = []
+    for k in range(n_terms):
+        mask = np.diag((assignment == k).astype(np.complex128))
+        p = u @ mask @ u.conj().T
+        out.append(herm_part(p))
+    return out
 
 
 def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
@@ -504,6 +506,10 @@ def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
         raise ValueError("at most dim nonzero orthogonal projections exist")
     rng = np.random.default_rng(seed)
     return KrausFamily.from_operators(_random_projective_partition(dim, n_terms, rng))
+
+
+def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +588,15 @@ def hypothesis_explorer(
     max_res = 0.0
     for trial in range(trial_cfg.trials):
         rng = np.random.default_rng([trial_cfg.seed, trial])
-        raw = KrausFamily.from_operators([_random_complex(d, rng) for _ in range(trial_cfg.n_terms)])
+        raw = [_random_complex(d, rng) for _ in range(trial_cfg.n_terms)]
         if trial_cfg.mode == "unital-only":
-            ops = raw.operators @ mat_func(lambda t: t**-0.5, raw.column_sum)
+            col = sum(x.conj().T @ x for x in raw)
+            col_inv_root = mat_func(lambda t: t**-0.5, herm_part(col))
+            ops = [x @ col_inv_root for x in raw]
         else:
-            ops = raw.operators / np.sqrt(float(np.linalg.eigvalsh(raw.row_sum)[-1]))
+            row = sum(x @ x.conj().T for x in raw)
+            top = float(np.linalg.eigvalsh(herm_part(row))[-1])
+            ops = [x / np.sqrt(top) for x in raw]
         kf = KrausFamily.from_operators(ops)
         for b in fixed_space_basis(kf).basis:
             *comms, norm_b = opnorm(np.concatenate([commutator(b, kf.operators), [b]])).tolist()
