@@ -274,19 +274,30 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
 
 
+# the temporaries of the dense passes over S are cut into blocks of about
+# this size: below d = 9 a pass takes one block, as one vectorized call
+BLOCK_BYTES = 1 << 16
+
+
 def superoperator_matrix(kf: KrausFamily) -> Superoperator:
     """S = sum_t kron(s_t^T, s_t*), summed in term order into one buffer.
 
-    Each term is the broadcast product that ``np.kron`` forms, written into
-    a reused (d, d, d, d) array, so S is bit for bit the kron sum.
+    Each term is the broadcast product that ``np.kron`` forms, written in
+    blocks of leading slices into a reused buffer of at most
+    ``BLOCK_BYTES`` (one (d, d, d) slice when that is larger) and added to
+    S, so S is bit for bit the kron sum.  Working set, in units of 16 d^4
+    bytes: 1 plus that block, which is 1/d from d = 16 on.
     """
     d = kf.dim
     s_mat = np.zeros((d, d, d, d), dtype=np.complex128)
-    term = np.empty_like(s_mat)
+    rows = max(1, BLOCK_BYTES // s_mat[0].nbytes)
+    term = np.empty((min(rows, d), d, d, d), dtype=np.complex128)
     for s in kf.scaled_operators:
         left = np.ascontiguousarray(s.T)[:, None, :, None]
         right = np.ascontiguousarray(s.conj().T)[None, :, None, :]
-        s_mat += np.multiply(left, right, out=term)
+        for lo in range(0, d, rows):
+            out = s_mat[lo : lo + rows]
+            out += np.multiply(left[lo : lo + rows], right, out=term[: len(out)])
     return Superoperator(dim=d, matrix=s_mat.reshape(d * d, d * d))
 
 
@@ -296,14 +307,29 @@ def choi_matrix(sop: Superoperator) -> np.ndarray:
     Writing (a, b) for the flat index a*d + b, column stacking gives
     S[(q, p), (j, i)] = Phi(e_ij)[p, q] = C[(p, i), (q, j)], so C is a
     permutation of S's entries (Choi, Linear Algebra Appl. 10, 1975).
+    C is a new array, never a view of S, even at d = 1.
     """
     d = sop.dim
-    return sop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return sop.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).copy().reshape(d * d, d * d)
 
 
 def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Check:
-    """CP certificate: the Choi min eig must be >= ``cfg.psd_bound(||C||)``."""
-    w = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
+    """CP certificate: the Choi min eig must be >= ``cfg.psd_bound(||C||)``.
+
+    The value is that of ``eigvalsh(herm_part(choi_matrix(sop)))`` bit for
+    bit.  Once ``choi_matrix`` has copied C out of S, the reference to
+    ``sop`` is dropped, so a superoperator built for this call alone, as in
+    ``choi_psd_check(superoperator_matrix(kf))``, is freed (from Python
+    3.11, whose calls hand their arguments to the callee's frame); C is
+    then symmetrized in place with ``herm_part``'s add and halving.
+    Working set, in units of 16 d^4 bytes: 2, C and either C* or the copy
+    ``eigvalsh`` hands to LAPACK, plus S while a caller holds it.
+    """
+    c = choi_matrix(sop)
+    del sop
+    np.add(c, c.conj().T, out=c)
+    c /= 2.0
+    w = np.linalg.eigvalsh(c)
     m = float(w[0])
     bound = cfg.psd_bound(float(np.abs(w).max()))
     return Check("choiMinEig", m, bound, f"Choi min eigenvalue {m:.3e}", lower=True)
@@ -312,22 +338,26 @@ def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Ch
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _pair_rows(m: np.ndarray, phase: complex) -> np.ndarray:
-    """U^T m for ``phase`` 1j, U* m for -1j, in O(d^2) work per column of m.
+def _pair_rows(m: np.ndarray, phase: complex) -> None:
+    """Overwrite ``m`` with U^T m for ``phase`` 1j, with U* m for -1j, in O(d^2) work per column.
 
     Row i + j*d of ``m`` belongs to the entry (i, j).  For i < j, row (i, j)
     becomes the sum of rows (i, j) and (j, i), and row (j, i) becomes
     ``phase`` times (row (j, i) - row (i, j)), both over sqrt(2).  Diagonal
-    rows stay.
+    rows stay.  The pairs are rewritten in blocks through a (d, d, -1) view
+    of ``m``, so the temporaries hold a few ``BLOCK_BYTES`` (two rows when
+    that is larger).
     """
     d = math.isqrt(m.shape[0])
-    g = m.reshape(d, d, -1)  # g[j, i] is the row of the entry (i, j)
+    # a view for m and for m.T alike: g[j, i] is the row of the entry (i, j)
+    g = m.reshape(d, d, -1)
     i, j = np.triu_indices(d, 1)
-    upper, lower = g[j, i], g[i, j]
-    out = g.copy()
-    out[j, i] = (upper + lower) * _SQRT_HALF
-    out[i, j] = phase * (lower - upper) * _SQRT_HALF
-    return out.reshape(d * d, -1)
+    step = max(1, BLOCK_BYTES // g[0, 0].nbytes)
+    for lo in range(0, len(i), step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        upper, lower = g[bj, bi], g[bi, bj]
+        g[bj, bi] = (upper + lower) * _SQRT_HALF
+        g[bi, bj] = phase * (lower - upper) * _SQRT_HALF
 
 
 def _hermitian(c: np.ndarray) -> np.ndarray:
@@ -343,8 +373,17 @@ def fixed_space_basis(kf: KrausFamily) -> NullspaceResult:
     docstring), whose singular values are those of S - I, cut relative to
     at least the scale 1 of its identity part.  Non-unital families are
     accepted; the kernel is still well defined.
+
+    S is turned into U*(S - I)U in its own buffer and dropped once its real
+    part is copied out, so the working set before the SVD is, in units of
+    16 d^4 bytes, 1.5: S and that real system.
     """
-    a = superoperator_matrix(kf).matrix - np.eye(kf.dim**2)
-    system = _pair_rows(_pair_rows(a.T, 1j).T, -1j).real
-    ns = nullspace_basis(system, kf.dim, scale=1.0)
+    d = kf.dim
+    a = superoperator_matrix(kf).matrix
+    a.reshape(-1)[:: d * d + 1] -= 1.0
+    _pair_rows(a.T, 1j)
+    _pair_rows(a, -1j)
+    system = a.real.copy()
+    del a
+    ns = nullspace_basis(system, d, scale=1.0)
     return replace(ns, basis=[_hermitian(c) for c in ns.basis])

@@ -141,7 +141,8 @@ def canonical_dumps(obj) -> str:
         level = (len(line) - len(line.lstrip(" "))) // 2
         parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
         out += [_matrix_template(*m.shape, level) % tuple(_float_texts(parts)), after]
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def matrix_to_obj(m: np.ndarray) -> list:

@@ -16,6 +16,7 @@ arithmetic, and a claimed counterexample must sit far above rounding level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +215,14 @@ def _theorem(
 
     dec = herm_eig(h, cfg)
     norm_h = dec.norm
+    # f_eps(h) and the powers h^n are measured on h / unit, relative to
+    # unit^2 and unit^n, since a^n can overflow where its residual relative
+    # to ||a||^n is at rounding level.  unit is the least power of two >=
+    # max(1, ||h||), at most 2^1023, so each division by it is exact: barring underflow,
+    # every relative residual and bound is the absolute one times a power
+    # of two, and for ||h|| <= 1 it is the absolute one
+    mant, exp = math.frexp(max(1.0, norm_h))
+    unit = math.ldexp(1.0, min(exp - (mant == 0.5), 1023))
 
     tau_a, gap = _trace_gap(alg, h, dec, phi_h, kf.row_sum, cfg)
     gap_bound = -cfg.eq_bound(abs(tau_a))
@@ -224,16 +233,24 @@ def _theorem(
     checks.append(Check("fixedness", fixedness, cfg.eq_bound(norm_h), msg))
 
     half = 0.5 / max(1.0, norm_h)
-    # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire
-    fas = np.stack([dec.apply(EpsFunction(eps)) for eps in (half, -half)])
+    # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire;
+    # f_{eps unit}(t / unit) is f_eps(t) / unit^2, with eps t formed exactly
+    fas = np.stack(
+        [dec.apply(lambda t, f=EpsFunction(e * unit): f(t / unit)) for e in (half, -half)]
+    )
     residuals, norms = opnorm(np.stack([apply_map(kf, fas) - fas, fas])).tolist()
+    # eq_bound(norm unit^2, slack) / unit^2, without the product norm
+    # unit^2, which can overflow
+    base = cfg.eq_bound(slack=CONCLUSION_SLACK)
     for eps, r, norm in zip((half, -half), residuals, norms):
         msg = f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})"
-        checks.append(Check("fEps", r, cfg.eq_bound(norm, CONCLUSION_SLACK), msg))
+        checks.append(Check("fEps", r, base * max(unit**-2, norm), msg))
 
-    for n, r in enumerate(_power_residuals(kf, h, fixedness, powers), 1):
+    # eq_bound(||h||^n) / unit^n, likewise
+    for n, r in enumerate(_power_residuals(kf, h, fixedness, powers, unit), 1):
         msg = f"power residual at n={n}: {r:.3e}"
-        checks.append(Check("powers", r, cfg.eq_bound(norm_h**n), msg))
+        bound = cfg.eq_bound() * max(unit**-n, (norm_h / unit) ** n)
+        checks.append(Check("powers", r, bound, msg))
 
     stage = _projection_residuals(kf, dec, len(dec.projections), cfg)
     (proj_res, proj_bound), (off_res, off_bound) = stage
@@ -287,18 +304,22 @@ def _projection_residuals(
     return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res.tolist(), op_bound)
 
 
-def _power_residuals(kf: KrausFamily, h: np.ndarray, r: float, n_max: int) -> list[float]:
-    """||Phi(h^n) - h^n|| for n = 1..n_max, given the n = 1 residual ``r``.
+def _power_residuals(
+    kf: KrausFamily, h: np.ndarray, r: float, n_max: int, unit: float
+) -> list[float]:
+    """||Phi(h^n) - h^n|| / unit^n for n = 1..n_max, given the n = 1 residual ``r``.
 
-    The powers n >= 2 take one map call and one norm call.
+    The powers n >= 2 are those of h / unit, so none overflows when unit
+    >= ||h||, and take one map call and one norm call.
     """
     if n_max < 2:
-        return [r][:n_max]
-    powers = [h @ h]
+        return [r / unit][:n_max]
+    g = h / unit
+    powers = [g @ g]
     while len(powers) < n_max - 1:
-        powers.append(powers[-1] @ h)
+        powers.append(powers[-1] @ g)
     stack = np.stack(powers)
-    return [r, *opnorm(apply_map(kf, stack) - stack).tolist()]
+    return [r / unit, *opnorm(apply_map(kf, stack) - stack).tolist()]
 
 
 def _commutator_checks(

@@ -1,3 +1,6 @@
+import math
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -15,8 +18,9 @@ from cpfix.channel import (
     normalization_report,
     superoperator_matrix,
 )
+import cpfix.channel as channel_mod
 from cpfix.algebra import commutant_basis
-from cpfix.matcore import ToleranceConfig, nullspace_basis, opnorm, vec
+from cpfix.matcore import ToleranceConfig, herm_part, nullspace_basis, opnorm, vec
 from cpfix.verify import haar_unitary, random_bistochastic, random_selfadjoint_family
 
 from conftest import (
@@ -477,3 +481,102 @@ def _families(rng, count):
             scale = (u * w**-0.5) @ u.conj().T if k % 8 == 3 else np.eye(d) / np.sqrt(w[-1])
             kf = KrausFamily.from_operators([scale @ x for x in ops])
         yield kind, kf
+
+
+def _signed_zero_family(d, n, rng):
+    """n random operators with +0.0 and -0.0 planted in both parts."""
+    ops = [random_complex(d, rng) for _ in range(n)]
+    for x in ops:
+        x.real[rng.random((d, d)) < 0.3] = 0.0
+        x.imag[rng.random((d, d)) < 0.3] = -0.0
+        x.real[rng.random((d, d)) < 0.2] = -0.0
+    return KrausFamily.from_operators(ops, rng.uniform(0.1, 2.0, size=n))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
+
+
+def _old_pair_rows(m, phase):
+    """The pairing out of place, through one fancy-indexed copy of m: the in-place pass's reference."""
+    d = math.isqrt(m.shape[0])
+    g = m.reshape(d, d, -1)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = g[j, i], g[i, j]
+    out = g.copy()
+    out[j, i] = (upper + lower) * math.sqrt(0.5)
+    out[i, j] = phase * (lower - upper) * math.sqrt(0.5)
+    return out.reshape(d * d, -1)
+
+
+class TestDenseWorkingSet:
+    """Each dense consumer of S rewrites one d^2 x d^2 buffer in place, to the same bits."""
+
+    # at d = 24 a unit is 5.3 MB, so the fixed-size buffers of numpy's
+    # iterator (128 KB each on numpy 1.24) and the blocks of BLOCK_BYTES
+    # are a few hundredths of one
+    D = 24
+
+    def _peak(self, fn) -> float:
+        """Traced peak of fn(), after one warm-up call, in units of 16 d^4 bytes."""
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (16 * self.D**4)
+
+    def test_traced_peaks(self):
+        # S alone is 1, the certificate C and C* or eigvalsh's copy of C, the
+        # fixed space S and its real copy.  Before Python 3.11 the caller's
+        # frame keeps the temporary S alive through the call, so the
+        # certificate holds S too
+        kf = random_bistochastic(self.D, 3, 0)
+        choi_bound = 2.2 if sys.version_info >= (3, 11) else 3.2
+        assert self._peak(lambda: superoperator_matrix(kf)) <= 1.2
+        assert self._peak(lambda: choi_psd_check(superoperator_matrix(kf), CFG)) <= choi_bound
+        assert self._peak(lambda: fixed_space_basis(kf)) <= 1.6
+
+    def test_choi_certificate_is_eigvalsh_of_herm_part(self):
+        rng = np.random.default_rng(23)
+        sops = [
+            superoperator_matrix(_signed_zero_family(d, n, rng)) for d in range(1, 7) for n in (1, 3)
+        ]
+        sops += [Superoperator(dim=2, matrix=c * SWAP) for c in (1.0, 1e4)]
+        for sop in sops:
+            w = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
+            check = choi_psd_check(sop, CFG)
+            assert check.value == float(w[0])
+            assert check.bound == CFG.psd_bound(float(np.abs(w).max()))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_held_superoperator_unmodified(self, d):
+        # at d = 1 the reshuffle of S is S itself
+        rng = np.random.default_rng(25 + d)
+        sop = superoperator_matrix(_signed_zero_family(d, 2, rng))
+        before = sop.matrix.copy()
+        choi_psd_check(sop, CFG)
+        assert _same_bits(sop.matrix, before)
+        assert not np.shares_memory(choi_matrix(sop), sop.matrix)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_fixed_space_is_the_out_of_place_formula(self, d):
+        rng = np.random.default_rng(30 + d)
+        families = [_signed_zero_family(d, n, rng) for n in (1, 2)]
+        # a Lueders family {e_ii}, whose fixed space is the diagonal
+        lueders = KrausFamily.from_operators(np.eye(d)[:, None, :] * np.eye(d)[:, :, None])
+        families += [random_bistochastic(d, 2, d), lueders]
+        for kf in families:
+            a = superoperator_matrix(kf).matrix - np.eye(d * d)
+            system = _old_pair_rows(_old_pair_rows(a.T, 1j).T, -1j).real
+            want = nullspace_basis(system, d, scale=1.0)
+            got = fixed_space_basis(kf)
+            assert _same_bits(got.singular_values, want.singular_values)
+            assert got.rank_warning == want.rank_warning
+            assert len(got.basis) == len(want.basis)
+            for b, c in zip(got.basis, want.basis):
+                assert _same_bits(b, channel_mod._hermitian(c))

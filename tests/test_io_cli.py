@@ -729,6 +729,22 @@ class TestCli:
         assert run(["corollary", lueders_file, a]) == 0
 
     @pytest.mark.parametrize("command", ["verify", "corollary"])
+    @pytest.mark.parametrize("scale", [1e20, 1e40, 1e100])
+    def test_huge_fixed_point_without_overflow(self, tmp_path, lueders_file, command, scale):
+        # a^8 overflowed from scale 1e39 and corollary's a^16 from 1e19, with
+        # numpy warnings on stderr and exit 1; in a fresh interpreter, so
+        # that a warning reaches stderr as it would from the console script
+        a = _matrix_file(tmp_path, "a.json", np.diag([2.0, 1.0]) * scale)
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the report")
+
+        for fmt in ([], ["--json"]):
+            proc = _run_in_subprocess([command, lueders_file, a, *fmt])
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout, parse_constant=no_constant)["verdict"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "corollary"])
     def test_operator_outside_algebra_exit_one(self, tmp_path, identity_channel, command, capsys):
         ch = tmp_path / "identity.json"
         io.write_channel(ch, identity_channel)

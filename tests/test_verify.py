@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalizati
 from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
 from cpfix.matcore import ToleranceConfig, commutator, herm_eig, hermitize, opnorm, psd_min_eig, vec
 from cpfix.verify import (
+    CONCLUSION_SLACK,
     PreconditionError,
     TrialConfig,
     corollary_verify,
@@ -415,13 +417,25 @@ class TestCorollaryVerify:
         assert calls == {"apply_map": 12, "normalization_report": 1, "map calls": 5}
 
 
+def _unit(h):
+    """The least power of two >= max(1, ||h||), by which the stages divide."""
+    return 2.0 ** math.ceil(math.log2(max(1.0, herm_eig(h, CFG).norm)))
+
+
 def _power_oracle(kf, a, n_max):
-    """||Phi(h^n) - h^n|| for n = 1..n_max, one map application per power."""
+    """||Phi(g^n) - g^n|| for n = 1..n_max, one map application per power.
+
+    g = h / unit with unit = ``_unit(h)``: the stage reports the residual
+    of h^n relative to unit^n.  At n = 1 it is the fixedness residual
+    ||Phi(h) - h||, over unit.
+    """
     h = hermitize(a, CFG)
-    power, out = h, []
-    for _ in range(n_max):
+    unit = _unit(h)
+    g = h / unit
+    out, power = [opnorm(apply_map(kf, h) - h) / unit], g @ g
+    for _ in range(1, n_max):
         out.append(opnorm(apply_map(kf, power) - power))
-        power = power @ h
+        power = power @ g
     return out
 
 
@@ -457,6 +471,73 @@ class TestPowerFixedCheck:
         residuals = self._powers(lueders, a, 5)
         assert residuals == _power_oracle(lueders, a, 5)
         assert max(residuals) <= 1e-12
+
+    def test_unit_norm_residuals_are_absolute(self, mixture):
+        # unit = 1, so each residual is ||Phi(h^n) - h^n|| itself
+        a = (np.eye(2) + SIGMA_X) / 2.5
+        h = hermitize(a, CFG)
+        powers = [np.linalg.matrix_power(h, n) for n in range(1, 6)]
+        assert self._powers(mixture, a, 5) == [opnorm(apply_map(mixture, p) - p) for p in powers]
+
+    @pytest.mark.parametrize("command", [theorem_verify, corollary_verify])
+    def test_no_overflow_at_any_scale(self, lueders, command):
+        # (c a)^8 overflows from c = 1e39, corollary's (c a)^16 from c = 1e19
+        # and its f_eps(c^2 a^2) from c = 1e77; relative to powers of unit,
+        # none does
+        a = np.diag([2.0, 1.0]).astype(complex)
+        for c in (1.0, 1e20, 1e40, 1e100):
+            with np.errstate(all="raise"):
+                report = command(lueders, BlockAlgebra.full(2), c * a, CFG)
+            assert report.verdict
+            assert report.residuals("powers") == [0.0] * 8
+
+    def test_norm_above_the_largest_power_of_two(self, identity_channel):
+        # ||a|| = 1.2e308 > 2^1023, so unit stops at 2^1023
+        with np.errstate(all="raise"):
+            report = theorem_verify(identity_channel, BlockAlgebra.full(2), 6e307 * np.ones((2, 2)), CFG)
+        assert report.verdict
+
+
+class TestScaledStages:
+    """f_eps and the powers, measured on h / unit, are the absolute stages times 2^-k."""
+
+    N = 6
+
+    def _absolute(self, kf, h):
+        """(residual, bound) of the f_eps and power stages, without rescaling."""
+        dec = herm_eig(h, CFG)
+        half = 0.5 / max(1.0, dec.norm)
+        fas = np.stack([dec.apply(EpsFunction(eps)) for eps in (half, -half)])
+        residuals, norms = opnorm(np.stack([apply_map(kf, fas) - fas, fas])).tolist()
+        f_eps = [(r, CFG.eq_bound(n, CONCLUSION_SLACK)) for r, n in zip(residuals, norms)]
+        powers = [h @ h]
+        while len(powers) < self.N - 1:
+            powers.append(powers[-1] @ h)
+        stack = np.stack(powers)
+        residuals = [opnorm(apply_map(kf, h) - h), *opnorm(apply_map(kf, stack) - stack).tolist()]
+        bounds = [CFG.eq_bound(dec.norm**n) for n in range(1, self.N + 1)]
+        return f_eps, list(zip(residuals, bounds))
+
+    @pytest.mark.parametrize(
+        "family, a",
+        [
+            ("bistochastic", 2.9 * np.eye(4)),
+            ("mixture", 2.3 * np.eye(2) + 0.6 * SIGMA_X),
+            ("mixture", 0.7 * np.eye(2) + 0.2 * SIGMA_X),
+        ],
+    )
+    def test_scaled_by_a_power_of_two(self, mixture, family, a):
+        kf = random_bistochastic(4, 3, 7) if family == "bistochastic" else mixture
+        h = hermitize(a.astype(complex), CFG)
+        report = theorem_verify(kf, BlockAlgebra.full(kf.dim), a, CFG, powers=self.N)
+        assert report.verdict
+        unit = _unit(h)
+        f_eps, powers = self._absolute(kf, h)
+        got = [c for c in report.checks if c.name == "fEps"]
+        assert [(c.value * unit**2, c.bound * unit**2) for c in got] == f_eps
+        got = [c for c in report.checks if c.name == "powers"]
+        assert [(c.value * unit**n, c.bound * unit**n) for n, c in enumerate(got, 1)] == powers
+        assert any(r > 0.0 for r, _ in f_eps + powers)
 
 
 class TestSpectralPeel:
