@@ -24,11 +24,10 @@ from .algebra import (
 )
 from .channel import (
     DimensionMismatchError,
-    choi_psd_check,
     fixed_space_basis,
     is_unital,
+    kraus_choi_check,
     normalization_report,
-    superoperator_matrix,
 )
 from .jensen import EpsFunction, jensen_residual
 from .verify import (
@@ -162,7 +161,7 @@ def _resolve_seed(args) -> int:
 def _cmd_check(args, cfg):
     kf = io.read_channel(args.channel)
     rep = normalization_report(kf, cfg)
-    choi = choi_psd_check(superoperator_matrix(kf), cfg)
+    choi = kraus_choi_check(kf, cfg)
     verdict = (
         rep.is_unital and rep.is_subunital_dual and rep.rigidity_holds and choi.passed
     )

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies
 from cpfix import io
 from cpfix.channel import KrausFamily
 from cpfix.cli import run
-from cpfix.verify import haar_unitary
+from cpfix.verify import haar_unitary, random_bistochastic
 
 from conftest import SIGMA_X, random_unital_family
 
@@ -624,6 +624,28 @@ class TestCli:
         path = tmp_path / "sub.json"
         io.write_channel(path, kf)
         assert run(["check", str(path)]) == 1
+
+    def test_check_is_cp_below_rounding(self, tmp_path, capsys):
+        # d = 8, n = 3: the dense Choi eigensolve gives about -1e-15, which
+        # failed a --psd-tol of 1e-20; the Kraus form is CP by construction
+        path = tmp_path / "bistochastic.json"
+        io.write_channel(path, random_bistochastic(8, 3, 0))
+        assert run(["check", str(path), "--psd-tol", "1e-20"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "choi min eigenvalue: 0.000e+00 (CP: True)" in out
+
+    def test_check_near_overflow_is_quiet(self, tmp_path, capsys):
+        # ||C|| = 3 (9e153)^2 overflows while sum mu x*x = 8.1e307 I does not
+        path = tmp_path / "near_overflow.json"
+        io.write_channel(path, KrausFamily.from_operators([9e153 * np.eye(3)]))
+        assert run(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "choi min eigenvalue: 0.000e+00 (CP: True)" in captured.out.splitlines()
+        assert run(["check", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["choiMinEig"] == 0.0
 
     def test_fix_dimension(self, lueders_file, capsys):
         assert run(["fix", lueders_file, "--json"]) == 0
