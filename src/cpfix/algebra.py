@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,16 +252,13 @@ class AlgebraStructure:
             basis.extend(units.reshape(n * n, d, d))
         return NullspaceResult(basis=basis, rank_warning=False, singular_values=np.zeros(0))
 
-    def compress(self, letters: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each z_t of the (k, d, d) stack ``letters`` in block form: (defects, blocks).
+    def _unitary(self) -> np.ndarray:
+        """Q: the flattened frames side by side, d x d."""
+        return np.concatenate([f.reshape(len(f), -1) for f in self.frames], axis=1)
 
-        ``blocks[i]`` stacks the X_{t,i}, the partial trace over 1_{n_i} of
-        the i-th diagonal block of Q* z_t Q, divided by n_i, and
-        ``defects[t]`` is ||Q* z_t Q - (+)_i X_{t,i} (x) 1_{n_i}||_F.  A
-        defect is 0 exactly when z_t lies in (+)_i M_{m_i} (x) 1_{n_i}, that
-        is, when every matrix unit of the frames commutes with z_t and z_t*.
-        """
-        q = np.concatenate([f.reshape(len(f), -1) for f in self.frames], axis=1)
+    def _split(self, letters: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(E, blocks): each Q* z_t Q as (+)_i X_{t,i} (x) 1_{n_i} + E_t, X_{t,i} stacked per block."""
+        q = self._unitary()
         rest = q.conj().T @ letters @ q
         blocks, start = [], 0
         for f in self.frames:
@@ -270,7 +268,69 @@ class AlgebraStructure:
             rest[:, s, s] -= np.einsum("tab,pq->tapbq", x_i, np.eye(n)).reshape(-1, m * n, m * n)
             blocks.append(x_i)
             start += m * n
+        return rest, blocks
+
+    def compress(self, letters: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each z_t of the (k, d, d) stack ``letters`` in block form: (defects, blocks).
+
+        ``blocks[i]`` stacks the X_{t,i}, the partial trace over 1_{n_i} of
+        the i-th diagonal block of Q* z_t Q, divided by n_i, and
+        ``defects[t]`` is ||Q* z_t Q - (+)_i X_{t,i} (x) 1_{n_i}||_F.  A
+        defect is 0 exactly when z_t lies in (+)_i M_{m_i} (x) 1_{n_i}, that
+        is, when every matrix unit of the frames commutes with z_t and z_t*.
+        Both are linear in each letter, so c_t z_t compresses to |c_t| times
+        the defect and c_t times the blocks.
+        """
+        rest, blocks = self._split(letters)
         return np.sqrt(np.sum(np.abs(rest) ** 2, axis=(1, 2))), blocks
+
+    def refined(self, letters: np.ndarray) -> AlgebraStructure | None:
+        """The frames after one Newton step toward block form of the letters, or None.
+
+        The step of Stewart (SIAM Rev. 15 (1973)) for invariant subspaces.
+        For blocks i < j, P solves X_{t,i} P - P X_{t,j} = -E_{t,ij} in the
+        least-squares sense over the letters z_t and their adjoints, one
+        n_i x n_j slot of the off-diagonal defect E (``_split``) at a time,
+        by the normal equations of ``_gram``.  The new frames are the polar
+        factor of Q (1 + S), S_ij = P and S_ji = -P*.  To first order in S
+        that rotation cancels E: an off-diagonal defect eta against a
+        pair separation sigma leaves O(eta^2 / sigma) and rounding.  The
+        defect inside each block is not touched.  None where ``_separated``
+        declines anyway, a Gram over ``_SEPARATION_BYTES``, and for a
+        singular pair.
+        """
+        shapes = self.blocks
+        if 16 * max(m for m, _ in shapes) ** 4 > _SEPARATION_BYTES:
+            return None
+        rest, blocks = self._split(letters)
+        # each block's letters and their adjoints, as a one-block stack
+        sides = [_terms(np.concatenate([x, x.conj().swapaxes(-1, -2)])[None]) for x in blocks]
+        bounds = np.cumsum([0] + [m * n for m, n in shapes])
+        d = bounds[-1]
+        step = np.zeros((d, d), dtype=np.complex128)
+        for i, j in zip(*np.triu_indices(len(shapes), 1)):
+            (mi, ni), (mj, nj) = shapes[i], shapes[j]
+            si, sj = slice(bounds[i], bounds[i + 1]), slice(bounds[j], bounds[j + 1])
+            x, y = sides[i].x[0], sides[j].x[0]
+            # the (i, j) block of E for z_t* is E_{t,ji}*
+            e = np.concatenate([rest[:, si, sj], rest[:, sj, si].conj().swapaxes(-1, -2)])
+            e = e.reshape(-1, mi, ni, mj, nj)
+            # K* vec(E) = vec(sum_t x_t* E_t - E_t y_t*) slot by slot, as [p, q, c, a]:
+            # vec(P)[c mi + a] = P[a, c], ``_sylvester``'s column stacking
+            rhs = np.einsum("tba,tbpcq->pqca", x.conj(), e) - np.einsum("tapeq,tce->pqca", e, y.conj())
+            try:
+                p = np.linalg.solve(_gram(sides[i], sides[j])[0, 0], -rhs.reshape(ni * nj, -1).T)
+            except np.linalg.LinAlgError:
+                return None
+            p = p.reshape(mj, mi, ni, nj).transpose(1, 2, 0, 3).reshape(mi * ni, mj * nj)
+            step[si, sj] = p
+            step[sj, si] = -p.conj().T
+        if not np.isfinite(step).all():
+            return None
+        u, _, vh = np.linalg.svd(np.eye(d) + step)
+        q = self._unitary() @ (u @ vh)
+        frames = (q[:, lo:hi].reshape(d, m, n) for lo, hi, (m, n) in zip(bounds, bounds[1:], shapes))
+        return AlgebraStructure(tuple(frames))
 
 
 def _word_sum(letters: np.ndarray, depth: int, rng: np.random.Generator) -> np.ndarray:
@@ -281,7 +341,7 @@ def _word_sum(letters: np.ndarray, depth: int, rng: np.random.Generator) -> np.n
     k(k + 1), so the redraw's 2n letters cost O(n^2 d^3).
     """
     coef = rng.standard_normal((len(letters), 2)) @ np.array([1.0, 1.0j])
-    out = np.tensordot(coef, letters, axes=1)
+    out = np.dot(coef[None], letters.reshape(len(letters), -1)).reshape(letters.shape[1:])
     if depth > 1:
         for z in letters:
             out += z @ _word_sum(letters, depth - 1, rng)
@@ -324,7 +384,9 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
     and every link has equal singular values.  Then every matrix commuting
     with h1 and h2 lies in the span of the frames' matrix units.  A link
     norm :func:`near_cut` the cut, or a spread of singular values above the
-    cut over ``AMBIGUITY``, fails the certificate.
+    cut over ``AMBIGUITY``, fails the certificate.  The clusters of one size
+    are handled together, whatever their component: one SVD for the spreads
+    of all their links, and one for the polar factors of their tree links.
     """
     d = len(v)
     bounds = np.append(starts, d)
@@ -337,29 +399,67 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         return None
     weights = np.where(norms > bound, norms, 0.0)
     components, parent = _spanning_forest(weights)
-    frames = []
-    for comp in components:
-        m, n = len(comp), int(sizes[comp[0]])
-        if np.any(sizes[comp] != n):
-            return None
-        cols = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in comp])
-        # links[a, c] = E_a* h2 E_c for the a-th and c-th clusters of the block
-        links = b[np.ix_(cols, cols)].reshape(m, n, m, n).transpose(0, 2, 1, 3)
-        a, c = np.nonzero(np.triu(weights[np.ix_(comp, comp)], 1))
-        if len(a):
+    if any(np.any(sizes[comp] != sizes[comp[0]]) for comp in components):
+        return None
+    frames = {}
+    for n in set(sizes.tolist()):
+        comps = [comp for comp in components if sizes[comp[0]] == n]
+        ks = np.concatenate(comps)
+        position = np.empty(len(sizes), dtype=int)
+        position[ks] = np.arange(len(ks))
+        cols = bounds[ks][:, None] + np.arange(n)
+        # links[a, c] = E_a* h2 E_c for the a-th and c-th clusters of size n
+        links = b[cols[:, None, :, None], cols[None, :, None, :]]
+        a, c = np.nonzero(np.triu(weights[np.ix_(ks, ks)], 1))
+        # a 1 x 1 link has one singular value: no spread to check
+        if len(a) and n > 1:
             s = np.linalg.svd(links[a, c], compute_uv=False)
             if np.max(s[:, 0] - s[:, -1]) > bound / AMBIGUITY:
                 return None
-        position = {k: i for i, k in enumerate(comp)}
-        up = [position[parent[k]] for k in comp[1:]]
-        rotation = np.empty((m, n, n), dtype=np.complex128)
-        rotation[0] = np.eye(n)
-        if m > 1:
-            u, _, vh = np.linalg.svd(links[up, np.arange(1, m)])
-            for i, (j, polar) in enumerate(zip(up, u @ vh), start=1):
+        rotation = np.empty((len(ks), n, n), dtype=np.complex128)
+        rotation[:] = np.eye(n)
+        # every cluster after the first of its component, in Prim order
+        child = [position[k] for comp in comps for k in comp[1:]]
+        if child:
+            up = position[parent[ks[child]]]
+            u, _, vh = np.linalg.svd(links[up, child])
+            for i, j, polar in zip(child, up, u @ vh):
                 rotation[i] = polar.conj().T @ rotation[j]
-        frames.append((v[:, cols].reshape(d, m, n).transpose(1, 0, 2) @ rotation).transpose(1, 0, 2))
-    return frames
+        aligned = (v[:, cols].transpose(1, 0, 2) @ rotation).transpose(1, 0, 2)
+        start = 0
+        for comp in comps:
+            frames[comp[0]] = aligned[:, start : start + len(comp)]
+            start += len(comp)
+    return [frames[comp[0]] for comp in components]
+
+
+def _unit_letters(kf: KrausFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero members scaled to norm 1, and their mask; the identity if every member is zero."""
+    live = kf.operator_norms > 0.0
+    xs = kf.operators[live] / kf.operator_norms[live, None, None]
+    if not len(xs):  # only zero members: A is the scalars
+        xs = np.eye(kf.dim, dtype=np.complex128)[None]
+    return xs, live
+
+
+def _certified(xs: np.ndarray, cfg: ToleranceConfig):
+    """(structure, ``compress`` of the letters xs) for ``algebra_structure``, or None."""
+    rng = np.random.default_rng(_STRUCTURE_SEED)
+    for letters, depth in ((xs, 2), (np.concatenate([xs, xs.conj().transpose(0, 2, 1)]), 3)):
+        h1, h2 = (w + w.conj().T for w in (_word_sum(letters, depth, rng) for _ in range(2)))
+        w, v = np.linalg.eigh(h1)
+        starts, ambiguous = eigen_clusters(w)
+        if ambiguous:
+            return None
+        frames = _aligned_frames(v, starts, h2, cfg)
+        if frames is None:
+            continue
+        frames.sort(key=lambda f: f.shape[1:])
+        st = AlgebraStructure(tuple(frames))
+        compressed = st.compress(xs)
+        if compressed[0].max() <= cfg.eq_bound(1.0) / AMBIGUITY:
+            return st, compressed
+    return None
 
 
 def algebra_structure(
@@ -384,49 +484,86 @@ def algebra_structure(
     Under the theorem's hypotheses (unital, sub-unital dual) A' is both the
     family's commutant and the fixed space of Phi; ``structure_commutant``
     and ``structure_fixed_space`` answer for the dense kernels from it.
+    The frames are accurate to about u ||h1|| / gap, u the unit roundoff
+    and gap h1's least gap between clusters; where that fails their drift
+    gate, they refine the frames once (``AlgebraStructure.refined``), to a
+    drift of order u on every family measured.
     """
-    live = kf.operator_norms > 0.0
-    xs = kf.operators[live] / kf.operator_norms[live, None, None]
-    if not len(xs):  # only zero members: A is the scalars
-        xs = np.eye(kf.dim, dtype=np.complex128)[None]
-    rng = np.random.default_rng(_STRUCTURE_SEED)
-    for letters, depth in ((xs, 2), (np.concatenate([xs, xs.conj().transpose(0, 2, 1)]), 3)):
-        h1, h2 = (w + w.conj().T for w in (_word_sum(letters, depth, rng) for _ in range(2)))
-        w, v = np.linalg.eigh(h1)
-        starts, ambiguous = eigen_clusters(w)
-        if ambiguous:
-            return None
-        frames = _aligned_frames(v, starts, h2, cfg)
-        if frames is None:
-            continue
-        frames.sort(key=lambda f: f.shape[1:])
-        st = AlgebraStructure(tuple(frames))
-        if st.compress(xs)[0].max() <= cfg.eq_bound(1.0) / AMBIGUITY:
-            return st
-    return None
+    found = _certified(_unit_letters(kf)[0], cfg)
+    return None if found is None else found[0]
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _kernel_structures(kf: KrausFamily, cfg: ToleranceConfig, coef: np.ndarray):
+    """The structure and its compressed letters coef_t x_t / ||x_t||, as certified, then refined.
+
+    Yields (structure, defects, blocks): first from ``algebra_structure``'s
+    own ``compress`` of the unit letters, rescaled per letter; then, if the
+    caller asks for more, once more after one ``AlgebraStructure.refined``
+    step.  The frames of h1's eigenvectors are accurate only to rounding
+    over h1's least gap, so a drift gate can fail on a family the path
+    answers; the refined frames reach rounding, about 1e-14 (n_i = 1) to
+    5e-13 (the transpositions of 8 qubits) in drift.  Zero members give no
+    letter.
+    """
+    xs, live = _unit_letters(kf)
+    found = _certified(xs, cfg)
+    if found is None:
+        return
+    st, (defects, blocks) = found
+    # the identity that stands in for a family of zero members is no letter
+    c = coef[live] if live.any() else np.zeros(1)
+    yield st, np.abs(c) * defects, [c[:, None, None] * x for x in blocks]
+    st = st.refined(xs)
+    if st is not None:
+        defects, blocks = st.compress(xs)
+        yield st, np.abs(c) * defects, [c[:, None, None] * x for x in blocks]
+
+
+class _Terms(NamedTuple):
+    """A stack of blocks of one shape, (a, k, p, p), with what ``_gram`` reads of it, formed once."""
+
+    x: np.ndarray
+    # [x[a, t, s, j], conj(x[a, t, j, s])] as [(a, j, s), t]: the y side of C + C*
+    rows: np.ndarray
+    # -[conj(x[a, t, r, i]), x[a, t, i, r]] as [t, (a, i, r)]: its x side
+    cols: np.ndarray
+    # sum_t x_t* x_t and sum_t conj(x_t) x_t^T
+    col_sum: np.ndarray
+    row_sum: np.ndarray
+    # ``_abs_norm`` of each block
+    r: np.ndarray
+
+
+def _terms(x: np.ndarray) -> _Terms:
+    k = x.shape[1]
+    return _Terms(
+        x,
+        np.concatenate([x.transpose(0, 3, 2, 1), x.conj().transpose(0, 2, 3, 1)], axis=-1).reshape(-1, 2 * k),
+        -np.concatenate([x.conj().transpose(1, 0, 3, 2), x.transpose(1, 0, 2, 3)]).reshape(2 * k, -1),
+        np.sum(x.conj().swapaxes(-1, -2) @ x, axis=1),
+        np.sum(x.conj() @ x.swapaxes(-1, -2), axis=1),
+        _abs_norm(x),
+    )
+
+
+def _gram(x: _Terms, y: _Terms) -> np.ndarray:
     """The Gram matrix K*K of the ``_sylvester`` system of every pair of an x and a y block.
 
-    ``x`` is (a, k, p, p) and ``y`` (b, k, q, q); the result is (a, b, q p,
-    q p).  With K_t = kron(I_q, x_t) - kron(y_t^T, I_p),
+    ``x.x`` is (a, k, p, p) and ``y.x`` (b, k, q, q); the result is (a, b,
+    q p, q p).  With K_t = kron(I_q, x_t) - kron(y_t^T, I_p),
     sum_t K_t* K_t = kron(I_q, sum x_t* x_t) + kron(sum conj(y_t) y_t^T, I_p)
     - C - C* with C = sum_t kron(y_t^T, x_t*): O(k (p q)^2) per pair, from
-    one product of the two flattened stacks and no k-times-taller system.
+    one product of the two flattened stacks (``_terms``), which gives
+    -(C + C*) at once, and no k-times-taller system.
     """
-    a, k, p = x.shape[:3]
-    b, q = len(y), y.shape[-1]
-    # c[a, b, j, i, s, r] = sum_t y_t[s, j] conj(x_t[r, i]), C's entry ((j, i), (s, r))
-    c = y.transpose(0, 3, 2, 1).reshape(-1, k) @ x.conj().transpose(1, 0, 3, 2).reshape(k, -1)
-    c = c.reshape(b, q, q, a, p, p).transpose(3, 0, 1, 4, 2, 5).reshape(a, b, q * p, q * p)
-    # g = -(C + C*), with C conjugated in place: two pair-sized arrays, not four
-    g = -c
-    g -= np.conjugate(c, out=c).swapaxes(-1, -2)
+    a, p = len(x.x), x.x.shape[-1]
+    b, q = len(y.x), y.x.shape[-1]
+    # g[a, b, j, i, s, r] = -sum_t (y_t[s, j] conj(x_t[r, i]) + conj(y_t[j, s]) x_t[i, r]),
+    # the entry ((j, i), (s, r)) of -(C + C*)
+    g = (y.rows @ x.cols).reshape(b, q, q, a, p, p).transpose(3, 0, 1, 4, 2, 5).reshape(a, b, q * p, q * p)
     g6 = g.reshape(a, b, q, p, q, p)
-    xx = np.sum(x.conj().swapaxes(-1, -2) @ x, axis=1)
-    g6[:, :, np.arange(q), :, np.arange(q), :] += xx[:, None]
-    g6[:, :, :, np.arange(p), :, np.arange(p)] += np.sum(y.conj() @ y.swapaxes(-1, -2), axis=1)
+    g6[:, :, np.arange(q), :, np.arange(q), :] += x.col_sum[:, None]
+    g6[:, :, :, np.arange(p), :, np.arange(p)] += y.row_sum
     return g
 
 
@@ -436,7 +573,7 @@ def _abs_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(m.sum(axis=-2).max(axis=-1) * m.sum(axis=-1).max(axis=-1))
 
 
-def _shifted_cholesky(x: np.ndarray, y: np.ndarray, diagonal: int | None, theta: float) -> bool:
+def _shifted_cholesky(x: _Terms, y: _Terms, diagonal: int | None, theta: float) -> bool:
     """Whether every pair's Gram G of ``_gram(x, y)`` is proved >= theta^2 off its kernel.
 
     ``diagonal`` is None when the x and y blocks differ in shape; otherwise
@@ -452,18 +589,18 @@ def _shifted_cholesky(x: np.ndarray, y: np.ndarray, diagonal: int | None, theta:
     s is the sum of those scales and theta^2.  A factorization that runs
     to the end with finite entries proves the claim.
     """
-    k, p, q = x.shape[1], x.shape[-1], y.shape[-1]
+    k, p, q = x.x.shape[1], x.x.shape[-1], y.x.shape[-1]
     n = p * q
     g = _gram(x, y)
     trace = np.trace(g, axis1=-2, axis2=-1).real
     lift = np.zeros_like(trace)
     if diagonal is not None:
-        i = np.arange(len(x))
+        i = np.arange(len(x.x))
         j = i + diagonal
         lift[i, j] = trace[i, j] + theta**2 + 1.0
         e = np.arange(p) * (p + 1)
         g[i[:, None, None], j[:, None, None], e[:, None], e] += (lift[i, j] / p)[:, None, None]
-    norms = _abs_norm(x)[:, None] + _abs_norm(y)[None]
+    norms = x.r[:, None] + y.r[None]
     scale = np.sum(norms**2, axis=-1) + trace + lift + theta**2
     nu = (n + (p + q + 4) * k) * np.finfo(float).eps / 2.0
     gamma = nu / (1.0 - nu)
@@ -485,25 +622,25 @@ def _separated(blocks: list[np.ndarray], theta: float) -> bool:
     is that the least singular value of every K_ij, off the identity when
     i = j, is at least theta: a positive-definiteness test of its Gram,
     which ``_shifted_cholesky`` makes for all pairs of one shape at once,
-    in batches of at most ``_SEPARATION_BYTES``.  False is a decline, and
-    the dense kernel answers: a pair whose Gram is above the cap (an
-    irreducible family at d > 32), or a factorization that breaks down.
-    The exact least singular value sigma decides every case but a sigma
-    in the rounding band theta <= sigma < sqrt(theta^2 + c) of that shift,
-    which declines.
+    in batches of at most ``_SEPARATION_BYTES``; each shape's ``_terms``
+    are formed once.  False is a decline, and the dense kernel answers: a
+    pair whose Gram is above the cap (an irreducible family at d > 32), or
+    a factorization that breaks down.  The exact least singular value
+    sigma decides every case but a sigma in the rounding band theta <=
+    sigma < sqrt(theta^2 + c) of that shift, which declines.
     """
     if 16 * max(x.shape[-1] for x in blocks) ** 4 > _SEPARATION_BYTES:
         return False
     shapes: dict[int, list[np.ndarray]] = {}
     for x in blocks:
         shapes.setdefault(x.shape[-1], []).append(x)
-    stacks = {p: np.stack(xs) for p, xs in shapes.items()}
+    stacks = {p: _terms(np.stack(xs)) for p, xs in shapes.items()}
     for p, xs in stacks.items():
         for q, ys in stacks.items():
-            rows = max(1, _SEPARATION_BYTES // (16 * (p * q) ** 2 * len(ys)))
-            for start in range(0, len(xs), rows):
-                diagonal = start if p == q else None
-                if not _shifted_cholesky(xs[start : start + rows], ys, diagonal, theta):
+            rows = max(1, _SEPARATION_BYTES // (16 * (p * q) ** 2 * len(ys.x)))
+            for start in range(0, len(xs.x), rows):
+                part = xs if rows >= len(xs.x) else _terms(xs.x[start : start + rows])
+                if not _shifted_cholesky(part, ys, start if p == q else None, theta):
                     return False
     return True
 
@@ -522,22 +659,23 @@ def structure_commutant(
     basis z_t is (+)_i X_{t,i} (x) 1 plus a part of Frobenius norm delta_t,
     which moves each commutator by at most 2 delta_t.  The path answers when
     the first is at most tau / ``AMBIGUITY`` and the second at least
-    ``AMBIGUITY`` tau, that is, when ``_separated`` proves sigma >= theta =
-    ``AMBIGUITY`` NULL_TOL max(1, 2 r) + 2 ||delta||.  Then K has
-    exactly dim A' singular values below the cut and none within that
-    factor of it: the dense kernel is A' to rounding, with the same
+    ``AMBIGUITY`` tau, that is, when the drift 2 ||delta|| is at most
+    NULL_TOL / ``AMBIGUITY``, on the drawn frames or else on the refined
+    ones (``_kernel_structures``), and ``_separated`` proves sigma >= theta
+    = ``AMBIGUITY`` NULL_TOL max(1, 2 r) + 2 ||delta|| on the same frames.
+    Then K has exactly dim A' singular values below the cut and none within
+    that factor of it: the dense kernel is A' to rounding, with the same
     dimension and rank_warning False.  A family whose commutant is larger
     than A' (x = e01: {x}' is span{1, x}, while A' is C 1) fails here,
     whatever the weights.
     """
-    st = algebra_structure(kf, cfg)
-    if st is None:
-        return None
     norms = kf.operator_norms
     scale = float(norms.max()) or 1.0
-    defects, blocks = st.compress(kf.operators / scale)
-    drift = 2.0 * float(np.linalg.norm(defects))
-    if drift > NULL_TOL / AMBIGUITY:
+    for st, defects, blocks in _kernel_structures(kf, cfg, norms / scale):
+        drift = 2.0 * float(np.linalg.norm(defects))
+        if drift <= NULL_TOL / AMBIGUITY:
+            break
+    else:
         return None
     s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
     if _separated(blocks, AMBIGUITY * NULL_TOL * max(1.0, s_max) + drift):
@@ -564,9 +702,10 @@ def structure_fixed_space(
       ||delta|| > 0, ||Phi(a) - a|| >= (S^2 g^2 - e_c - e_r) / 2.
 
     The theorem's hypotheses are what make e_c and e_r small.  The path
-    answers under the rule of ``structure_commutant``: the second bound is
-    at least ``AMBIGUITY`` tau exactly when sigma >= theta = sqrt((2
-    ``AMBIGUITY`` tau + e_c + e_r) / S^2) + 2 ||delta||, which
+    answers under the rule of ``structure_commutant``: the first bound at
+    most NULL_TOL / ``AMBIGUITY``, on the drawn or the refined frames, and
+    the second at least ``AMBIGUITY`` tau exactly when sigma >= theta =
+    sqrt((2 ``AMBIGUITY`` tau + e_c + e_r) / S^2) + 2 ||delta||, which
     ``_separated`` decides.  e_c is read first, from the cached column sum,
     so a family that is not unital to within NULL_TOL / ``AMBIGUITY`` costs
     one norm.
@@ -575,13 +714,13 @@ def structure_fixed_space(
     e_c = float(opnorm(kf.column_sum - eye))
     if e_c > NULL_TOL / AMBIGUITY:
         return None
-    st = algebra_structure(kf, cfg)
-    if st is None:
-        return None
     e_r = float(opnorm(kf.row_sum - eye))
-    scale = float(np.max(kf.operator_norms * np.sqrt(kf.weights)))
-    defects, blocks = st.compress(kf.scaled_operators / scale)
-    if 2.0 * scale**2 * float(np.sum(defects)) + e_c > NULL_TOL / AMBIGUITY:
+    norms = kf.operator_norms * np.sqrt(kf.weights)
+    scale = float(np.max(norms))
+    for st, defects, blocks in _kernel_structures(kf, cfg, norms / scale):
+        if 2.0 * scale**2 * float(np.sum(defects)) + e_c <= NULL_TOL / AMBIGUITY:
+            break
+    else:
         return None
     tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
     theta = math.sqrt((2.0 * AMBIGUITY * tau + e_c + e_r) / scale**2)

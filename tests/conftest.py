@@ -80,6 +80,27 @@ def transposition_family(k):
     return KrausFamily.from_operators(ops, [1.0 / (k - 1)] * (k - 1))
 
 
+def spin_family(d, n_terms=3, seed=0):
+    """x_t = exp(-i theta_t n_t . J) / sqrt(n) on the spin-j irrep C^d, d = 2j + 1.
+
+    J comes from the closed-form ladder J+ |m> = sqrt(j(j + 1) - m(m + 1)) |m + 1>;
+    theta_t and the unit axes n_t are random.  Generic rotations generate all
+    of M_d, so the fixed space and the commutant are C 1, of dimension 1.
+    """
+    rng = np.random.default_rng(seed)
+    j = (d - 1) / 2.0
+    m = j - np.arange(d)
+    raise_ = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    spin = np.stack([(raise_ + raise_.T) / 2.0, (raise_ - raise_.T) / 2.0j, np.diag(m).astype(complex)])
+    ops = []
+    for _ in range(n_terms):
+        axis = rng.standard_normal(3)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        w, v = np.linalg.eigh(np.tensordot(axis / np.linalg.norm(axis), spin, axes=1))
+        ops.append((v * np.exp(-1j * theta * w)) @ v.conj().T / np.sqrt(n_terms))
+    return KrausFamily.from_operators(ops)
+
+
 @pytest.fixture
 def lueders():
     return KrausFamily.from_operators([E11, E22])
