@@ -57,8 +57,6 @@ from .verify import (
     TrialConfig,
     corollary_verify,
     hypothesis_explorer,
-    random_bistochastic,
-    random_selfadjoint_family,
     spectral_peel,
     theorem_verify,
     trace_inequality_check,

@@ -131,6 +131,7 @@ def kadison_schwarz_residual(
         raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h = hermitize(a, cfg)
     phi_a = apply_map(kf, h)
-    lhs = phi_a @ phi_a
-    rhs = apply_map(kf, h @ h)
-    return _residual(lhs, rhs, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = require_finite("square a^2", h @ h)
+        lhs = require_finite("square Phi(a)^2", phi_a @ phi_a)
+    return _residual(lhs, apply_map(kf, h2), cfg)

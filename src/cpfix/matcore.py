@@ -285,67 +285,76 @@ def eigen_clusters(w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Clustered eigendecomposition a = sum_n lambda_n p_n.
+    """Clustered eigendecomposition a = sum_n lambda_n p_n, held as a's eigenframe.
 
-    Eigenvalues are strictly decreasing after clustering; each projection
-    is Hermitian, idempotent, and the family is mutually orthogonal with
-    sum equal to the identity.  ``norm`` is the spectral norm of a, read
-    off the eigensolver's extreme eigenvalues before clustering as
-    max |lambda|: exactly the number the clustering cut scales with.
-    ``eigenvectors`` is a's orthonormal eigenframe V, clusters in order:
-    projection k is V_k V_k*, V_k the next ``multiplicities[k]`` columns.
+    Eigenvalues are strictly decreasing after clustering.  ``eigenvectors``
+    is a's orthonormal eigenframe V, clusters in order: projection n is
+    p_n = V_n V_n*, V_n the next ``multiplicities[n]`` columns, so the
+    family is Hermitian, idempotent, mutually orthogonal and sums to the
+    identity.  No projection is stored; :meth:`projections` forms those a
+    caller asks for.  ``norm`` is the spectral norm of a, read off the
+    eigensolver's extreme eigenvalues before clustering as max |lambda|:
+    exactly the number the clustering cut scales with.
     """
 
     eigenvalues: np.ndarray
-    projections: list[np.ndarray]
     multiplicities: np.ndarray
     norm: float
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.projections[0].shape[0]
+        return self.eigenvectors.shape[0]
+
+    def projections(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The (k, d, d) stack of the projections p_n of clusters ``start``..``stop``.
+
+        Each p_n is formed from its own r_n frame columns, in O(d^2 r_n).
+        """
+        bounds = np.append(0, np.cumsum(self.multiplicities))
+        lows, highs = bounds[:-1][start:stop], bounds[1:][start:stop]
+        out = np.empty((len(lows), self.dim, self.dim), dtype=np.complex128)
+        for k, (lo, hi) in enumerate(zip(lows, highs)):
+            v = self.eigenvectors[:, lo:hi]
+            out[k] = herm_part(v @ v.conj().T)
+        return out
 
     def apply(self, f, domain: tuple[float, float] | None = None) -> np.ndarray:
-        """Spectral evaluation sum f(lambda_n) p_n of a scalar function.
+        """Spectral evaluation sum f(lambda_n) p_n = V f(Lambda) V* of a scalar function.
 
         ``domain``, if given, is an open interval every clustered eigenvalue
         must lie in; a violation raises :class:`DomainError` naming the
-        offending eigenvalue.  One decomposition serves any number of
-        functions of the same matrix.
+        first offending eigenvalue, before ``f`` is evaluated.  One
+        decomposition serves any number of functions of the same matrix.
         """
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, p in zip(self.eigenvalues, self.projections):
-            if domain is not None and not (domain[0] < lam < domain[1]):
+        if domain is not None:
+            outside = [lam for lam in self.eigenvalues if not domain[0] < lam < domain[1]]
+            if outside:
                 raise DomainError(
-                    f"eigenvalue {lam} outside open domain ({domain[0]}, {domain[1]})"
+                    f"eigenvalue {outside[0]} outside open domain ({domain[0]}, {domain[1]})"
                 )
-            out += float(f(lam)) * p
-        return herm_part(out)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(float)
+        values = np.repeat([float(f(lam)) for lam in self.eigenvalues], self.multiplicities)
+        v = self.eigenvectors
+        return herm_part((v * values) @ v.conj().T)
 
 
 def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with eigenvalue clustering.
 
-    Each cluster of :func:`eigen_clusters` becomes one spectral projection;
+    Each cluster of :func:`eigen_clusters` spans one spectral projection;
     the argument downstream quantifies over spectral projections, which are
     unstable under degeneracy splitting.  An ambiguous cut still answers.
     """
     w, v = np.linalg.eigh(hermitize(a, cfg))
     # descending order; -w ascends, with the same gaps
     w = w[::-1]
-    v = v[:, ::-1]
     bounds = np.append(eigen_clusters(-w)[0], w.size)
-    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    means = [float(np.mean(w[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return SpectralDecomposition(
-        eigenvalues=np.array([float(np.mean(w[s])) for s in spans]),
-        projections=[herm_part(v[:, s] @ v[:, s].conj().T) for s in spans],
+        eigenvalues=np.array(means),
         multiplicities=np.diff(bounds),
         norm=float(max(abs(w[0]), abs(w[-1]))),
-        eigenvectors=v,
+        eigenvectors=v[:, ::-1],
     )
 
 

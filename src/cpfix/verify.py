@@ -64,9 +64,6 @@ __all__ = [
     "theorem_verify",
     "corollary_verify",
     "spectral_peel",
-    "haar_unitary",
-    "random_bistochastic",
-    "random_selfadjoint_family",
     "hypothesis_explorer",
 ]
 
@@ -253,7 +250,7 @@ def _theorem(
         bound = cfg.eq_bound() * max(unit**-n, (norm_h / unit) ** n)
         checks.append(Check("powers", r, bound, msg))
 
-    stage = _projection_residuals(kf, dec, len(dec.projections), cfg)
+    stage = _projection_residuals(kf, dec, len(dec.eigenvalues), cfg)
     (proj_res, proj_bound), (off_res, off_bound) = stage
     for r in proj_res:
         msg = f"projection fixedness residual {r:.3e}"
@@ -284,7 +281,7 @@ def _projection_residuals(
     group = max(1, GROUP_BYTES // (4 * kf.operators[0].nbytes))
     proj_res = []
     for i in range(0, count, group):
-        ps = np.stack(dec.projections[i : min(i + group, count)])
+        ps = dec.projections(i, min(i + group, count))
         proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
     d, v = kf.dim, dec.eigenvectors
     w = v.conj().T @ kf.operators @ v
@@ -456,7 +453,7 @@ def spectral_peel(
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
     total = np.zeros_like(h)
-    peeled = zip(dec.eigenvalues[:n].tolist(), dec.projections, comm_res, fix_res)
+    peeled = zip(dec.eigenvalues[:n].tolist(), dec.projections(0, n), comm_res, fix_res)
     for k, (lam, p, comm, fix) in enumerate(peeled):
         steps.append(PeelStep(lam, p, comm, fix))
         msg = f"step {k}: commutator residual {comm:.3e}"
@@ -479,65 +476,12 @@ def spectral_peel(
 
 
 # ---------------------------------------------------------------------------
-# Random instance generators
+# Hypothesis necessity explorer
 # ---------------------------------------------------------------------------
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the phase-fixed diagonal."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_bistochastic(dim: int, n_terms: int, seed) -> KrausFamily:
-    """Unital and trace-preserving family x_k = u_k / sqrt(n), u_k Haar."""
-    if dim < 1 or n_terms < 1:
-        raise ValueError("dim and n_terms must be >= 1")
-    rng = np.random.default_rng(seed)
-    ops = [haar_unitary(dim, rng) / np.sqrt(n_terms) for _ in range(n_terms)]
-    return KrausFamily.from_operators(ops)
-
-
-def _random_projective_partition(
-    dim: int, n_terms: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """n mutually orthogonal projections summing to I, Haar-rotated."""
-    u = haar_unitary(dim, rng)
-    assignment = np.concatenate(
-        [np.arange(n_terms), rng.integers(0, n_terms, size=dim - n_terms)]
-    )
-    rng.shuffle(assignment)
-    out = []
-    for k in range(n_terms):
-        mask = np.diag((assignment == k).astype(np.complex128))
-        p = u @ mask @ u.conj().T
-        out.append(herm_part(p))
-    return out
-
-
-def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
-    """Self-adjoint unital family (so both setup conditions hold with e = 1).
-
-    A random orthogonal partition of the identity into ``n_terms``
-    projections: exactly Hermitian, exactly unital.
-    """
-    if dim < 1 or n_terms < 1:
-        raise ValueError("dim and n_terms must be >= 1")
-    if n_terms > dim:
-        raise ValueError("at most dim nonzero orthogonal projections exist")
-    rng = np.random.default_rng(seed)
-    return KrausFamily.from_operators(_random_projective_partition(dim, n_terms, rng))
-
 
 def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
-
-# ---------------------------------------------------------------------------
-# Hypothesis necessity explorer
-# ---------------------------------------------------------------------------
 
 EXPLORER_MODES = ("unital-only", "subunital-only")
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cpfix import KrausFamily
-from cpfix.verify import haar_unitary
+from cpfix import KrausFamily, herm_part
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -19,6 +18,13 @@ def random_hermitian(dim, rng, scale=1.0):
 
 def random_complex(dim, rng):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def same_bits(got, want):
+    """Whether two float64 or complex128 arrays agree in shape and in every bit."""
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+    )
 
 
 def random_contractive_family(dim, n_terms, rng):
@@ -44,6 +50,54 @@ def random_subunital_dual_family(dim, n_terms, rng):
     row = sum(x @ x.conj().T for x in ops)
     top = float(np.linalg.eigvalsh((row + row.conj().T) / 2.0)[-1])
     return KrausFamily.from_operators([x / np.sqrt(top) for x in ops])
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with the phase-fixed diagonal."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_bistochastic(dim: int, n_terms: int, seed) -> KrausFamily:
+    """Unital and trace-preserving family x_k = u_k / sqrt(n), u_k Haar."""
+    if dim < 1 or n_terms < 1:
+        raise ValueError("dim and n_terms must be >= 1")
+    rng = np.random.default_rng(seed)
+    ops = [haar_unitary(dim, rng) / np.sqrt(n_terms) for _ in range(n_terms)]
+    return KrausFamily.from_operators(ops)
+
+
+def _random_projective_partition(
+    dim: int, n_terms: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """n mutually orthogonal projections summing to I, Haar-rotated."""
+    u = haar_unitary(dim, rng)
+    assignment = np.concatenate(
+        [np.arange(n_terms), rng.integers(0, n_terms, size=dim - n_terms)]
+    )
+    rng.shuffle(assignment)
+    out = []
+    for k in range(n_terms):
+        mask = np.diag((assignment == k).astype(np.complex128))
+        p = u @ mask @ u.conj().T
+        out.append(herm_part(p))
+    return out
+
+
+def random_selfadjoint_family(dim: int, n_terms: int, seed) -> KrausFamily:
+    """Self-adjoint unital family (so both setup conditions hold with e = 1).
+
+    A random orthogonal partition of the identity into ``n_terms``
+    projections: exactly Hermitian, exactly unital.
+    """
+    if dim < 1 or n_terms < 1:
+        raise ValueError("dim and n_terms must be >= 1")
+    if n_terms > dim:
+        raise ValueError("at most dim nonzero orthogonal projections exist")
+    rng = np.random.default_rng(seed)
+    return KrausFamily.from_operators(_random_projective_partition(dim, n_terms, rng))
 
 
 def su2_tensor_family(k, n_terms=3, seed=5):

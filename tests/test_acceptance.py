@@ -21,8 +21,6 @@ from cpfix.cli import run
 from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
 from cpfix.matcore import ToleranceConfig, commutator, opnorm, vec
 from cpfix.verify import (
-    random_bistochastic,
-    random_selfadjoint_family,
     spectral_peel,
     trace_chain_residual,
     trace_inequality_check,
@@ -31,9 +29,11 @@ from cpfix.verify import (
 from conftest import (
     E11,
     E22,
+    random_bistochastic,
     random_complex,
     random_contractive_family,
     random_hermitian,
+    random_selfadjoint_family,
     random_subunital_dual_family,
     random_unital_family,
 )

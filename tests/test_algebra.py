@@ -10,9 +10,8 @@ from cpfix.algebra import (
 )
 from cpfix.channel import KrausFamily, apply_map
 from cpfix.matcore import ToleranceConfig, herm_eig, opnorm, vec
-from cpfix.verify import haar_unitary
 
-from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_complex, random_hermitian
+from conftest import HADAMARD, SIGMA_X, SIGMA_Z, haar_unitary, random_complex, random_hermitian
 
 CFG = ToleranceConfig()
 
@@ -242,8 +241,8 @@ class TestSpectralProjections:
 
     def test_identity_single_projection(self):
         dec = herm_eig(np.eye(4), CFG)
-        assert len(dec.projections) == 1
-        np.testing.assert_allclose(dec.projections[0], np.eye(4), atol=1e-12)
+        assert len(dec.projections()) == 1
+        np.testing.assert_allclose(dec.projections()[0], np.eye(4), atol=1e-12)
 
     def test_planted_double_eigenvalue_clusters(self):
         rng = np.random.default_rng(25)
@@ -252,4 +251,4 @@ class TestSpectralProjections:
         a = u @ np.diag([2.0, 2.0, 5.0]) @ u.conj().T
         dec = herm_eig(a, CFG)
         assert list(dec.multiplicities) == [1, 2]
-        assert int(round(np.trace(dec.projections[1]).real)) == 2
+        assert int(round(np.trace(dec.projections()[1]).real)) == 2

@@ -23,15 +23,18 @@ from cpfix.channel import (
 import cpfix.channel as channel_mod
 from cpfix.algebra import commutant_basis
 from cpfix.matcore import ToleranceConfig, herm_part, nullspace_basis, opnorm, vec
-from cpfix.verify import haar_unitary, random_bistochastic, random_selfadjoint_family
 
 from conftest import (
     E11,
     E12,
     E22,
     SIGMA_X,
+    haar_unitary,
+    random_bistochastic,
     random_complex,
+    random_selfadjoint_family,
     random_unital_family,
+    same_bits,
 )
 
 CFG = ToleranceConfig()
@@ -571,12 +574,6 @@ def _signed_zero_family(d, n, rng):
     return KrausFamily.from_operators(ops, rng.uniform(0.1, 2.0, size=n))
 
 
-def _same_bits(got, want):
-    return got.shape == want.shape and np.array_equal(
-        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
-    )
-
-
 def _old_pair_rows(m, phase):
     """The pairing out of place, through one fancy-indexed copy of m: the in-place pass's reference."""
     d = math.isqrt(m.shape[0])
@@ -646,7 +643,7 @@ class TestDenseWorkingSet:
         sop = superoperator_matrix(_signed_zero_family(d, 2, rng))
         before = sop.matrix.copy()
         choi_psd_check(sop, CFG)
-        assert _same_bits(sop.matrix, before)
+        assert same_bits(sop.matrix, before)
         assert not np.shares_memory(choi_matrix(sop), sop.matrix)
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -661,8 +658,8 @@ class TestDenseWorkingSet:
             system = _old_pair_rows(_old_pair_rows(a.T, 1j).T, -1j).real
             want = nullspace_basis(system, d, scale=1.0)
             got = fixed_space_basis(kf)
-            assert _same_bits(got.singular_values, want.singular_values)
+            assert same_bits(got.singular_values, want.singular_values)
             assert got.rank_warning == want.rank_warning
             assert len(got.basis) == len(want.basis)
             for b, c in zip(got.basis, want.basis):
-                assert _same_bits(b, channel_mod._hermitian(c))
+                assert same_bits(b, channel_mod._hermitian(c))

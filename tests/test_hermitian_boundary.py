@@ -21,13 +21,11 @@ from cpfix.matcore import (
 from cpfix.verify import (
     PreconditionError,
     corollary_verify,
-    random_bistochastic,
-    random_selfadjoint_family,
     spectral_peel,
     theorem_verify,
 )
 
-from conftest import random_complex
+from conftest import random_bistochastic, random_complex, random_selfadjoint_family
 
 SCALE = 1e9
 SEEDS = range(5)

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies
 from cpfix import io
 from cpfix.channel import KrausFamily
 from cpfix.cli import run
-from cpfix.verify import haar_unitary, random_bistochastic
 
-from conftest import E11, E22, SIGMA_X, random_unital_family
+from conftest import E11, E22, SIGMA_X, haar_unitary, random_bistochastic, random_unital_family
 from test_witnesses import MARKOV, MARKOV_A
 
 

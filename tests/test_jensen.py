@@ -7,10 +7,12 @@ from cpfix.jensen import (
     jensen_residual,
     kadison_schwarz_residual,
 )
+from cpfix.algebra import BlockAlgebra
 from cpfix.channel import KrausFamily
 from cpfix.matcore import DomainError, PreconditionError, ToleranceConfig, opnorm
+from cpfix.verify import corollary_verify
 
-from conftest import random_contractive_family, random_hermitian, random_unital_family
+from conftest import HADAMARD, random_contractive_family, random_hermitian, random_unital_family
 
 CFG = ToleranceConfig()
 
@@ -113,3 +115,20 @@ class TestKadisonSchwarz:
         kf = KrausFamily.from_operators([np.eye(2, dtype=complex) / 2.0])
         with pytest.raises(ValueError):
             kadison_schwarz_residual(kf, np.eye(2), CFG)
+
+    def test_overflowing_square_is_named(self, lueders):
+        # warnings are errors here: the products must overflow silently and be named
+        a = np.diag([1.7e308, 1.0])
+        msg = r"the square a\^2 overflows double precision"
+        with pytest.raises(ValueError, match=msg):
+            kadison_schwarz_residual(lueders, a, CFG)
+        with pytest.raises(ValueError, match=msg):
+            corollary_verify(lueders, BlockAlgebra.full(2), a, CFG)
+
+    def test_overflowing_image_square_is_named(self):
+        # a = c [[1, 1], [1, 1]] squares to 2c^2 [[1, 1], [1, 1]], finite, while the
+        # Hadamard conjugate Phi(a) = diag(2c, 0) squares to 4c^2 > 1.8e308
+        a = 0.8e154 * np.ones((2, 2))
+        kf = KrausFamily.from_operators([HADAMARD])
+        with pytest.raises(ValueError, match=r"the square Phi\(a\)\^2 overflows double precision"):
+            kadison_schwarz_residual(kf, a, CFG)

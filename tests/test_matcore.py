@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from cpfix.algebra import BlockAlgebra
+from cpfix.channel import KrausFamily
+from cpfix.jensen import EpsFunction, jensen_residual
 from cpfix.matcore import (
     AMBIGUITY,
     NULL_TOL,
@@ -10,7 +15,9 @@ from cpfix.matcore import (
     HermiticityError,
     PreconditionError,
     ToleranceConfig,
+    eigen_clusters,
     herm_eig,
+    herm_part,
     hermitize,
     mat_func,
     nullspace_basis,
@@ -18,9 +25,9 @@ from cpfix.matcore import (
     psd_min_eig,
     vec,
 )
-from cpfix.verify import haar_unitary
+from cpfix.verify import theorem_verify
 
-from conftest import SIGMA_X, random_complex, random_hermitian
+from conftest import SIGMA_X, haar_unitary, random_complex, random_hermitian, same_bits
 
 CFG = ToleranceConfig()
 
@@ -267,21 +274,21 @@ class TestHermEig:
     def test_diagonal(self):
         dec = herm_eig(np.diag([3.0, 1.0]).astype(complex), CFG)
         np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0])
-        np.testing.assert_allclose(dec.projections[0], np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(dec.projections[1], np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(dec.projections()[0], np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(dec.projections()[1], np.diag([0.0, 1.0]))
 
     def test_sigma_x(self):
         dec = herm_eig(SIGMA_X, CFG)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0])
         eye = np.eye(2)
-        np.testing.assert_allclose(dec.projections[0], (eye + SIGMA_X) / 2, atol=1e-14)
-        np.testing.assert_allclose(dec.projections[1], (eye - SIGMA_X) / 2, atol=1e-14)
+        np.testing.assert_allclose(dec.projections()[0], (eye + SIGMA_X) / 2, atol=1e-14)
+        np.testing.assert_allclose(dec.projections()[1], (eye - SIGMA_X) / 2, atol=1e-14)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(11)
         a = random_hermitian(5, rng)
         dec = herm_eig(a, CFG)
-        assert opnorm(dec.reconstruct() - a) <= 1e-10
+        assert opnorm(dec.apply(float) - a) <= 1e-10
 
     def test_invariants_random(self):
         # reconstruction, idempotency, mutual orthogonality, resolution of identity
@@ -291,12 +298,12 @@ class TestHermEig:
             a = random_hermitian(d, rng, scale=float(rng.uniform(0.1, 10)))
             dec = herm_eig(a, CFG)
             scale = max(1.0, opnorm(a))
-            assert opnorm(dec.reconstruct() - a) <= 1e-10 * scale
+            assert opnorm(dec.apply(float) - a) <= 1e-10 * scale
             total = np.zeros((d, d), dtype=complex)
-            for i, p in enumerate(dec.projections):
+            for i, p in enumerate(dec.projections()):
                 assert opnorm(p @ p - p) <= 1e-10
                 total += p
-                for q in dec.projections[i + 1 :]:
+                for q in dec.projections()[i + 1 :]:
                     assert opnorm(p @ q) <= 1e-10
             assert opnorm(total - np.eye(d)) <= 1e-10
             assert np.all(np.diff(dec.eigenvalues) < 0)
@@ -356,6 +363,136 @@ class TestMatFunc:
     def test_domain_error_names_eigenvalue(self):
         with pytest.raises(DomainError, match="3"):
             mat_func(np.sqrt, np.diag([3.0, 1.0]).astype(complex), CFG, domain=(0.0, 2.0))
+
+
+def _cluster_loop(a):
+    """(eigenvalues, projection list) of a, one d x d projection per cluster, formed as
+    ``herm_eig`` formed them when it stored that list."""
+    w, v = np.linalg.eigh(hermitize(a, CFG))
+    w, v = w[::-1], v[:, ::-1]
+    bounds = np.append(eigen_clusters(-w)[0], w.size)
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    eigenvalues = np.array([float(np.mean(w[s])) for s in spans])
+    return eigenvalues, [herm_part(v[:, s] @ v[:, s].conj().T) for s in spans]
+
+
+def _cluster_loop_apply(eigenvalues, projections, f, domain=None):
+    """The per-cluster sum f(lambda_n) p_n, with its domain check inside the loop."""
+    out = np.zeros_like(projections[0])
+    for lam, p in zip(eigenvalues, projections):
+        if domain is not None and not (domain[0] < lam < domain[1]):
+            raise DomainError(f"eigenvalue {lam} outside open domain ({domain[0]}, {domain[1]})")
+        out += float(f(lam)) * p
+    return herm_part(out)
+
+
+def _clustered_hermitian(rng):
+    """A Haar-rotated spectrum of 1..9 values with forced repeats, split below the cluster cut half the time."""
+    d = int(rng.integers(1, 10))
+    n = int(rng.integers(1, d + 1))
+    values = rng.uniform(-3.0, 3.0, size=n) * 10.0 ** float(rng.integers(-3, 4))
+    spectrum = values[np.concatenate([np.arange(n), rng.integers(0, n, size=d - n)])]
+    if rng.random() < 0.5:
+        spectrum = spectrum + rng.uniform(-1e-12, 1e-12, size=d) * max(1.0, np.abs(spectrum).max())
+    u = haar_unitary(d, rng)
+    return herm_part((u * spectrum) @ u.conj().T)
+
+
+class TestApplyAgainstClusterLoop:
+    """``apply`` is one product V f(Lambda) V*; the per-cluster sum is its oracle."""
+
+    def _cases(self):
+        rng = np.random.default_rng(27)
+        return [_clustered_hermitian(rng) for _ in range(200)]
+
+    def test_forced_degeneracies_are_clustered(self):
+        cases = self._cases()
+        assert {a.shape[0] for a in cases} == set(range(1, 10))
+        assert sum(herm_eig(a, CFG).multiplicities.max() > 1 for a in cases) >= 100
+
+    def test_projections_bit_for_bit(self):
+        for a in self._cases():
+            dec = herm_eig(a, CFG)
+            eigenvalues, projections = _cluster_loop(a)
+            assert same_bits(dec.eigenvalues, eigenvalues)
+            assert same_bits(dec.projections(), np.stack(projections))
+            k = len(projections)
+            for start, stop in ((0, 1), (k - 1, k), (1, None), (k, k)):
+                assert same_bits(dec.projections(start, stop), dec.projections()[start:stop])
+
+    def test_functions_agree(self):
+        for a in self._cases():
+            dec = herm_eig(a, CFG)
+            eigenvalues, projections = _cluster_loop(a)
+            eps = 0.5 / max(1.0, dec.norm) * (1 if eigenvalues[0] > 0 else -1)
+            for f in (lambda t: t, lambda t: t * t, lambda t: np.sqrt(max(t, 0.0)), EpsFunction(eps)):
+                want = _cluster_loop_apply(eigenvalues, projections, f)
+                got = dec.apply(f)
+                scale = max(1.0, max(abs(float(f(lam))) for lam in eigenvalues))
+                assert opnorm(got - want) <= 1e-13 * scale
+                assert np.array_equal(got, got.conj().T)
+
+    def test_domain_error_names_the_same_eigenvalue(self):
+        raised = 0
+        for a in self._cases():
+            dec = herm_eig(a, CFG)
+            eigenvalues, projections = _cluster_loop(a)
+            for domain in ((0.0, np.inf), (-np.inf, 0.0), (-1.0, 1.0)):
+                try:
+                    want = _cluster_loop_apply(eigenvalues, projections, float, domain)
+                except DomainError as exc:
+                    raised += 1
+                    with pytest.raises(DomainError) as got:
+                        dec.apply(float, domain)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert opnorm(dec.apply(float, domain) - want) <= 1e-13 * max(1.0, dec.norm)
+        assert raised >= 200
+
+
+def _diagonal_unitary_family(d, rng):
+    """Three diagonal unitaries over sqrt(3): unital, and every diagonal a is fixed."""
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, d))
+    return KrausFamily.from_operators([np.diag(np.exp(1j * p)) / np.sqrt(3.0) for p in phases])
+
+
+class TestSpectralWorkingSet:
+    """A decomposition holds a's eigenframe and forms no d x d array per cluster.
+
+    Each a below has d distinct eigenvalues, so a list of its projections
+    alone would take 16 d^3 bytes, 32 MiB at d = 128.
+    """
+
+    D = 128
+
+    def _peak(self, fn) -> int:
+        """Traced peak of fn(), after one warm-up call, in bytes."""
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_herm_eig(self):
+        a = random_hermitian(self.D, np.random.default_rng(0))
+        assert self._peak(lambda: herm_eig(a, CFG)) < 8 * 16 * self.D**2
+
+    def test_theorem_verify(self):
+        kf = _diagonal_unitary_family(self.D, np.random.default_rng(1))
+        a = np.diag(np.arange(1.0, self.D + 1)).astype(complex)
+        report = theorem_verify(kf, BlockAlgebra.full(self.D), a, CFG)
+        assert report.verdict and len(report.residuals("projections")) == self.D
+        assert self._peak(lambda: theorem_verify(kf, BlockAlgebra.full(self.D), a, CFG)) < 16 * 2**20
+
+    def test_jensen_residual(self):
+        rng = np.random.default_rng(2)
+        kf = _diagonal_unitary_family(self.D, rng)
+        a = random_hermitian(self.D, rng)
+        f = EpsFunction(0.5 / opnorm(a))
+        assert jensen_residual(kf, f, a, CFG).verdict
+        assert self._peak(lambda: jensen_residual(kf, f, a, CFG)) < 8 * 2**20
 
 
 class TestPsdMinEig:

@@ -22,14 +22,11 @@ from cpfix.jensen import EpsFunction, jensen_residual
 from cpfix.matcore import ToleranceConfig
 from cpfix.verify import (
     corollary_verify,
-    haar_unitary,
-    random_bistochastic,
-    random_selfadjoint_family,
     spectral_peel,
     theorem_verify,
 )
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_bistochastic, random_hermitian, random_selfadjoint_family
 
 CFG = ToleranceConfig()
 STACKED = {"opnorm": matcore_mod.opnorm, "apply_map": channel_mod.apply_map}

@@ -22,11 +22,11 @@ from cpfix.algebra import (
 )
 from cpfix.channel import KrausFamily, fixed_space_basis, is_unital, normalization_report
 from cpfix.matcore import ToleranceConfig, eigen_clusters, vec
-from cpfix.verify import haar_unitary
 
 from conftest import (
     E11,
     E12,
+    haar_unitary,
     random_complex,
     random_hermitian,
     random_unital_family,

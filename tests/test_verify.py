@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,17 +17,24 @@ from cpfix.verify import (
     PreconditionError,
     TrialConfig,
     corollary_verify,
-    haar_unitary,
     hypothesis_explorer,
-    random_bistochastic,
-    random_selfadjoint_family,
     spectral_peel,
     theorem_verify,
     trace_chain_residual,
     trace_inequality_check,
 )
 
-from conftest import E11, E12, E22, SIGMA_X, random_hermitian, random_subunital_dual_family
+from conftest import (
+    E11,
+    E12,
+    E22,
+    SIGMA_X,
+    haar_unitary,
+    random_bistochastic,
+    random_hermitian,
+    random_selfadjoint_family,
+    random_subunital_dual_family,
+)
 
 CFG = ToleranceConfig()
 FULL2 = BlockAlgebra.full(2)
@@ -634,9 +643,9 @@ class TestSpectralPeel:
             a = a + perturbation * random_hermitian(d, rng)
             trace = spectral_peel(kf, a, cfg)
             dec = herm_eig(a, cfg)
-            assert len(trace.steps) == len(dec.projections)
+            assert len(trace.steps) == len(dec.projections())
             xs = np.stack(kf.operators)
-            for step, lam, p in zip(trace.steps, dec.eigenvalues, dec.projections):
+            for step, lam, p in zip(trace.steps, dec.eigenvalues, dec.projections()):
                 assert step.eigenvalue == lam
                 np.testing.assert_array_equal(step.projection, p)
                 comm = max(opnorm(commutator(xs, p)))
@@ -704,7 +713,7 @@ class TestEigenframeStage:
         assert all(report.hypotheses.values())
         dec = herm_eig(hermitize(a, CFG), CFG)
         assert list(dec.multiplicities) == list(sizes[::-1])
-        dense = _dense_off_diagonal(kf, dec.projections)
+        dense = _dense_off_diagonal(kf, dec.projections())
         assert min(dense) > 1e-11
         tol = 1e-13 * max(opnorm(x) for x in kf.operators)
         np.testing.assert_allclose(report.residuals("offDiagonal"), dense, rtol=0, atol=tol)
@@ -716,7 +725,7 @@ class TestEigenframeStage:
         trace = spectral_peel(kf, a, CFG)
         dec = herm_eig(hermitize(a, CFG), CFG)
         assert list(dec.multiplicities) == list(sizes[::-1]) and len(trace.steps) == len(sizes)
-        dense = _dense_off_diagonal(kf, dec.projections)
+        dense = _dense_off_diagonal(kf, dec.projections())
         assert min(dense) > 1e-11
         tol = 1e-13 * max(opnorm(x) for x in kf.operators)
         np.testing.assert_allclose([s.commutator_residual for s in trace.steps], dense, rtol=0, atol=tol)
@@ -728,7 +737,7 @@ class TestEigenframeStage:
         a = c * np.eye(5)
         report = theorem_verify(kf, BlockAlgebra.full(5), a, CFG)
         assert report.residuals("offDiagonal") == [0.0]
-        assert _dense_off_diagonal(kf, herm_eig(a, CFG).projections)[0] <= 1e-13
+        assert _dense_off_diagonal(kf, herm_eig(a, CFG).projections())[0] <= 1e-13
         selfadjoint = random_selfadjoint_family(5, 2, 0)
         assert [s.commutator_residual for s in spectral_peel(selfadjoint, a, CFG).steps] == [0.0]
 
@@ -777,6 +786,61 @@ class TestGenerators:
     def test_too_many_projections_rejected(self):
         with pytest.raises(ValueError):
             random_selfadjoint_family(2, 3, 0)
+
+
+def _numpy_random_uses(tree: ast.Module):
+    """(function, node) for each np.random outside an annotation, by enclosing top-level function."""
+    annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.update(map(id, ast.walk(node.annotation)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.update(map(id, ast.walk(node.returns)))
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            is_attr = isinstance(node, ast.Attribute) and node.attr == "random"
+            if is_attr and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                if id(node) not in annotations:
+                    yield name, node
+
+
+class TestNoRandomnessInSource:
+    """Random instances are test fixtures: src/ draws only in the explorer and at the structure path's fixed seed."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "cpfix"
+    ALLOWED = {
+        ("verify.py", "_random_complex"),
+        ("verify.py", "hypothesis_explorer"),
+        ("algebra.py", "_certified"),
+    }
+
+    def test_numpy_random_only_where_allowed(self):
+        uses = []
+        for path in sorted(self.SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert not any(a.name.startswith("numpy.random") for a in node.names), path.name
+                if isinstance(node, ast.ImportFrom) and node.module is not None:
+                    assert not node.module.startswith("numpy.random"), path.name
+                    assert node.module != "numpy" or "random" not in {a.name for a in node.names}, path.name
+            uses += [(path.name, name, node) for name, node in _numpy_random_uses(tree)]
+        assert {(f, name) for f, name, _ in uses} <= self.ALLOWED
+        # the structure path's every draw comes from one generator at the fixed seed
+        algebra = ast.parse((self.SRC / "algebra.py").read_text())
+        (certified,) = [n for n in algebra.body if getattr(n, "name", None) == "_certified"]
+        seeded = [
+            node
+            for node in ast.walk(certified)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.random.default_rng"
+        ]
+        assert [ast.unparse(node) for node in seeded] == ["np.random.default_rng(_STRUCTURE_SEED)"]
+        assert sum(f == "algebra.py" for f, _, _ in uses) == 1
+        (seed,) = [
+            n for n in algebra.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "_STRUCTURE_SEED"
+        ]
+        assert isinstance(seed.value, ast.Constant) and isinstance(seed.value.value, int)
 
 
 class TestFixCommutantCoincidence:
