@@ -354,23 +354,24 @@ def _spanning_forest(weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     Every vertex after the first of its component hangs on ``parent``, the
     vertex already placed that it links to most strongly, so the tree is a
     maximum spanning tree and each polar factor is taken of the strongest
-    link available.
+    link available.  ``best`` holds each free vertex's strongest link to the
+    placed ones and -1 for a placed vertex, whose column of the weights is
+    -1 too; a component ends when no free vertex links to it, and the next
+    starts at the first free vertex.
     """
     k = len(weights)
+    links = weights.copy()
     best, parent = np.zeros(k), np.full(k, -1)
-    free = np.ones(k, dtype=bool)
     components: list[list[int]] = []
     for _ in range(k):
-        cand = np.where(free, best, -1.0)
-        v = int(np.argmax(cand))
-        if cand[v] <= 0.0:
-            v = int(np.argmax(free))
+        v = int(best.argmax())
+        if best[v] <= 0.0:
             components.append([])
         components[-1].append(v)
-        free[v] = False
-        better = free & (weights[v] > best)
-        best[better] = weights[v][better]
-        parent[better] = v
+        best[v] = links[:, v] = -1.0
+        row = links[v]
+        parent[row > best] = v
+        np.fmax(best, row, out=best)
     return components, parent
 
 
@@ -399,7 +400,9 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         return None
     weights = np.where(norms > bound, norms, 0.0)
     components, parent = _spanning_forest(weights)
-    if any(np.any(sizes[comp] != sizes[comp[0]]) for comp in components):
+    # a component has clusters of one size when every tree link does
+    hang = np.flatnonzero(parent >= 0)
+    if np.any(sizes[hang] != sizes[parent[hang]]):
         return None
     frames = {}
     for n in set(sizes.tolist()):
@@ -410,9 +413,9 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         cols = bounds[ks][:, None] + np.arange(n)
         # links[a, c] = E_a* h2 E_c for the a-th and c-th clusters of size n
         links = b[cols[:, None, :, None], cols[None, :, None, :]]
-        a, c = np.nonzero(np.triu(weights[np.ix_(ks, ks)], 1))
         # a 1 x 1 link has one singular value: no spread to check
-        if len(a) and n > 1:
+        a, c = np.nonzero(np.triu(weights[np.ix_(ks, ks)], 1)) if n > 1 else ((), ())
+        if len(a):
             s = np.linalg.svd(links[a, c], compute_uv=False)
             if np.max(s[:, 0] - s[:, -1]) > bound / AMBIGUITY:
                 return None
@@ -423,8 +426,18 @@ def _aligned_frames(v, starts, h2, cfg: ToleranceConfig):
         if child:
             up = position[parent[ks[child]]]
             u, _, vh = np.linalg.svd(links[up, child])
-            for i, j, polar in zip(child, up, u @ vh):
-                rotation[i] = polar.conj().T @ rotation[j]
+            # a child's rotation is its polar factor* times its parent's, so
+            # the clusters at one depth of the forest take one product
+            depth = [0] * len(ks)
+            for i, j in zip(child, up.tolist()):
+                depth[i] = depth[j] + 1
+            level = np.array(depth)[child]
+            order = np.argsort(level, kind="stable")
+            child, up = np.array(child)[order], up[order]
+            polar = (u @ vh)[order].conj().swapaxes(-1, -2)
+            ends = np.cumsum(np.bincount(level)).tolist()
+            for lo, hi in zip(ends, ends[1:]):
+                rotation[child[lo:hi]] = polar[lo:hi] @ rotation[up[lo:hi]]
         aligned = (v[:, cols].transpose(1, 0, 2) @ rotation).transpose(1, 0, 2)
         start = 0
         for comp in comps:
@@ -558,13 +571,13 @@ def _gram(x: _Terms, y: _Terms) -> np.ndarray:
     """
     a, p = len(x.x), x.x.shape[-1]
     b, q = len(y.x), y.x.shape[-1]
-    # g[a, b, j, i, s, r] = -sum_t (y_t[s, j] conj(x_t[r, i]) + conj(y_t[j, s]) x_t[i, r]),
-    # the entry ((j, i), (s, r)) of -(C + C*)
-    g = (y.rows @ x.cols).reshape(b, q, q, a, p, p).transpose(3, 0, 1, 4, 2, 5).reshape(a, b, q * p, q * p)
-    g6 = g.reshape(a, b, q, p, q, p)
-    g6[:, :, np.arange(q), :, np.arange(q), :] += x.col_sum[:, None]
-    g6[:, :, :, np.arange(p), :, np.arange(p)] += y.row_sum
-    return g
+    # g[b, j, s, a, i, r] = -sum_t (y_t[s, j] conj(x_t[r, i]) + conj(y_t[j, s]) x_t[i, r]),
+    # the entry ((j, i), (s, r)) of -(C + C*); the two Kronecker terms sit on
+    # the diagonals j = s and i = r, which are strided views of it
+    g = y.rows @ x.cols
+    g.reshape(b, q * q, a * p * p)[:, :: q + 1] += x.col_sum.reshape(-1)
+    g.reshape(b * q * q, a, p * p)[..., :: p + 1] += y.row_sum.reshape(-1, 1, 1)
+    return g.reshape(b, q, q, a, p, p).transpose(3, 0, 1, 4, 2, 5).reshape(a, b, q * p, q * p)
 
 
 def _abs_norm(x: np.ndarray) -> np.ndarray:
@@ -587,12 +600,14 @@ def _shifted_cholesky(x: _Terms, y: _Terms, diagonal: int | None, theta: float) 
     r(y_t))^2 with r of ``_abs_norm``), of the lift and the shift, and of
     the factorization (Rump's verified Cholesky test, against the trace);
     s is the sum of those scales and theta^2.  A factorization that runs
-    to the end with finite entries proves the claim.
+    to the end with a finite diagonal proves the claim: every entry of a
+    row of the factor enters that row's diagonal entry.
     """
     k, p, q = x.x.shape[1], x.x.shape[-1], y.x.shape[-1]
     n = p * q
     g = _gram(x, y)
-    trace = np.trace(g, axis1=-2, axis2=-1).real
+    diagonal_entries = g.reshape(*g.shape[:2], n * n)[..., :: n + 1]
+    trace = diagonal_entries.sum(axis=-1).real
     lift = np.zeros_like(trace)
     if diagonal is not None:
         i = np.arange(len(x.x))
@@ -604,10 +619,10 @@ def _shifted_cholesky(x: _Terms, y: _Terms, diagonal: int | None, theta: float) 
     scale = np.sum(norms**2, axis=-1) + trace + lift + theta**2
     nu = (n + (p + q + 4) * k) * np.finfo(float).eps / 2.0
     gamma = nu / (1.0 - nu)
-    g[..., np.arange(n), np.arange(n)] -= (theta**2 + 2.0 * gamma * scale)[..., None]
+    diagonal_entries -= (theta**2 + 2.0 * gamma * scale)[..., None]
     try:
         # a NaN passes through LAPACK's factorization without a breakdown
-        return bool(np.isfinite(np.linalg.cholesky(g)).all())
+        return bool(np.isfinite(np.linalg.cholesky(g).diagonal(axis1=-2, axis2=-1)).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -647,8 +662,8 @@ def _separated(blocks: list[np.ndarray], theta: float) -> bool:
 
 def structure_commutant(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
-) -> NullspaceResult | None:
-    """The answer of ``commutant_basis(kf.operators)`` from the structure path, or None.
+) -> AlgebraStructure | None:
+    """The structure whose A' is the answer of ``commutant_basis(kf.operators)``, or None.
 
     ``commutant_basis`` cuts the singular values of K: a -> (x_t a - a x_t)_t
     at tau = NULL_TOL * max(s_max, S), S = max ||x_t||, and s_max <= 2 S r
@@ -665,9 +680,10 @@ def structure_commutant(
     = ``AMBIGUITY`` NULL_TOL max(1, 2 r) + 2 ||delta|| on the same frames.
     Then K has exactly dim A' singular values below the cut and none within
     that factor of it: the dense kernel is A' to rounding, with the same
-    dimension and rank_warning False.  A family whose commutant is larger
-    than A' (x = e01: {x}' is span{1, x}, while A' is C 1) fails here,
-    whatever the weights.
+    dimension and rank_warning False.  No basis is built here: the caller
+    asks the structure for its ``dimension`` or its ``commutant()``.  A
+    family whose commutant is larger than A' (x = e01: {x}' is span{1, x},
+    while A' is C 1) fails here, whatever the weights.
     """
     norms = kf.operator_norms
     scale = float(norms.max()) or 1.0
@@ -679,20 +695,21 @@ def structure_commutant(
         return None
     s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
     if _separated(blocks, AMBIGUITY * NULL_TOL * max(1.0, s_max) + drift):
-        return st.commutant()
+        return st
     return None
 
 
 def structure_fixed_space(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
-) -> NullspaceResult | None:
-    """The answer of ``fixed_space_basis(kf)`` from the structure path, or None.
+) -> AlgebraStructure | None:
+    """The structure whose A' is the answer of ``fixed_space_basis(kf)``, or None.
 
     The dense kernel cuts the singular values of Phi - id on Hermitian
     matrices at tau = NULL_TOL * max(s_max, 1), and s_max <= 1 + sqrt(||col||
-    ||row||) for col = sum mu x*x and row = sum mu x x*.  Let e_c = ||col -
-    1||, e_r = ||row - 1||, s_t = sqrt(mu_t) x_t, S = max ||s_t||, and
-    delta and sigma as in ``structure_commutant`` for the letters s_t / S.
+    ||row||) for col = sum mu x*x and row = sum mu x x*.  Let e_c >= ||col -
+    1|| and e_r >= ||row - 1|| be the Frobenius norms of those deviations,
+    s_t = sqrt(mu_t) x_t, S = max ||s_t||, and delta and sigma as in
+    ``structure_commutant`` for the letters s_t / S.
     For Hermitian a with ||a||_F = 1:
 
     - on A', Phi(a) - a = sum mu x*[a, x] + (col - 1) a, so ||Phi(a) - a||
@@ -706,15 +723,17 @@ def structure_fixed_space(
     most NULL_TOL / ``AMBIGUITY``, on the drawn or the refined frames, and
     the second at least ``AMBIGUITY`` tau exactly when sigma >= theta =
     sqrt((2 ``AMBIGUITY`` tau + e_c + e_r) / S^2) + 2 ||delta||, which
-    ``_separated`` decides.  e_c is read first, from the cached column sum,
-    so a family that is not unital to within NULL_TOL / ``AMBIGUITY`` costs
-    one norm.
+    ``_separated`` decides.  Neither e_c nor e_r is printed, so no SVD
+    reads them: a larger e_c or e_r only makes both tests stricter, and the
+    Frobenius norm bounds the spectral one.  e_c is read first, from the
+    cached column sum, so a family that is not unital to within NULL_TOL /
+    ``AMBIGUITY`` costs one norm.
     """
     eye = np.eye(kf.dim)
-    e_c = float(opnorm(kf.column_sum - eye))
+    e_c = float(np.linalg.norm(kf.column_sum - eye))
     if e_c > NULL_TOL / AMBIGUITY:
         return None
-    e_r = float(opnorm(kf.row_sum - eye))
+    e_r = float(np.linalg.norm(kf.row_sum - eye))
     norms = kf.operator_norms * np.sqrt(kf.weights)
     scale = float(np.max(norms))
     for st, defects, blocks in _kernel_structures(kf, cfg, norms / scale):
@@ -725,5 +744,5 @@ def structure_fixed_space(
     tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
     theta = math.sqrt((2.0 * AMBIGUITY * tau + e_c + e_r) / scale**2)
     if _separated(blocks, theta + 2.0 * float(np.linalg.norm(defects))):
-        return st.commutant(hermitian=True)
+        return st
     return None

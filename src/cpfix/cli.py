@@ -172,29 +172,29 @@ def _cmd_kernel(args, cfg):
     The structure path answers when it can certify that the dense kernel
     would reach the same dimension with no rank warning
     (``structure_fixed_space``, ``structure_commutant``); otherwise the
-    dense kernel answers.
+    dense kernel answers.  The structure path's basis, Hermitian for
+    ``fix``, is built only for ``--json``: text prints the dimension alone.
     """
     kf = io.read_channel(args.channel)
+    fix = args.command == "fix"
     obj, lines = {}, []
-    if args.command == "fix":
-        ns = structure_fixed_space(kf, cfg)
-        if ns is None:
-            ns = fixed_space_basis(kf)
+    found = structure_fixed_space(kf, cfg) if fix else structure_commutant(kf, cfg)
+    if found is None:
+        ns = fixed_space_basis(kf) if fix else commutant_basis(kf.operators)
+        dimension, rank_warning = ns.dimension, ns.rank_warning
+    else:
+        dimension, rank_warning = found.dimension, False
+    if fix:
         obj["unital"] = is_unital(kf, cfg)
-        lines.append(f"fixed-space dimension: {ns.dimension}")
+        lines.append(f"fixed-space dimension: {dimension}")
         if not obj["unital"]:
             lines.append("warning: family is not unital")
     else:
-        ns = structure_commutant(kf, cfg)
-        if ns is None:
-            ns = commutant_basis(kf.operators)
-        lines.append(f"commutant dimension: {ns.dimension}")
-    obj.update(
-        dimension=ns.dimension,
-        rankWarning=ns.rank_warning,
-        basis=ns.basis,
-    )
-    if ns.rank_warning:
+        lines.append(f"commutant dimension: {dimension}")
+    obj.update(dimension=dimension, rankWarning=rank_warning)
+    if args.json:
+        obj["basis"] = ns.basis if found is None else found.commutant(hermitian=fix).basis
+    if rank_warning:
         lines.append("warning: rank decision is numerically ambiguous")
     return True, obj, lines
 

@@ -71,12 +71,19 @@ _SHALLOW_BYTES = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
-def _matrix_template(rows: int, cols: int, level: int) -> str:
-    """The indent=2 json text of a rows x cols [re, im] matrix, with %s numbers."""
+def _matrix_layout(rows: int, cols: int, level: int) -> tuple[str, ...]:
+    """The indent=2 json text of a rows x cols [re, im] matrix around its numbers.
+
+    The 2 rows cols + 1 strings before, between and after the numbers, in
+    order, for a matrix that opens on a line at indent level ``level``.
+    """
     nl = ["\n" + "  " * (level + k) for k in range(4)]
-    entry = "[" + nl[3] + "%s," + nl[3] + "%s" + nl[2] + "]"
-    row = "[" + nl[2] + ("," + nl[2]).join([entry] * cols) + nl[1] + "]"
-    return "[" + nl[1] + ("," + nl[1]).join([row] * rows) + nl[0] + "]"
+    # between the two parts of an entry, two entries of a row, and two rows
+    part = "," + nl[3]
+    entry = nl[2] + "]," + nl[2] + "[" + nl[3]
+    row = nl[2] + "]" + nl[1] + "]," + nl[1] + "[" + nl[2] + "[" + nl[3]
+    between = (([part, entry] * cols)[:-1] + [row]) * rows
+    return ("[" + nl[1] + "[" + nl[2] + "[" + nl[3], *between[:-1], nl[2] + "]" + nl[1] + "]" + nl[0] + "]")
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
@@ -118,8 +125,8 @@ def canonical_dumps(obj) -> str:
     2-D numpy arrays are written as matrices in the wire format, byte for
     byte as their ``matrix_to_obj`` lists would be, but each in one go: a
     placeholder string holds each one's place in the json text and is
-    replaced by the matrix, its floats spelled by ``_float_texts``, at that
-    line's indentation.
+    replaced by the matrix: its floats, spelled by ``_float_texts``, joined
+    with the separators of ``_matrix_layout`` at that line's indentation.
     """
     matrices = []
 
@@ -139,8 +146,13 @@ def canonical_dumps(obj) -> str:
         # the matrix takes the indent level of the line its placeholder is on
         line = before[before.rfind("\n") + 1 :]
         level = (len(line) - len(line.lstrip(" "))) // 2
+        layout = _matrix_layout(*m.shape, level)
         parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).ravel()
-        out += [_matrix_template(*m.shape, level) % tuple(_float_texts(parts)), after]
+        # the separators on the even places, the floats between them
+        spelled = [""] * (2 * len(layout) - 1)
+        spelled[::2] = layout
+        spelled[1::2] = _float_texts(parts)
+        out += ["".join(spelled), after]
     out.append("\n")
     return "".join(out)
 

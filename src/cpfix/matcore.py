@@ -382,13 +382,13 @@ class NullspaceResult:
     """Kernel basis of a linear map on matrices, plus rank diagnostics.
 
     Also the record of ``fixed_space_basis`` and ``commutant_basis``, and of
-    the structure path (``structure_fixed_space``, ``structure_commutant``),
-    which the CLI asks first for ``fix`` and ``commutant``.  That path
-    solves no linear system: its ``singular_values`` is empty, and its
-    ``rank_warning`` is False because it answers only when it has bounded
-    every singular value of the dense system away from the rank threshold
-    by more than a factor ``AMBIGUITY``; otherwise the CLI runs the dense
-    kernel.
+    ``AlgebraStructure.commutant``, the basis of the structure path
+    (``structure_fixed_space``, ``structure_commutant``), which the CLI
+    asks first for ``fix`` and ``commutant``.  That path solves no linear
+    system: its ``singular_values`` is empty, and its ``rank_warning`` is
+    False because it answers only when it has bounded every singular value
+    of the dense system away from the rank threshold by more than a factor
+    ``AMBIGUITY``; otherwise the CLI runs the dense kernel.
     """
 
     basis: list[np.ndarray]

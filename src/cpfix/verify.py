@@ -71,10 +71,10 @@ __all__ = [
 CONCLUSION_SLACK = 100.0
 
 # The projection stage of the theorem and the peel takes the spectral
-# projections through the map and the norm in groups of at most this many
-# bytes: at d = 16 all fit in one group, and at large d with many distinct
-# eigenvalues the working memory stays bounded instead of growing with their
-# number.
+# projections through the map and the norm, and gathers the eigenframe blocks
+# of their commutators, in groups of at most this many bytes: at d = 16 all
+# fit in one group, and at large d with many distinct eigenvalues the working
+# memory stays bounded instead of growing with their number.
 GROUP_BYTES = 1 << 20
 
 
@@ -267,13 +267,8 @@ def _projection_residuals(
 ) -> tuple[tuple[list[float], float], tuple[list[float], float]]:
     """(||Phi(p) - p||, max_t ||[x_t, p]||) for the first ``count`` spectral projections p of ``dec``, each kind with its bound.
 
-    [x, p] = q x p - p x q with q = I - p, two blocks between orthogonal
-    ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).  In a's eigenframe
-    V, with W_t = V* x_t V and p = V_k V_k* of rank r, these are the norms
-    of the r x (d - r) block W_t[k, not k] and of the transpose of
-    W_t[not k, k]; the projections of one rank share one norm call, and a
-    projection of rank d has no such block and residual 0.  ||Phi(p) - p||
-    takes one map call and one norm call per group of ``GROUP_BYTES``.  The
+    ||Phi(p) - p|| takes one map call and one norm call per group of
+    ``GROUP_BYTES``; the commutators are ``_off_diagonal_residuals``.  The
     bounds scale with what the residuals are made of, ||p|| = 1 and max
     ||x_t||, and not with the operator whose projections they are; the
     theorem and the peel judge their one projection stage by them alike.
@@ -283,23 +278,42 @@ def _projection_residuals(
     for i in range(0, count, group):
         ps = dec.projections(i, min(i + group, count))
         proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
+    off_res = _off_diagonal_residuals(kf, dec, count).tolist()
+    op_bound = cfg.eq_bound(float(kf.operator_norms.max()), CONCLUSION_SLACK)
+    return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res, op_bound)
+
+
+def _off_diagonal_residuals(kf: KrausFamily, dec: SpectralDecomposition, count: int) -> np.ndarray:
+    """max_t ||[x_t, p]|| for the first ``count`` spectral projections p of ``dec``.
+
+    [x, p] = q x p - p x q with q = I - p, two blocks between orthogonal
+    ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).  In a's eigenframe
+    V, with W_t = V* x_t V and p = V_k V_k* of rank r, these are the norms
+    of the r x (d - r) block W_t[k, not k] and of the transpose of
+    W_t[not k, k], both gathered from W.  The projections of one rank share
+    one norm call per group of ``GROUP_BYTES`` of those blocks, and a
+    projection of rank d has no such block and residual 0.
+    """
     d, v = kf.dim, dec.eigenvectors
     w = v.conj().T @ kf.operators @ v
-    # frame[:n] = W_t and frame[n:] = W_t^T, so frame[:, rows_k, cols_k] holds
-    # p_k x_t q_k and (q_k x_t p_k)^T in the eigenbasis
-    frame = np.concatenate([w, w.swapaxes(-1, -2)])
     ranks = dec.multiplicities[:count]
     starts = np.cumsum(dec.multiplicities) - dec.multiplicities
     off_res = np.zeros(count)
     for r in sorted(set(ranks.tolist()) - {d}):
         ks = np.flatnonzero(ranks == r)
-        rows = starts[ks, None] + np.arange(r)
-        outside = np.ones((len(ks), d), dtype=bool)
-        outside[np.arange(len(ks))[:, None], rows] = False
-        cols = np.nonzero(outside)[1].reshape(len(ks), d - r)
-        off_res[ks] = opnorm(frame[:, rows[:, :, None], cols[:, None, :]]).max(axis=0)
-    op_bound = cfg.eq_bound(float(kf.operator_norms.max()), CONCLUSION_SLACK)
-    return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res.tolist(), op_bound)
+        # a projection's two gathered blocks, and their stack, per member
+        group = max(1, GROUP_BYTES // (4 * w.itemsize * len(w) * r * (d - r)))
+        for i in range(0, len(ks), group):
+            part = ks[i : i + group]
+            rows = starts[part, None] + np.arange(r)
+            outside = np.ones((len(part), d), dtype=bool)
+            outside[np.arange(len(part))[:, None], rows] = False
+            cols = np.nonzero(outside)[1].reshape(len(part), d - r)
+            rows, cols = rows[:, :, None], cols[:, None, :]
+            # p_k x_t q_k and (q_k x_t p_k)^T in the eigenbasis
+            blocks = np.concatenate([w[:, rows, cols], w[:, cols, rows]])
+            off_res[part] = opnorm(blocks).max(axis=0)
+    return off_res
 
 
 def _power_residuals(

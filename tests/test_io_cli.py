@@ -604,6 +604,29 @@ class TestCanonicalDumps:
         doc = data.draw(strategies.sampled_from([items, {"basis": items, "dimension": len(items)}]))
         assert io.canonical_dumps(doc) == _old_dumps(doc)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=strategies.data())
+    def test_joined_layout_matches_json_at_every_level(self, data):
+        # the separators of the cached layout, joined with the float texts,
+        # against json's own writer through the default hook: every shape up
+        # to 6 x 6 at indent levels 0-4, entries from every band of _float_texts
+        bands = [0.0, 5e-324, 1.69e-05, 1.32e-07, 1e300, np.nan, np.inf]
+        for edge in (1e-9, 1e-4, 1e16):
+            bands += [float(np.nextafter(edge, 0)), edge, float(np.nextafter(edge, np.inf))]
+        signed = strategies.tuples(strategies.sampled_from(bands), strategies.booleans())
+        rows, cols = data.draw(strategies.integers(1, 6)), data.draw(strategies.integers(1, 6))
+        floats = data.draw(strategies.lists(signed, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        m = np.array([-v if neg else v for v, neg in floats]).view(np.complex128).reshape(rows, cols)
+        doc = m
+        for _ in range(data.draw(strategies.integers(0, 4))):
+            doc = data.draw(strategies.sampled_from([[doc], {"m": doc}, [None, doc, 1], {"a": 1, "m": doc}]))
+        want = json.dumps(doc, sort_keys=True, indent=2, default=io._matrix_list) + "\n"
+        assert io.canonical_dumps(doc) == want
+        # a string that spells the placeholder sends the document to the fallback
+        spelled = {"m": doc, "note": io._PLACEHOLDER}
+        want = json.dumps(spelled, sort_keys=True, indent=2, default=io._matrix_list) + "\n"
+        assert io.canonical_dumps(spelled) == want
+
     def test_tensor_basis_spelled_one_matrix_at_a_time(self, monkeypatch, tmp_path, capsys):
         # V (u_t (x) 1_4) V* / sqrt(3) at d = 20: fix prints 16 Hermitian
         # 20 x 20 matrices, 12 800 floats.  Each takes one orjson call, and

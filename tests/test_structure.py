@@ -314,7 +314,7 @@ class TestSeparation:
         oracle = fixed_space_basis(kf)
         assert found is not None
         assert (found.dimension, oracle.dimension, oracle.rank_warning) == (1, 1, False)
-        assert _smallest_cosine(found.basis, oracle.basis) >= 1.0 - 1e-8
+        assert _smallest_cosine(found.commutant(hermitian=True).basis, oracle.basis) >= 1.0 - 1e-8
         assert structure_fixed_space(block_family([(33, 1)], 7), CFG) is None
 
 
@@ -362,6 +362,29 @@ class TestFallback:
         else:
             assert report["unital"] is True
             assert structure_fixed_space(kf, cfg) is None
+
+    def test_frobenius_deviation_declines(self, tmp_path, capsys):
+        # sum mu x*x = sum mu x x* = (1 + eps) 1 to rounding at d = 16: the
+        # spectral deviation eps = 5e-12 is within NULL_TOL / AMBIGUITY =
+        # 1e-11, its Frobenius norm 4 eps = 2e-11 is not.  e_c and e_r are
+        # Frobenius norms, so the structure path declines and the dense
+        # kernel answers
+        eps, d = 5e-12, 16
+        rng = np.random.default_rng(3)
+        kf = KrausFamily(dim=d, terms=tuple(((1.0 + eps) / 3, haar_unitary(d, rng)) for _ in range(3)))
+        eye = np.eye(d)
+        for total in (kf.column_sum, kf.row_sum):
+            assert abs(np.linalg.norm(total - eye, 2) - eps) < 1e-14
+            assert abs(np.linalg.norm(total - eye) - 4 * eps) < 1e-13
+        assert structure_fixed_space(kf, CFG) is None
+        oracle = fixed_space_basis(kf)
+        code, _, report = _report(tmp_path, capsys, "fix", kf)
+        assert code == 0
+        assert (report["dimension"], report["rankWarning"]) == (oracle.dimension, oracle.rank_warning)
+        assert cli.run(["fix", str(tmp_path / "channel.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"fixed-space dimension: {oracle.dimension}"
+        assert ("warning: rank decision is numerically ambiguous" in lines) == oracle.rank_warning
 
     def test_overflowing_weights_keep_the_commutant(self, tmp_path, capsys):
         # sum mu x*x overflows; {x}' needs no weights
@@ -440,12 +463,72 @@ class TestFallback:
         monkeypatch.setattr(algebra, "eigen_clusters", lambda w: (np.array([0]), True))
         assert algebra_structure(block_family(SPECS["(2,3)+(3,2)"], 7), CFG) is None
 
+    @pytest.mark.parametrize("command, label", [("fix", "fixed-space"), ("commutant", "commutant")])
+    def test_text_builds_no_basis(self, tmp_path, capsys, monkeypatch, no_dense, command, label):
+        # text prints the dimension of the certified structure; only --json
+        # expands the basis of A', Hermitian for fix
+        path = tmp_path / "blocks.json"
+        io.write_channel(path, block_family(SPECS["(2,3)+(3,2)"], 7))
+        built = []
+        real = algebra.AlgebraStructure.commutant
+        monkeypatch.setattr(
+            algebra.AlgebraStructure, "commutant", lambda st, hermitian=False: built.append(hermitian) or real(st, hermitian)
+        )
+        assert cli.run([command, str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"{label} dimension: 13"]
+        assert built == []
+        assert cli.run([command, str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 13
+        assert built == [command == "fix"]
+
     @pytest.mark.parametrize("command", ["fix", "commutant", "structure"])
     def test_same_command_twice_is_byte_identical(self, tmp_path, capsys, command):
         kf = block_family(SPECS["(3,1)+(3,1)+(1,4)"], 9)
         first = _report(tmp_path, capsys, command, kf)[1]
         second = _report(tmp_path, capsys, command, kf)[1]
         assert first == second
+
+
+def _reference_forest(weights):
+    """Prim's loop of ``algebra._spanning_forest`` with one masked update per vertex: the reference."""
+    k = len(weights)
+    best, parent = np.zeros(k), np.full(k, -1)
+    free = np.ones(k, dtype=bool)
+    components = []
+    for _ in range(k):
+        cand = np.where(free, best, -1.0)
+        v = int(np.argmax(cand))
+        if cand[v] <= 0.0:
+            v = int(np.argmax(free))
+            components.append([])
+        components[-1].append(v)
+        free[v] = False
+        better = free & (weights[v] > best)
+        best[better] = weights[v][better]
+        parent[better] = v
+    return components, parent
+
+
+class TestSpanningForest:
+    """The Prim order and the parents fix the frames bit for bit: both match the reference."""
+
+    @pytest.mark.parametrize("k", [1, 2, 20, 64, 256])
+    def test_matches_the_reference(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(12):
+            # few distinct values, so ties are common; some sparse graphs
+            # split into several components, and some vertices link to none
+            w = np.round(rng.random((k, k)), 1)
+            w[rng.random((k, k)) < trial / 12] = 0.0
+            w[rng.random(k) < 0.2] = 0.0
+            if trial % 3 == 0:
+                w = np.maximum(w, w.T)
+            np.fill_diagonal(w, 0.0)
+            components, parent = algebra._spanning_forest(w)
+            want_components, want_parent = _reference_forest(w)
+            assert components == want_components
+            assert parent.tolist() == want_parent.tolist()
+        assert algebra._spanning_forest(np.zeros((k, k)))[0] == [[v] for v in range(k)]
 
 
 class TestSchurWeyl:
@@ -458,8 +541,8 @@ class TestSchurWeyl:
     def test_tensor_powers_give_the_catalan_number(self, k, blocks, catalan):
         kf = su2_tensor_family(k)
         assert algebra_structure(kf, CFG).blocks == blocks
-        for ns in (structure_commutant(kf, CFG), structure_fixed_space(kf, CFG)):
-            assert ns.dimension == catalan and not ns.rank_warning
+        for st in (structure_commutant(kf, CFG), structure_fixed_space(kf, CFG)):
+            assert st.dimension == catalan
 
     def test_dense_oracle_agrees_at_k4(self):
         kf = su2_tensor_family(4)
@@ -468,8 +551,7 @@ class TestSchurWeyl:
 
     @pytest.mark.parametrize("k, dimension", [(4, 35), (5, 56), (6, 84), (7, 120)])
     def test_transpositions(self, k, dimension):
-        ns = structure_commutant(transposition_family(k), CFG)
-        assert ns.dimension == dimension and not ns.rank_warning
+        assert structure_commutant(transposition_family(k), CFG).dimension == dimension
 
     @pytest.mark.parametrize("family", [transposition_family, su2_tensor_family])
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
@@ -508,12 +590,13 @@ class TestRepresentationInvariance:
     def test_conjugation_moves_the_answer(self, name, solve):
         kf = su2_tensor_family(4) if name == "su2^4" else FAMILIES[name]()
         found = solve(kf, CFG)
+        basis = found.commutant().basis
         rng = np.random.default_rng(13)
         for _ in range(3):
             w = haar_unitary(kf.dim, rng)
             moved = solve(_conjugated(kf, w), CFG)
             assert moved is not None and moved.dimension == found.dimension
-            assert _smallest_cosine(moved.basis, [w @ b @ w.conj().T for b in found.basis]) >= 1.0 - 1e-10
+            assert _smallest_cosine(moved.commutant().basis, [w @ b @ w.conj().T for b in basis]) >= 1.0 - 1e-10
 
 
 class TestStructureCommand:

@@ -356,6 +356,32 @@ class TestTheoremVerify:
         monkeypatch.setattr(verify_mod, "GROUP_BYTES", 1)
         assert theorem_verify(kf, BlockAlgebra.full(d), a, CFG).to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("d, groups", [(16, 1), (256, 13)])
+    def test_off_diagonal_stage_memory_bounded(self, monkeypatch, d, groups):
+        # three diagonal sign unitaries over sqrt3 and a = diag(1, ..., d): d
+        # rank-one projections, whose 2n blocks 1 x (d - 1) are gathered from
+        # W_t = V* x_t V in groups of GROUP_BYTES with no transposed copy of
+        # W (all of them at once, with W's transpose, take 17 MiB at d =
+        # 256).  One group changes no norm: a stacked opnorm equals the
+        # single one bit for bit
+        import tracemalloc
+
+        signs = [[(-1.0) ** (k >> t & 1) for k in range(d)] for t in range(3)]
+        kf = KrausFamily.from_operators([np.diag(s) / np.sqrt(3) for s in signs])
+        dec = herm_eig(np.diag(np.arange(1.0, d + 1)), CFG)
+        calls = []
+        monkeypatch.setattr(verify, "opnorm", lambda a: calls.append(len(a)) or opnorm(a))
+        tracemalloc.start()
+        try:
+            grouped = verify._off_diagonal_residuals(kf, dec, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == groups and set(calls) == {6}
+        assert peak < 8 * 2**20
+        monkeypatch.setattr(verify, "GROUP_BYTES", 1 << 40)
+        assert np.array_equal(verify._off_diagonal_residuals(kf, dec, d), grouped)
+
 
 class TestCorollaryVerify:
     def test_identity_channel(self, identity_channel):
