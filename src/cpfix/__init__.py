@@ -27,7 +27,6 @@ from .channel import (
     choi_psd_check,
     dual_apply,
     fixed_space_basis,
-    kraus_choi_check,
     normalization_report,
     superoperator_matrix,
 )

@@ -660,6 +660,25 @@ def _separated(blocks: list[np.ndarray], theta: float) -> bool:
     return True
 
 
+def _kernel_certificate(
+    kf: KrausFamily, cfg: ToleranceConfig, coef: np.ndarray, bound, theta: float
+) -> AlgebraStructure | None:
+    """The first structure of ``_kernel_structures(kf, cfg, coef)`` that passes the drift gate, if separated; else None.
+
+    The gate is ``bound(defects)`` <= NULL_TOL / ``AMBIGUITY``, the bound on
+    the kernel side; the structure that passes it answers when
+    ``_separated`` proves sigma >= theta + 2 ||delta|| on its frames.
+    """
+    for st, defects, blocks in _kernel_structures(kf, cfg, coef):
+        if bound(defects) <= NULL_TOL / AMBIGUITY:
+            break
+    else:
+        return None
+    if _separated(blocks, theta + 2.0 * float(np.linalg.norm(defects))):
+        return st
+    return None
+
+
 def structure_commutant(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> AlgebraStructure | None:
@@ -687,16 +706,11 @@ def structure_commutant(
     """
     norms = kf.operator_norms
     scale = float(norms.max()) or 1.0
-    for st, defects, blocks in _kernel_structures(kf, cfg, norms / scale):
-        drift = 2.0 * float(np.linalg.norm(defects))
-        if drift <= NULL_TOL / AMBIGUITY:
-            break
-    else:
-        return None
     s_max = 2.0 * math.sqrt(float(np.sum((norms / scale) ** 2)))
-    if _separated(blocks, AMBIGUITY * NULL_TOL * max(1.0, s_max) + drift):
-        return st
-    return None
+    theta = AMBIGUITY * NULL_TOL * max(1.0, s_max)
+    return _kernel_certificate(
+        kf, cfg, norms / scale, lambda defects: 2.0 * float(np.linalg.norm(defects)), theta
+    )
 
 
 def structure_fixed_space(
@@ -736,13 +750,8 @@ def structure_fixed_space(
     e_r = float(np.linalg.norm(kf.row_sum - eye))
     norms = kf.operator_norms * np.sqrt(kf.weights)
     scale = float(np.max(norms))
-    for st, defects, blocks in _kernel_structures(kf, cfg, norms / scale):
-        if 2.0 * scale**2 * float(np.sum(defects)) + e_c <= NULL_TOL / AMBIGUITY:
-            break
-    else:
-        return None
     tau = NULL_TOL * (1.0 + math.sqrt((1.0 + e_c) * (1.0 + e_r)))
     theta = math.sqrt((2.0 * AMBIGUITY * tau + e_c + e_r) / scale**2)
-    if _separated(blocks, theta + 2.0 * float(np.linalg.norm(defects))):
-        return st
-    return None
+    return _kernel_certificate(
+        kf, cfg, norms / scale, lambda defects: 2.0 * scale**2 * float(np.sum(defects)) + e_c, theta
+    )

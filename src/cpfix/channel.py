@@ -6,7 +6,10 @@ A family is a stack of operators x_t with weights mu_t; the map acts as
 
 and its dual as sum_t mu_t x_t a x_t*.  Weights stay explicit so both
 counting-measure and quadrature-style discretizations are expressible
-losslessly; the stack of sqrt(mu)-scaled operators is cached.
+losslessly; the stack of sqrt(mu)-scaled operators is cached.  The map
+is completely positive by its form: its Choi matrix is the Gram matrix
+sum_t vec(s_t) vec(s_t)* of s_t = sqrt(mu_t) x_t, so only a superoperator
+given directly needs :func:`choi_psd_check`.
 
 Superoperators use the column-stacking convention
 
@@ -60,7 +63,6 @@ __all__ = [
     "superoperator_matrix",
     "choi_matrix",
     "choi_psd_check",
-    "kraus_choi_check",
     "fixed_space_basis",
 ]
 
@@ -327,37 +329,6 @@ def choi_psd_check(sop: Superoperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Ch
     w = np.linalg.eigvalsh(c)
     m = float(w[0])
     bound = cfg.psd_bound(float(np.abs(w).max()))
-    return Check("choiMinEig", m, bound, f"Choi min eigenvalue {m:.3e}", lower=True)
-
-
-def kraus_choi_check(kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL) -> Check:
-    """The certificate of :func:`choi_psd_check` for a Kraus family, from the Gram of its stack.
-
-    Row t of W, the (n, d^2) view of ``kf.scaled_operators``, is the
-    row-major vec of s_t = sqrt(mu_t) x_t.  With V the d^2 x n matrix whose
-    column t is the row-major vec of s_t*, C = V V* is the Choi matrix of
-    ``choi_matrix``, and V is W^T conjugated with its rows permuted, so C is
-    W* W with rows and columns permuted and shares its nonzero spectrum with
-    the n x n Gram W W* = V* V.  For n < d^2, rank C <= n < d^2 makes the
-    value exactly 0.0, and ``eigvalsh`` of the Gram gives only ||C|| for
-    the bound; for n >= d^2 the value is the min eig of W* W.  No d^2 x d^2
-    object is built unless n >= d^2.
-
-    W is scaled by an exact power of two, which puts its largest entry
-    below 1, before the product, so a stack near overflow gives a finite
-    Gram; a ||C|| beyond double precision is inf, and the bound -inf.
-    Raises ValueError when the stack itself overflows.
-    """
-    n, d2 = len(kf.weights), kf.dim**2
-    with np.errstate(over="ignore"):
-        parts = kf.scaled_operators.view(np.float64)
-    _, e = math.frexp(float(require_finite("Kraus stack (sqrt(mu) x)", np.abs(parts).max())))
-    w = np.ldexp(parts, -e).view(np.complex128).reshape(n, d2)
-    gram = w @ w.conj().T if n < d2 else w.conj().T @ w
-    with np.errstate(over="ignore"):
-        spectrum = np.ldexp(np.linalg.eigvalsh(herm_part(gram)), 2 * e)
-    m = 0.0 if n < d2 else float(spectrum[0])
-    bound = cfg.psd_bound(float(np.abs(spectrum).max()))
     return Check("choiMinEig", m, bound, f"Choi min eigenvalue {m:.3e}", lower=True)
 
 

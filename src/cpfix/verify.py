@@ -389,7 +389,6 @@ def corollary_verify(
 @dataclass(frozen=True, eq=False)
 class PeelStep:
     eigenvalue: float
-    projection: np.ndarray
     commutator_residual: float
     fixedness_residual: float
 
@@ -447,7 +446,8 @@ def spectral_peel(
     family and be fixed by the map, by the bounds of the theorem's
     projection stage, and each remainder must stay super-fixed.  Each
     peeled lambda is a cluster mean of a's eigenvalues, so ``aPositive``
-    already bounds it below by -psd_tol.
+    already bounds it below by -psd_tol.  A step forms only its own
+    projection, so one d x d projection is held at a time.
     """
     rep = normalization_report(kf, cfg)
     if not rep.self_adjoint_family:
@@ -467,14 +467,13 @@ def spectral_peel(
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
     total = np.zeros_like(h)
-    peeled = zip(dec.eigenvalues[:n].tolist(), dec.projections(0, n), comm_res, fix_res)
-    for k, (lam, p, comm, fix) in enumerate(peeled):
-        steps.append(PeelStep(lam, p, comm, fix))
+    for k, (lam, comm, fix) in enumerate(zip(dec.eigenvalues[:n].tolist(), comm_res, fix_res)):
+        steps.append(PeelStep(lam, comm, fix))
         msg = f"step {k}: commutator residual {comm:.3e}"
         checks.append((k, Check("commutator", comm, comm_bound, msg)))
         msg = f"step {k}: projection not fixed, residual {fix:.3e}"
         checks.append((k, Check("fixedness", fix, fix_bound, msg)))
-        total += lam * p
+        total += lam * dec.projections(k, k + 1)[0]
         rest = h - total
         msg = f"step {k}: super-fixed property lost, min eig {{:.3e}}"
         gap = herm_part(apply_map(kf, rest) - rest)

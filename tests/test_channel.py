@@ -5,7 +5,6 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
 
 from cpfix.channel import (
     DimensionMismatchError,
@@ -16,7 +15,6 @@ from cpfix.channel import (
     choi_psd_check,
     dual_apply,
     fixed_space_basis,
-    kraus_choi_check,
     normalization_report,
     superoperator_matrix,
 )
@@ -367,82 +365,6 @@ class TestChoi:
         np.testing.assert_allclose(eigs[:-1], 0.0, atol=1e-12)
 
 
-def _weighted_family(d: int, n: int, rng) -> KrausFamily:
-    """n random complex operators with weights log-uniform in [1e-3, 1e3]."""
-    ops = [random_complex(d, rng) for _ in range(n)]
-    return KrausFamily.from_operators(ops, np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n)))
-
-
-def _gram_spectrum(kf: KrausFamily) -> np.ndarray:
-    """Eigenvalues of the n x n Gram <s_s, s_t> of the scaled stack."""
-    w = kf.scaled_operators.reshape(len(kf.weights), -1)
-    return np.linalg.eigvalsh(herm_part(w @ w.conj().T))
-
-
-class TestKrausChoiCheck:
-    """The certificate from the Gram of the Kraus stack against the dense oracle."""
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(41)
-        for d in range(1, 7):
-            for n in (1, 2, d * d, d * d + 2):
-                kf = _weighted_family(d, n, rng)
-                sop = superoperator_matrix(kf)
-                got, want = kraus_choi_check(kf, CFG), choi_psd_check(sop, CFG)
-                choi_norm = opnorm(choi_matrix(sop))
-                assert got.name == want.name == "choiMinEig"
-                assert got.passed == want.passed
-                assert got.bound == pytest.approx(want.bound, rel=1e-12)
-                if n < d * d:
-                    assert got.value == 0.0 and math.copysign(1.0, got.value) == 1.0
-                else:
-                    assert abs(got.value - want.value) <= 1e-12 * choi_norm
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(
-        d=strategies.integers(1, 5),
-        n=strategies.integers(1, 7),
-        seed=strategies.integers(0, 2**32 - 1),
-    )
-    def test_kraus_rerepresentation_invariance(self, d, n, seed):
-        # x'_s = sum_t u_st sqrt(mu_t) x_t, u Haar, is the same map with unit weights
-        rng = np.random.default_rng(seed)
-        kf = _weighted_family(d, n, rng)
-        u = haar_unitary(n, rng)
-        rerep = KrausFamily.from_operators(np.einsum("st,tij->sij", u, kf.scaled_operators))
-        a, b = kraus_choi_check(kf, CFG), kraus_choi_check(rerep, CFG)
-        g_a, g_b = _gram_spectrum(kf), _gram_spectrum(rerep)
-        assert np.abs(g_a - g_b).max() <= 1e-12 * g_a.max()
-        assert a.passed == b.passed
-        assert a.bound == pytest.approx(b.bound, rel=1e-12)
-        if n < d * d:
-            assert a.value == b.value == 0.0
-        else:
-            assert abs(a.value - b.value) <= 1e-12 * g_a.max()
-
-    def test_below_rounding_psd_tol(self):
-        # CP by construction: no psd_tol, however small, makes the family fail
-        kf = random_bistochastic(8, 3, 0)
-        check = kraus_choi_check(kf, ToleranceConfig(psd_tol=1e-20))
-        assert check.passed and check.value == 0.0
-
-    def test_near_overflow_stack_is_finite(self):
-        # ||C|| = 3 (9e153)^2 overflows, the column sum 8.1e307 I does not
-        kf = KrausFamily.from_operators([9e153 * np.eye(3)])
-        check = kraus_choi_check(kf, CFG)
-        assert check.value == 0.0 and check.passed
-        assert check.bound == -math.inf
-
-    def test_overflowing_stack_is_named(self):
-        kf = KrausFamily(2, [(1e300, 1e200 * np.eye(2))])
-        with pytest.raises(ValueError, match=r"Kraus stack \(sqrt\(mu\) x\) overflows"):
-            kraus_choi_check(kf, CFG)
-
-    def test_zero_family(self):
-        check = kraus_choi_check(KrausFamily.from_operators([np.zeros((2, 2))]), CFG)
-        assert (check.value, check.bound, check.passed) == (0.0, CFG.psd_bound(), True)
-
-
 class TestFixedSpace:
     def test_identity_channel_full_space(self, identity_channel):
         assert fixed_space_basis(identity_channel).dimension == 4
@@ -587,10 +509,7 @@ def _old_pair_rows(m, phase):
 
 
 class TestDenseWorkingSet:
-    """Each dense consumer of S rewrites one d^2 x d^2 buffer in place, to the same bits.
-
-    The certificate of a Kraus family builds no d^2 x d^2 object at all.
-    """
+    """Each dense consumer of S rewrites one d^2 x d^2 buffer in place, to the same bits."""
 
     # at d = 24 a unit is 5.3 MB, so the fixed-size buffers of numpy's
     # iterator (128 KB each on numpy 1.24) and the blocks of BLOCK_BYTES
@@ -618,11 +537,6 @@ class TestDenseWorkingSet:
         assert self._peak(lambda: superoperator_matrix(kf)) <= 1.2
         assert self._peak(lambda: choi_psd_check(superoperator_matrix(kf), CFG)) <= choi_bound
         assert self._peak(lambda: fixed_space_basis(kf)) <= 1.6
-
-    def test_kraus_certificate_peak_below_one_megabyte(self):
-        # the (3, 24^2) stack is 27 KB; a d^2 x d^2 matrix would be 5.3 MB
-        kf = random_bistochastic(self.D, 3, 0)
-        assert self._peak(lambda: kraus_choi_check(kf, CFG)) * 16 * self.D**4 < 1e6
 
     def test_choi_certificate_is_eigvalsh_of_herm_part(self):
         rng = np.random.default_rng(23)

@@ -232,6 +232,8 @@ def _run_in_subprocess(argv):
     )
 
 
+_FLAG_KEYS = ["isUnital", "isSubunitalDual", "isTracePreserving", "selfAdjointFamily", "rigidityHolds"]
+
 _GOOD_MATRIX = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
 # The seeds of the CLI fuzz: a d = 2 channel, and an operator and a diagonal
 # algebra on which verify holds for it
@@ -680,26 +682,69 @@ class TestCli:
         assert run(["check", str(path)]) == 1
 
     def test_check_is_cp_below_rounding(self, tmp_path, capsys):
-        # d = 8, n = 3: the dense Choi eigensolve gives about -1e-15, which
-        # failed a --psd-tol of 1e-20; the Kraus form is CP by construction
+        # d = 8, n = 3: the dense Choi eigensolve gives about -1e-15, below a
+        # --psd-tol of 1e-20; the Kraus form is CP by construction, so check
+        # prints the normalization flags and the verdict alone
         path = tmp_path / "bistochastic.json"
         io.write_channel(path, random_bistochastic(8, 3, 0))
         assert run(["check", str(path), "--psd-tol", "1e-20"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert "choi min eigenvalue: 0.000e+00 (CP: True)" in out
+        assert [line.split(":")[0] for line in out] == [*_FLAG_KEYS, "verdict"]
 
     def test_check_near_overflow_is_quiet(self, tmp_path, capsys):
-        # ||C|| = 3 (9e153)^2 overflows while sum mu x*x = 8.1e307 I does not
+        # ||x||^2 = 8.1e307 is finite, so are the sums of mu x*x and mu x x*
         path = tmp_path / "near_overflow.json"
         io.write_channel(path, KrausFamily.from_operators([9e153 * np.eye(3)]))
         assert run(["check", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert "choi min eigenvalue: 0.000e+00 (CP: True)" in captured.out.splitlines()
+        assert not any(line.startswith("choi") for line in captured.out.splitlines())
         assert run(["check", str(path), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["choiMinEig"] == 0.0
+        assert "choiMinEig" not in json.loads(captured.out)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_check_is_one_answer_for_one_map(self, tmp_path, capsys, json_flag):
+        # the rotation u by 0.1 rad written as {(1, u)} and as four copies
+        # {(1/4, u)}; a Choi min eigenvalue of 0.0 and -7.4e-16 once split
+        # them at --psd-tol 3e-16
+        c, s = np.cos(0.1), np.sin(0.1)
+        u = np.array([[c, -s], [s, c]], dtype=complex)
+        outs = []
+        for name, kf in [("rot1", KrausFamily(2, [(1.0, u)])), ("rot4", KrausFamily(2, [(0.25, u)] * 4))]:
+            io.write_channel(tmp_path / f"{name}.json", kf)
+            assert run(["check", str(tmp_path / f"{name}.json"), "--psd-tol", "3e-16", *json_flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        d=strategies.integers(1, 5),
+        n=strategies.integers(1, 4),
+        extra=strategies.sampled_from(["n", "d2", "d2+2"]),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_check_is_independent_of_the_kraus_representation(self, tmp_path_factory, d, n, extra, seed):
+        # x'_s = sum_t u_st sqrt(mu_t) x_t with u an n' x n isometry is the
+        # same map with unit weights; Haar members are not self-adjoint, and
+        # no mixture of them is, so selfAdjointFamily reads False on both
+        kf = random_bistochastic(d, n, seed)
+        # an isometry needs n' >= n
+        rows = max(n, {"n": n, "d2": d * d, "d2+2": d * d + 2}[extra])
+        u = haar_unitary(rows, np.random.default_rng(seed))[:, :n]
+        rerep = KrausFamily.from_operators(np.einsum("st,tij->sij", u, kf.scaled_operators))
+        outs = []
+        for name, family in [("kraus", kf), ("rerep", rerep)]:
+            path = tmp_path_factory.getbasetemp() / f"{name}.json"
+            io.write_channel(path, family)
+            outs.append(_run_quietly(["check", str(path), "--json"]))
+        assert outs[0] == outs[1]
+        code, out, err = outs[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"flags": {**dict.fromkeys(_FLAG_KEYS, True), "selfAdjointFamily": False}, "verdict": True}
 
     def test_fix_dimension(self, lueders_file, capsys):
         assert run(["fix", lueders_file, "--json"]) == 0
