@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cpfix.channel import (
     DimensionMismatchError,
@@ -363,6 +364,75 @@ class TestChoi:
         eigs = np.linalg.eigvalsh(c)
         assert eigs[-1] == pytest.approx(2.0)
         np.testing.assert_allclose(eigs[:-1], 0.0, atol=1e-12)
+
+
+def _weighted_family(d: int, n: int, rng) -> KrausFamily:
+    """n random complex operators with weights log-uniform in [1e-3, 1e3]."""
+    ops = [random_complex(d, rng) for _ in range(n)]
+    return KrausFamily.from_operators(ops, np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n)))
+
+
+def _gram_spectrum(kf: KrausFamily) -> np.ndarray:
+    """Eigenvalues of the n x n Gram <s_s, s_t> of the scaled stack."""
+    w = kf.scaled_operators.reshape(len(kf.weights), -1)
+    return np.linalg.eigvalsh(herm_part(w @ w.conj().T))
+
+
+class TestKrausChoiCheck:
+    """The dense Choi oracle on a Kraus family: C = sum_t vec(s_t) vec(s_t)* is a Gram matrix."""
+
+    def test_matches_dense_oracle(self):
+        # C and the n x n Gram of the stack share their nonzero spectrum, so
+        # the oracle passes every Kraus family, at any rank and weight spread
+        rng = np.random.default_rng(41)
+        for d in range(1, 7):
+            for n in (1, 2, d * d, d * d + 2):
+                kf = _weighted_family(d, n, rng)
+                sop = superoperator_matrix(kf)
+                eigs = np.linalg.eigvalsh(herm_part(choi_matrix(sop)))
+                gram = _gram_spectrum(kf)
+                choi_norm = np.abs(eigs).max()
+                k = min(n, d * d)
+                assert np.abs(eigs[-k:] - gram[-k:]).max() <= 1e-12 * choi_norm
+                assert np.abs(eigs[:-k]).max(initial=0.0) <= 1e-12 * choi_norm
+                assert np.abs(gram[:-k]).max(initial=0.0) <= 1e-12 * choi_norm
+                check = choi_psd_check(sop, CFG)
+                assert check.name == "choiMinEig" and check.passed
+                assert check.value == eigs[0]
+                assert check.bound == CFG.psd_bound(choi_norm)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        d=strategies.integers(1, 5),
+        n=strategies.integers(1, 7),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    def test_kraus_rerepresentation_invariance(self, d, n, seed):
+        # x'_s = sum_t u_st sqrt(mu_t) x_t, u Haar, is the same map with unit
+        # weights: the same S and Gram spectrum, and the oracle passes both
+        rng = np.random.default_rng(seed)
+        kf = _weighted_family(d, n, rng)
+        u = haar_unitary(n, rng)
+        rerep = KrausFamily.from_operators(np.einsum("st,tij->sij", u, kf.scaled_operators))
+        s_a, s_b = superoperator_matrix(kf), superoperator_matrix(rerep)
+        assert opnorm(s_a.matrix - s_b.matrix) <= 1e-12 * opnorm(s_a.matrix)
+        g_a, g_b = _gram_spectrum(kf), _gram_spectrum(rerep)
+        assert np.abs(g_a - g_b).max() <= 1e-12 * g_a.max()
+        a, b = choi_psd_check(s_a, CFG), choi_psd_check(s_b, CFG)
+        assert a.passed and b.passed
+        assert abs(a.value - b.value) <= 1e-12 * g_a.max()
+
+    def test_near_overflow_stack_is_finite(self):
+        # ||C|| = 3 (9e153)^2 overflows, but each entry of S is one product
+        # 8.1e307, written without an overflowing intermediate
+        kf = KrausFamily.from_operators([9e153 * np.eye(3)])
+        sop = superoperator_matrix(kf)
+        np.testing.assert_array_equal(sop.matrix, (9e153 * 9e153) * np.eye(9))
+        assert np.isfinite(choi_matrix(sop)).all()
+
+    def test_zero_family(self):
+        check = choi_psd_check(superoperator_matrix(KrausFamily.from_operators([np.zeros((2, 2))])), CFG)
+        assert (check.value, check.bound, check.passed) == (0.0, CFG.psd_bound(), True)
 
 
 class TestFixedSpace:
