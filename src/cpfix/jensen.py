@@ -76,7 +76,8 @@ class IneqResidual:
 
 def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqResidual:
     check = cfg.psd_check("residual", herm_part(rhs - lhs))
-    lhs_norm, rhs_norm = opnorm(np.stack([lhs, rhs])).tolist()
+    # both sides are Hermitian by construction
+    lhs_norm, rhs_norm = opnorm(herm_part(np.stack([lhs, rhs])), hermitian=True).tolist()
     return IneqResidual(
         min_eig=check.value,
         lhs_norm=lhs_norm,

@@ -27,7 +27,10 @@ decision ambiguous.
 :func:`opnorm` takes one matrix or a (..., m, n) stack of them.  A stack
 costs one LAPACK call, and each of its norms is bit for bit the norm of
 that matrix alone, so a pipeline stage measures all of its residuals at
-once without changing a single reported digit.
+once without changing a single reported digit.  The norm of an exactly
+Hermitian matrix is its largest |eigenvalue| (``hermitian=True``), one
+eigenvalue call in place of the singular values; non-Hermitian blocks and
+commutators keep the SVD.
 """
 
 from __future__ import annotations
@@ -209,17 +212,24 @@ def require_finite(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def opnorm(a: np.ndarray) -> float | np.ndarray:
+def opnorm(a: np.ndarray, hermitian: bool = False) -> float | np.ndarray:
     """Spectral norm (largest singular value) of a matrix or of each matrix of a stack.
 
     A 2-D ``a`` gives a float; a (..., m, n) stack gives an array of shape
     (...).  Both run the singular-value routine of ``np.linalg.norm(., 2)``,
     so a stacked norm equals the norm of its matrix alone bit for bit.  An
-    empty matrix has norm 0.
+    empty matrix has norm 0.  ``hermitian=True`` is for exactly Hermitian
+    matrices, such as :func:`herm_part` output: the norm is then the largest
+    |eigenvalue|, from the eigenvalue routine of ``np.linalg.eigvalsh``,
+    which reads only the lower triangle and is cheaper than the SVD; a
+    stacked norm again equals the single one bit for bit.
     """
     a = np.asarray(a)
     if a.size == 0:
         norms = np.zeros(a.shape[:-2])
+    elif hermitian:
+        w = np.linalg.eigvalsh(a)
+        norms = np.maximum(-w[..., 0], w[..., -1])
     else:
         norms = np.linalg.svd(a, compute_uv=False)[..., 0]
     return float(norms) if a.ndim == 2 else norms
@@ -292,19 +302,24 @@ class SpectralDecomposition:
     p_n = V_n V_n*, V_n the next ``multiplicities[n]`` columns, so the
     family is Hermitian, idempotent, mutually orthogonal and sums to the
     identity.  No projection is stored; :meth:`projections` forms those a
-    caller asks for.  ``norm`` is the spectral norm of a, read off the
-    eigensolver's extreme eigenvalues before clustering as max |lambda|:
-    exactly the number the clustering cut scales with.
+    caller asks for.  ``spectrum`` holds the eigensolver's eigenvalues before
+    clustering, descending, one per column of V, so a = V diag(spectrum) V*
+    up to the eigensolver's rounding.
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    norm: float
+    spectrum: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
+
+    @property
+    def norm(self) -> float:
+        """The spectral norm of a, max |lambda| over ``spectrum``: exactly the number the clustering cut scales with."""
+        return float(max(abs(self.spectrum[0]), abs(self.spectrum[-1])))
 
     def projections(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The (k, d, d) stack of the projections p_n of clusters ``start``..``stop``.
@@ -353,7 +368,7 @@ def herm_eig(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=np.array(means),
         multiplicities=np.diff(bounds),
-        norm=float(max(abs(w[0]), abs(w[-1]))),
+        spectrum=w,
         eigenvectors=v[:, ::-1],
     )
 

@@ -8,6 +8,14 @@ the eigenprojection-by-eigenprojection argument for self-adjoint
 families, and an explorer probes what happens when hypotheses are
 dropped.
 
+Phi is applied once, to a itself, for the hypotheses; the conclusion
+stages run in a's eigenframe.  With a = V Lambda V* and W_t = V* x_t V,
+formed once per decomposition (:func:`_eigenframe`), every f(a) =
+V f(Lambda) V* has V* Phi(f(a)) V = sum_t mu_t W_t* f(Lambda) W_t.  So f_eps,
+the powers, each spectral projection and each remainder of the peel go
+through Phi with no map call, and the commutators [x_t, p] are blocks of
+W_t.  The stage costs O(n d^3) however many distinct eigenvalues a has.
+
 Conclusion residuals (f_eps(a), projections, off-diagonal blocks,
 commutators) get ``slack=CONCLUSION_SLACK``, 100x, in ``cfg.eq_bound``:
 eigenprojections of a computed matrix carry more noise than direct
@@ -70,12 +78,59 @@ __all__ = [
 # Slack factor on eq_tol for residuals derived through an eigensolver.
 CONCLUSION_SLACK = 100.0
 
-# The projection stage of the theorem and the peel takes the spectral
-# projections through the map and the norm, and gathers the eigenframe blocks
-# of their commutators, in groups of at most this many bytes: at d = 16 all
-# fit in one group, and at large d with many distinct eigenvalues the working
+# The eigenframe stages stack their d x d images (f_eps and the powers, the
+# projections, the peel's remainders) and gather the blocks of the
+# commutators in groups of at most about this many bytes: at d = 16 all fit
+# in one group, and at large d with many distinct eigenvalues the working
 # memory stays bounded instead of growing with their number.
 GROUP_BYTES = 1 << 20
+
+
+def _group(d: int) -> int:
+    """How many d x d images one group of ``GROUP_BYTES`` holds, with room for its temporaries."""
+    return max(1, GROUP_BYTES // (4 * 16 * d * d))
+
+
+@dataclass(frozen=True, eq=False)
+class _Eigenframe:
+    """The family in a's eigenframe V, the one change of frame the conclusion stages read.
+
+    ``w`` is the (n, d, d) stack W_t = V* x_t V, ``roots`` the sqrt(mu_t),
+    and ``drift`` is e = ||V*V - 1||_F, how far the computed V is from
+    unitary.  For a real diagonal F = f(Lambda) the frame residual is R =
+    sum_t mu_t W_t* F W_t - F, which is V* (Phi(m) - m) V for m = V F V* up
+    to that drift; :meth:`bound` accounts for it.
+    """
+
+    dec: SpectralDecomposition
+    w: np.ndarray
+    roots: np.ndarray
+    drift: float
+
+    def bound(self, bound: float, scale: float) -> float:
+        """A bound on ||R|| under which ||Phi(m) - m|| <= ``bound``, for m = V F V* and ||F|| = ``scale``.
+
+        Let G = V*V = 1 + D, so ||D||_2 <= ||D||_F = e.  Then V* (Phi(m) -
+        m) V = sum_t mu_t W_t* F W_t - G F G = R + F - G F G, and F - G F G =
+        -(D F + F D + D F D) has norm at most (2e + e^2) ||F||.  Every X has
+        ||X|| <= ||V* X V|| / sigma_min(V)^2, and sigma_min(V)^2 =
+        lambda_min(G) >= 1 - e.  So ||Phi(m) - m|| <= (||R|| + (2e + e^2)
+        ||F||) / (1 - e), which is at most ``bound`` once ||R|| <= bound (1 -
+        e) - (2e + e^2) ||F||.  A pass then answers for V f(Lambda) V*
+        itself; for e >= 1 the result is negative and nothing passes.
+        """
+        e = self.drift
+        return bound * (1.0 - e) - (2.0 + e) * e * scale
+
+
+def _eigenframe(kf: KrausFamily, dec: SpectralDecomposition) -> _Eigenframe:
+    """W_t = V* x_t V for every family member, and the drift of V, once per decomposition."""
+    v = dec.eigenvectors
+    vh = v.conj().T
+    w = vh @ kf.operators @ v
+    gram = vh @ v
+    gram.flat[:: dec.dim + 1] -= 1.0
+    return _Eigenframe(dec, w, np.sqrt(kf.weights), math.sqrt(np.vdot(gram, gram).real))
 
 
 def _trace_chain(
@@ -200,13 +255,14 @@ def _theorem(
     commutator_name: str,
 ) -> TheoremReport:
     """Hypotheses and conclusion stages for a hermitized ``h``, its image and the report."""
+    defect = herm_part(phi_h - h)
     hypotheses = {
         "unital": rep.is_unital,
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
         "aInAlgebra": alg.contains(h, cfg),
         "aPositive": cfg.psd_check("aPositive", h).passed,
-        "superFixed": cfg.psd_check("superFixed", herm_part(phi_h - h)).passed,
+        "superFixed": cfg.psd_check("superFixed", defect).passed,
     }
     if not all(hypotheses.values()):
         return TheoremReport(hypotheses)
@@ -226,31 +282,38 @@ def _theorem(
     gap_bound = -cfg.eq_bound(abs(tau_a))
     checks = [Check("traceGap", gap, gap_bound, f"trace gap negative: {gap:.3e}", lower=True)]
 
-    fixedness = opnorm(phi_h - h)
+    fixedness = opnorm(defect, hermitian=True)
     msg = f"fixedness residual {fixedness:.3e} exceeds tolerance"
     checks.append(Check("fixedness", fixedness, cfg.eq_bound(norm_h), msg))
 
+    frame = _eigenframe(kf, dec)
     half = 0.5 / max(1.0, norm_h)
     # |eps| ||h|| <= 1/2 < 0.99, so f_eps_eval's pole guard could never fire;
-    # f_{eps unit}(t / unit) is f_eps(t) / unit^2, with eps t formed exactly
-    fas = np.stack(
-        [dec.apply(lambda t, f=EpsFunction(e * unit): f(t / unit)) for e in (half, -half)]
-    )
-    residuals, norms = opnorm(np.stack([apply_map(kf, fas) - fas, fas])).tolist()
+    # f_{eps unit}(t / unit) is f_eps(t) / unit^2, with eps t formed exactly,
+    # at a's clustered eigenvalues
+    f_eps = np.stack([EpsFunction(e * unit)(dec.eigenvalues / unit) for e in (half, -half)])
+    # the powers n = 2..powers of h / unit, at a's own eigenvalues
+    power_values = np.cumprod(np.tile(dec.spectrum / unit, (powers, 1)), axis=0)[1:]
+    values = np.concatenate([np.repeat(f_eps, dec.multiplicities, axis=1), power_values])
+    residuals = _image_residuals(frame, values).tolist()
+
     # eq_bound(norm unit^2, slack) / unit^2, without the product norm
     # unit^2, which can overflow
     base = cfg.eq_bound(slack=CONCLUSION_SLACK)
-    for eps, r, norm in zip((half, -half), residuals, norms):
+    for eps, r, norm in zip((half, -half), residuals, np.abs(f_eps).max(axis=1).tolist()):
         msg = f"f_eps fixedness residual {r:.3e} (eps={eps:.3e})"
-        checks.append(Check("fEps", r, base * max(unit**-2, norm), msg))
+        checks.append(Check("fEps", r, frame.bound(base * max(unit**-2, norm), norm), msg))
 
-    # eq_bound(||h||^n) / unit^n, likewise
-    for n, r in enumerate(_power_residuals(kf, h, fixedness, powers, unit), 1):
+    # eq_bound(||h||^n) / unit^n, likewise; n = 1 is the fixedness residual
+    power_norms = np.abs(power_values).max(axis=1).tolist()
+    for n, r in enumerate([fixedness / unit, *residuals[2:]][:powers], 1):
         msg = f"power residual at n={n}: {r:.3e}"
         bound = cfg.eq_bound() * max(unit**-n, (norm_h / unit) ** n)
+        if n > 1:
+            bound = frame.bound(bound, power_norms[n - 2])
         checks.append(Check("powers", r, bound, msg))
 
-    stage = _projection_residuals(kf, dec, len(dec.eigenvalues), cfg)
+    stage = _projection_residuals(kf, frame, cfg)
     (proj_res, proj_bound), (off_res, off_bound) = stage
     for r in proj_res:
         msg = f"projection fixedness residual {r:.3e}"
@@ -262,29 +325,92 @@ def _theorem(
     return TheoremReport(hypotheses, checks)
 
 
-def _projection_residuals(
-    kf: KrausFamily, dec: SpectralDecomposition, count: int, cfg: ToleranceConfig
-) -> tuple[tuple[list[float], float], tuple[list[float], float]]:
-    """(||Phi(p) - p||, max_t ||[x_t, p]||) for the first ``count`` spectral projections p of ``dec``, each kind with its bound.
+def _image_residuals(frame: _Eigenframe, values: np.ndarray) -> np.ndarray:
+    """||R|| = ||sum_t mu_t W_t* F W_t - F|| for F = diag(f), f each row of ``values`` in eigenframe order.
 
-    ||Phi(p) - p|| takes one map call and one norm call per group of
-    ``GROUP_BYTES``; the commutators are ``_off_diagonal_residuals``.  The
-    bounds scale with what the residuals are made of, ||p|| = 1 and max
-    ||x_t||, and not with the operator whose projections they are; the
-    theorem and the peel judge their one projection stage by them alike.
+    R is V* (Phi(m) - m) V for m = V F V* (see :class:`_Eigenframe`): one
+    product per family member, F applied to sqrt(mu_t) W_t* as a column
+    scaling.  R is Hermitian by its form, so each norm is a largest
+    |eigenvalue|, one eigenvalue call per group of ``GROUP_BYTES``.
     """
-    group = max(1, GROUP_BYTES // (4 * kf.operators[0].nbytes))
+    k, d = values.shape
+    group = _group(d)
+    diag = np.arange(d)
+    out = np.empty(k)
+    for i in range(0, k, group):
+        f = values[i : i + group]
+        image = np.zeros((len(f), d, d), dtype=np.complex128)
+        for root, w in zip(frame.roots.tolist(), frame.w):
+            s = root * w
+            image += (s.conj().T * f[:, None, :]) @ s
+        image[:, diag, diag] -= f
+        out[i : i + group] = opnorm(herm_part(image), hermitian=True)
+    return out
+
+
+def _projection_gaps(frame: _Eigenframe, start: int, stop: int) -> np.ndarray:
+    """V* (Phi(p_k) - p_k) V = G_k - E_k for the spectral projections k = start..stop, stacked.
+
+    With W_t[k] the r_k rows of cluster k of W_t, G_k = sum_t mu_t W_t[k]*
+    W_t[k] is V* Phi(p_k) V and E_k, the diagonal indicator of those rows,
+    is V* p_k V (up to the drift of :class:`_Eigenframe`): O(n r_k d^2) per
+    projection, one batched Gram product per run of clusters of equal rank.
+    The difference is Hermitian by its form and returned exactly so.
+    """
+    ranks = frame.dec.multiplicities[start:stop]
+    first = int(frame.dec.multiplicities[:start].sum())
+    last = first + int(ranks.sum())
+    n, d = len(frame.w), frame.dec.dim
+    # sqrt(mu_t) W_t[first:last], as (n, last - first, d)
+    scaled = frame.w[:, first:last] * frame.roots[:, None, None]
+    out = np.empty((len(ranks), d, d), dtype=np.complex128)
+    cuts = np.flatnonzero(np.diff(ranks)) + 1
+    lo = 0
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(ranks)]):
+        r, g = int(ranks[a]), b - a
+        blocks = scaled[:, lo : lo + g * r].reshape(n, g, r, d).transpose(1, 0, 2, 3).reshape(g, n * r, d)
+        out[a:b] = blocks.conj().transpose(0, 2, 1) @ blocks
+        lo += g * r
+    rows = np.arange(first, last)
+    out[np.repeat(np.arange(len(ranks)), ranks), rows, rows] -= 1.0
+    return herm_part(out)
+
+
+def _projection_residuals(
+    kf: KrausFamily, frame: _Eigenframe, cfg: ToleranceConfig
+) -> tuple[tuple[list[float], float], tuple[list[float], float]]:
+    """(||Phi(p) - p||, max_t ||[x_t, p]||) for every spectral projection p of ``frame.dec``, each kind with its bound.
+
+    ||Phi(p) - p|| = ||G_k - E_k|| (:func:`_projection_gaps`), a largest
+    |eigenvalue|, one eigenvalue call per group of ``GROUP_BYTES``; the
+    commutators are ``_off_diagonal_residuals``; the bounds are
+    ``_stage_bounds``.
+    """
+    count, group = len(frame.dec.eigenvalues), _group(frame.dec.dim)
     proj_res = []
     for i in range(0, count, group):
-        ps = dec.projections(i, min(i + group, count))
-        proj_res += opnorm(apply_map(kf, ps) - ps).tolist()
-    off_res = _off_diagonal_residuals(kf, dec, count).tolist()
+        gaps = _projection_gaps(frame, i, min(i + group, count))
+        proj_res += opnorm(gaps, hermitian=True).tolist()
+    off_res = _off_diagonal_residuals(frame, count).tolist()
+    fix_bound, comm_bound = _stage_bounds(kf, frame, cfg)
+    return (proj_res, fix_bound), (off_res, comm_bound)
+
+
+def _stage_bounds(kf: KrausFamily, frame: _Eigenframe, cfg: ToleranceConfig) -> tuple[float, float]:
+    """The bounds of ||Phi(p) - p|| and of max_t ||[x_t, p]|| for a spectral projection p.
+
+    They scale with what the residuals are made of, ||p|| = 1 and max
+    ||x_t||, and not with the operator whose projections they are; the
+    theorem and the peel judge their one projection stage by them alike.
+    The fixedness bound gives up the frame's drift, so a pass answers for p
+    = V_k V_k* itself.
+    """
     op_bound = cfg.eq_bound(float(kf.operator_norms.max()), CONCLUSION_SLACK)
-    return (proj_res, cfg.eq_bound(slack=CONCLUSION_SLACK)), (off_res, op_bound)
+    return frame.bound(cfg.eq_bound(slack=CONCLUSION_SLACK), 1.0), op_bound
 
 
-def _off_diagonal_residuals(kf: KrausFamily, dec: SpectralDecomposition, count: int) -> np.ndarray:
-    """max_t ||[x_t, p]|| for the first ``count`` spectral projections p of ``dec``.
+def _off_diagonal_residuals(frame: _Eigenframe, count: int) -> np.ndarray:
+    """max_t ||[x_t, p]|| for the first ``count`` spectral projections p of ``frame.dec``.
 
     [x, p] = q x p - p x q with q = I - p, two blocks between orthogonal
     ranges, so ||[x, p]|| = max(||p x q||, ||q x p||).  In a's eigenframe
@@ -294,8 +420,8 @@ def _off_diagonal_residuals(kf: KrausFamily, dec: SpectralDecomposition, count: 
     one norm call per group of ``GROUP_BYTES`` of those blocks, and a
     projection of rank d has no such block and residual 0.
     """
-    d, v = kf.dim, dec.eigenvectors
-    w = v.conj().T @ kf.operators @ v
+    dec, w = frame.dec, frame.w
+    d = dec.dim
     ranks = dec.multiplicities[:count]
     starts = np.cumsum(dec.multiplicities) - dec.multiplicities
     off_res = np.zeros(count)
@@ -316,24 +442,6 @@ def _off_diagonal_residuals(kf: KrausFamily, dec: SpectralDecomposition, count: 
     return off_res
 
 
-def _power_residuals(
-    kf: KrausFamily, h: np.ndarray, r: float, n_max: int, unit: float
-) -> list[float]:
-    """||Phi(h^n) - h^n|| / unit^n for n = 1..n_max, given the n = 1 residual ``r``.
-
-    The powers n >= 2 are those of h / unit, so none overflows when unit
-    >= ||h||, and take one map call and one norm call.
-    """
-    if n_max < 2:
-        return [r / unit][:n_max]
-    g = h / unit
-    powers = [g @ g]
-    while len(powers) < n_max - 1:
-        powers.append(powers[-1] @ g)
-    stack = np.stack(powers)
-    return [r / unit, *opnorm(apply_map(kf, stack) - stack).tolist()]
-
-
 def _commutator_checks(
     h: np.ndarray, norm_h: float, kf: KrausFamily, cfg: ToleranceConfig, name: str, label: str
 ) -> list[Check]:
@@ -348,7 +456,7 @@ def _require_fixed_point(
 ) -> tuple[np.ndarray, float, float]:
     """(Phi(h), ||Phi(h) - h||, ||h||), once h is known to be a fixed point."""
     phi_h = apply_map(kf, h)
-    fix_res, norm_h = opnorm(np.stack([phi_h - h, h])).tolist()
+    fix_res, norm_h = opnorm(np.stack([herm_part(phi_h - h), h]), hermitian=True).tolist()
     msg = f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
     Check("fixedPoint", fix_res, cfg.eq_bound(norm_h), msg).require()
     return phi_h, fix_res, norm_h
@@ -446,8 +554,9 @@ def spectral_peel(
     family and be fixed by the map, by the bounds of the theorem's
     projection stage, and each remainder must stay super-fixed.  Each
     peeled lambda is a cluster mean of a's eigenvalues, so ``aPositive``
-    already bounds it below by -psd_tol.  A step forms only its own
-    projection, so one d x d projection is held at a time.
+    already bounds it below by -psd_tol.  The steps run in a's eigenframe
+    (:func:`_peel_stage`): Phi is applied once, to a, and no projection is
+    formed.
     """
     rep = normalization_report(kf, cfg)
     if not rep.self_adjoint_family:
@@ -456,36 +565,65 @@ def spectral_peel(
         raise PreconditionError("spectral peeling requires a unital family")
     h = hermitize(a, cfg)
     cfg.psd_check("aPositive", h, "spectral peeling requires a >= 0").require()
+    gap = herm_part(apply_map(kf, h) - h)
     msg = "Phi(a) >= a fails: min eig of Phi(a) - a is {:.3e}"
-    cfg.psd_check("superFixed", herm_part(apply_map(kf, h) - h), msg).require()
+    cfg.psd_check("superFixed", gap, msg).require()
 
     dec = herm_eig(h, cfg)
     norm_h = dec.norm
     n = max(np.flatnonzero(np.abs(dec.eigenvalues) > cfg.eq_bound(norm_h)) + 1, default=0)
-    stage = _projection_residuals(kf, dec, n, cfg)
-    (fix_res, fix_bound), (comm_res, comm_bound) = stage
+    frame = _eigenframe(kf, dec)
+    fix_bound, comm_bound = _stage_bounds(kf, frame, cfg)
+    comm_res = _off_diagonal_residuals(frame, n).tolist()
+    lams = dec.eigenvalues[:n].tolist()
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
-    total = np.zeros_like(h)
-    for k, (lam, comm, fix) in enumerate(zip(dec.eigenvalues[:n].tolist(), comm_res, fix_res)):
+    for k, (lam, comm, (fix, low)) in enumerate(zip(lams, comm_res, _peel_stage(frame, gap, n))):
         steps.append(PeelStep(lam, comm, fix))
         msg = f"step {k}: commutator residual {comm:.3e}"
         checks.append((k, Check("commutator", comm, comm_bound, msg)))
         msg = f"step {k}: projection not fixed, residual {fix:.3e}"
         checks.append((k, Check("fixedness", fix, fix_bound, msg)))
-        total += lam * dec.projections(k, k + 1)[0]
-        rest = h - total
-        msg = f"step {k}: super-fixed property lost, min eig {{:.3e}}"
-        gap = herm_part(apply_map(kf, rest) - rest)
-        checks.append((k, cfg.psd_check("superFixed", gap, msg)))
+        msg = f"step {k}: super-fixed property lost, min eig {low:.3e}"
+        checks.append((k, Check("superFixed", low, cfg.psd_bound(), msg, lower=True)))
         if not checks[-1][1].passed:
             break
 
-    recon = opnorm(h - total)
+    # a minus the peeled part sum_{j <= k} lambda_j p_j, one product
+    peeled = dec.multiplicities[: len(steps)]
+    v = dec.eigenvectors[:, : int(peeled.sum())]
+    total = herm_part((v * np.repeat(lams[: len(steps)], peeled)) @ v.conj().T)
+    recon = opnorm(h - total, hermitian=True)
     if all(c.passed for _, c in checks):
         msg = f"reconstruction residual {recon:.3e}"
         checks.append((None, Check("reconstruction", recon, cfg.eq_bound(norm_h), msg)))
     return PeelTrace(steps=steps, reconstruction_residual=recon, checks=checks)
+
+
+def _peel_stage(frame: _Eigenframe, gap: np.ndarray, count: int):
+    """(||Phi(p_k) - p_k||, min eig of Phi(rest_k) - rest_k) for k < count, one group at a time.
+
+    rest_k = a - sum_{j <= k} lambda_j p_j, so in the eigenframe D_k = V*
+    (Phi(rest_k) - rest_k) V follows D_k = D_{k-1} - lambda_k (G_k - E_k)
+    from D_{-1} = V* (Phi(a) - a) V, ``gap`` being Phi(a) - a: no map call
+    per step.  Up to the frame's drift in E_k, D_k is the congruence V*
+    (Phi(rest_k) - rest_k) V, which keeps the signs of the eigenvalues
+    (Sylvester's law of inertia) and moves them by a factor within 1 +- e.
+    Each group of ``GROUP_BYTES`` takes one eigenvalue call for the norms
+    and one for the minimum eigenvalues; a group is only formed when the
+    caller asks for its steps, so a peel that stops early forms no more.
+    """
+    v = frame.dec.eigenvectors
+    rest = herm_part(v.conj().T @ gap @ v)
+    lams = frame.dec.eigenvalues
+    group = _group(frame.dec.dim)
+    for i in range(0, count, group):
+        stop = min(i + group, count)
+        gaps = _projection_gaps(frame, i, stop)
+        rests = np.empty_like(gaps)
+        for j, (lam, gap_k) in enumerate(zip(lams[i:stop].tolist(), gaps)):
+            rest = rests[j] = rest - lam * gap_k
+        yield from zip(opnorm(gaps, hermitian=True).tolist(), np.linalg.eigvalsh(rests)[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every report is computed twice, from a freshly built family each time (a
 family caches its norms): once as shipped, and once with ``opnorm`` and
 ``apply_map`` replaced everywhere by per-matrix reference loops, the
-``np.linalg.norm(m, 2)`` and single-matrix map calls the pipelines made one
-at a time.  The canonical JSON of the two runs must be equal.
+``np.linalg.norm(m, 2)`` (or, for a Hermitian norm, the largest |eigenvalue|
+of ``np.linalg.eigvalsh(m)``) and single-matrix map calls the pipelines made
+one at a time.  The canonical JSON of the two runs must be equal.
 """
 
 import dataclasses
@@ -32,11 +33,14 @@ CFG = ToleranceConfig()
 STACKED = {"opnorm": matcore_mod.opnorm, "apply_map": channel_mod.apply_map}
 
 
-def _reference_opnorm(a):
+def _reference_opnorm(a, hermitian=False):
     a = np.asarray(a)
     if a.ndim == 2:
-        return 0.0 if a.size == 0 else float(np.linalg.norm(a, 2))
-    norms = [_reference_opnorm(m) for m in a.reshape(-1, *a.shape[-2:])]
+        if a.size == 0:
+            return 0.0
+        # the norm of a Hermitian matrix as its largest |eigenvalue|
+        return float(np.max(np.abs(np.linalg.eigvalsh(a)))) if hermitian else float(np.linalg.norm(a, 2))
+    norms = [_reference_opnorm(m, hermitian) for m in a.reshape(-1, *a.shape[-2:])]
     return np.array(norms).reshape(a.shape[:-2])
 
 

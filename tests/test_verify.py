@@ -11,7 +11,7 @@ from cpfix import io, verify
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
 from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
-from cpfix.matcore import ToleranceConfig, commutator, herm_eig, hermitize, opnorm, psd_min_eig, vec
+from cpfix.matcore import ToleranceConfig, commutator, herm_eig, herm_part, hermitize, opnorm, psd_min_eig, vec
 from cpfix.verify import (
     CONCLUSION_SLACK,
     PreconditionError,
@@ -27,12 +27,15 @@ from cpfix.verify import (
 from conftest import (
     E11,
     E12,
+    E22,
     SIGMA_X,
     haar_unitary,
     random_bistochastic,
     random_hermitian,
     random_selfadjoint_family,
     random_subunital_dual_family,
+    su2_tensor_family,
+    transposition_family,
 )
 
 CFG = ToleranceConfig()
@@ -182,9 +185,9 @@ class TestTheoremVerify:
 
     def test_one_decomposition_and_no_invariance_map_calls(self, monkeypatch):
         # the full algebra is invariant without applying the map, and sqrt(a),
-        # both f_eps(a) and the spectral projections share one herm_eig(a):
-        # 1 Phi(a) + 2 f_eps + 7 powers + 1 projection = 11 matrices through
-        # the map, in 4 calls (one per stage)
+        # both f_eps(a), the powers and the spectral projections share one
+        # herm_eig(a); the conclusion stages go through the map in a's
+        # eigenframe, so Phi(a) is the one matrix through apply_map
         import sys
 
         calls = {"apply_map": 0, "herm_eig": 0, "map calls": 0}
@@ -204,33 +207,37 @@ class TestTheoremVerify:
         kf = random_bistochastic(6, 3, 0)
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
-        assert calls == {"apply_map": 11, "herm_eig": 1, "map calls": 4}
+        assert calls == {"apply_map": 1, "herm_eig": 1, "map calls": 1}
 
     def test_membership_asked_once(self, monkeypatch):
         # on one block, aInAlgebra and tau(Phi(a)) take no SVD, and tau(a)
         # reuses aInAlgebra's answer; herm_eig reads ||a|| off its eigenvalues;
         # the report's flags are decided from Frobenius norms, and a = 2 I has
-        # one cluster, so no off-diagonal block: 19 spectral norms (cached
-        # ||x_t|| 3, fixedness 1, f_eps 4, powers 7, projection 1,
-        # commutators 3) in 6 singular-value calls
-        svds = []
-        real_svd = np.linalg.svd
+        # one cluster, so no off-diagonal block.  The Hermitian norms are
+        # largest |eigenvalues| and the f_eps norms are read off f(lambda):
+        # singular values only for the cached ||x_t|| and the commutators, 3
+        # each; eigenvalues for the ">= 0" tests of I - row sum, a and
+        # Phi(a) - a, then fixedness 1, f_eps 2 and powers 7 in one call, and
+        # the projection 1
+        calls = []
+        for name in ("svd", "eigvalsh"):
 
-        def counting_svd(a, *args, **kwargs):
-            svds.append(int(np.prod(np.shape(a)[:-2])))
-            return real_svd(a, *args, **kwargs)
+            def counting(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, int(np.prod(np.shape(a)[:-2]))))
+                return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            monkeypatch.setattr(np.linalg, name, counting)
         kf = random_bistochastic(6, 3, 0)
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict and report.residuals("offDiagonal") == [0.0]
-        assert (sum(svds), len(svds)) == (19, 6)
+        assert calls == [("eigvalsh", 1)] * 4 + [("eigvalsh", 9), ("eigvalsh", 1), ("svd", 3), ("svd", 3)]
 
     def test_off_diagonal_norms_are_eigenframe_blocks(self, monkeypatch):
         # a rotated block fixed point with clusters of ranks 3, 2 and 1: the
         # off-diagonal stage takes one norm call per rank, of the 2n blocks
         # r x (d - r) of V* x_t V per projection; no SVD has the hermitize
-        # test or a report flag behind it
+        # test or a report flag behind it, and every Hermitian norm is an
+        # eigenvalue call
         svds = []
         real_svd = np.linalg.svd
 
@@ -250,13 +257,9 @@ class TestTheoremVerify:
         assert not np.array_equal(a, a.conj().T)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert theorem_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
-        # fixedness, f_eps, powers, projections, the off-diagonal blocks by
-        # rank, the cached ||x_t|| of the off-diagonal bound, commutators
-        assert svds == [
-            (6, 6), (2, 2, 6, 6), (7, 6, 6), (3, 6, 6),
-            (6, 1, 1, 5), (6, 1, 2, 4), (6, 1, 3, 3),
-            (3, 6, 6), (3, 6, 6),
-        ]
+        # the off-diagonal blocks by rank, the cached ||x_t|| of the
+        # off-diagonal bound, commutators
+        assert svds == [(6, 1, 1, 5), (6, 1, 2, 4), (6, 1, 3, 3), (3, 6, 6), (3, 6, 6)]
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
         # the deviation test runs once per not exactly Hermitian input, and
@@ -361,8 +364,8 @@ class TestTheoremVerify:
         # rank-one projections, whose 2n blocks 1 x (d - 1) are gathered from
         # W_t = V* x_t V in groups of GROUP_BYTES with no transposed copy of
         # W (all of them at once, with W's transpose, take 17 MiB at d =
-        # 256).  One group changes no norm: a stacked opnorm equals the
-        # single one bit for bit
+        # 256); the traced peak includes forming W.  One group changes no
+        # norm: a stacked opnorm equals the single one bit for bit
         import tracemalloc
 
         signs = [[(-1.0) ** (k >> t & 1) for k in range(d)] for t in range(3)]
@@ -372,14 +375,15 @@ class TestTheoremVerify:
         monkeypatch.setattr(verify, "opnorm", lambda a: calls.append(len(a)) or opnorm(a))
         tracemalloc.start()
         try:
-            grouped = verify._off_diagonal_residuals(kf, dec, d)
+            frame = verify._eigenframe(kf, dec)
+            grouped = verify._off_diagonal_residuals(frame, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(calls) == groups and set(calls) == {6}
         assert peak < 8 * 2**20
         monkeypatch.setattr(verify, "GROUP_BYTES", 1 << 40)
-        assert np.array_equal(verify._off_diagonal_residuals(kf, dec, d), grouped)
+        assert np.array_equal(verify._off_diagonal_residuals(frame, d), grouped)
 
 
 class TestCorollaryVerify:
@@ -426,9 +430,9 @@ class TestCorollaryVerify:
             corollary_verify(kf, FULL2, E11, CFG)
 
     def test_report_and_images_computed_once(self, monkeypatch):
-        # one report, Phi(a) and Phi(a^2) shared with the main pipeline:
-        # Phi(a) + Phi(a^2) + 2 f_eps + 7 powers + 1 projection = 12 matrices
-        # through the map, in 5 calls
+        # one report, Phi(a) and Phi(a^2) shared with the main pipeline, whose
+        # conclusion stages run in the eigenframe of a^2: Phi(a) and Phi(a^2)
+        # are the only matrices through apply_map
         import sys
 
         calls = {"apply_map": 0, "normalization_report": 0, "map calls": 0}
@@ -448,12 +452,17 @@ class TestCorollaryVerify:
         kf = random_bistochastic(6, 3, 0)
         report = corollary_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict
-        assert calls == {"apply_map": 12, "normalization_report": 1, "map calls": 5}
+        assert calls == {"apply_map": 2, "normalization_report": 1, "map calls": 2}
+
+
+def _assert_close(got, want, scale=1.0):
+    """An eigenframe residual against its apply_map form: within 1e-13 max(1, scale)."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, scale))
 
 
 def _unit(h):
-    """The least power of two >= max(1, ||h||), by which the stages divide."""
-    return 2.0 ** math.ceil(math.log2(max(1.0, herm_eig(h, CFG).norm)))
+    """The least power of two >= max(1, ||h||), at most 2^1023, by which the stages divide."""
+    return 2.0 ** min(math.ceil(math.log2(max(1.0, herm_eig(h, CFG).norm))), 1023)
 
 
 def _power_oracle(kf, a, n_max):
@@ -474,7 +483,7 @@ def _power_oracle(kf, a, n_max):
 
 
 class TestPowerFixedCheck:
-    """The theorem's powers stage, against a loop of single map applications."""
+    """The theorem's powers stage, against a loop of single map applications, to within 1e-13."""
 
     def _powers(self, kf, a, n_max):
         report = theorem_verify(kf, BlockAlgebra.full(kf.dim), a, CFG, powers=n_max)
@@ -484,26 +493,26 @@ class TestPowerFixedCheck:
     def test_matches_theorem_powers_stage(self):
         kf = random_bistochastic(4, 3, 7)
         a = 2.5 * np.eye(4, dtype=complex)
-        assert self._powers(kf, a, 6) == _power_oracle(kf, a, 6)
+        _assert_close(self._powers(kf, a, 6), _power_oracle(kf, a, 6))
 
     def test_identity_channel(self, identity_channel):
         rng = np.random.default_rng(54)
         h = random_hermitian(2, rng)
         a = h @ h
         residuals = self._powers(identity_channel, a, 5)
-        assert residuals == _power_oracle(identity_channel, a, 5)
+        _assert_close(residuals, _power_oracle(identity_channel, a, 5))
         assert max(residuals) <= 1e-10
 
     def test_mixture(self, mixture):
         a = 2 * np.eye(2, dtype=complex) + SIGMA_X
         residuals = self._powers(mixture, a, 5)
-        assert residuals == _power_oracle(mixture, a, 5)
+        _assert_close(residuals, _power_oracle(mixture, a, 5))
         assert max(residuals) <= 1e-10
 
     def test_lueders(self, lueders):
         a = np.diag([1.0, 3.0]).astype(complex)
         residuals = self._powers(lueders, a, 5)
-        assert residuals == _power_oracle(lueders, a, 5)
+        _assert_close(residuals, _power_oracle(lueders, a, 5))
         assert max(residuals) <= 1e-12
 
     def test_unit_norm_residuals_are_absolute(self, mixture):
@@ -511,7 +520,7 @@ class TestPowerFixedCheck:
         a = (np.eye(2) + SIGMA_X) / 2.5
         h = hermitize(a, CFG)
         powers = [np.linalg.matrix_power(h, n) for n in range(1, 6)]
-        assert self._powers(mixture, a, 5) == [opnorm(apply_map(mixture, p) - p) for p in powers]
+        _assert_close(self._powers(mixture, a, 5), [opnorm(apply_map(mixture, p) - p) for p in powers])
 
     @pytest.mark.parametrize("command", [theorem_verify, corollary_verify])
     def test_no_overflow_at_any_scale(self, lueders, command):
@@ -538,19 +547,20 @@ class TestScaledStages:
     N = 6
 
     def _absolute(self, kf, h):
-        """(residual, bound) of the f_eps and power stages, without rescaling."""
+        """(residual, bound) of the f_eps and power stages, in the same eigenframe without rescaling."""
         dec = herm_eig(h, CFG)
+        frame = verify._eigenframe(kf, dec)
         half = 0.5 / max(1.0, dec.norm)
-        fas = np.stack([dec.apply(EpsFunction(eps)) for eps in (half, -half)])
-        residuals, norms = opnorm(np.stack([apply_map(kf, fas) - fas, fas])).tolist()
-        f_eps = [(r, CFG.eq_bound(n, CONCLUSION_SLACK)) for r, n in zip(residuals, norms)]
-        powers = [h @ h]
-        while len(powers) < self.N - 1:
-            powers.append(powers[-1] @ h)
-        stack = np.stack(powers)
-        residuals = [opnorm(apply_map(kf, h) - h), *opnorm(apply_map(kf, stack) - stack).tolist()]
-        bounds = [CFG.eq_bound(dec.norm**n) for n in range(1, self.N + 1)]
-        return f_eps, list(zip(residuals, bounds))
+        f = np.stack([EpsFunction(eps)(dec.eigenvalues) for eps in (half, -half)])
+        residuals = verify._image_residuals(frame, np.repeat(f, dec.multiplicities, axis=1))
+        norms = np.abs(f).max(axis=1)
+        f_eps = [(r, frame.bound(CFG.eq_bound(n, CONCLUSION_SLACK), n)) for r, n in zip(residuals, norms)]
+        values = np.cumprod(np.tile(dec.spectrum, (self.N, 1)), axis=0)[1:]
+        residuals = verify._image_residuals(frame, values)
+        powers = [(opnorm(herm_part(apply_map(kf, h) - h), hermitian=True), CFG.eq_bound(dec.norm))]
+        for n, r, norm in zip(range(2, self.N + 1), residuals, np.abs(values).max(axis=1)):
+            powers.append((r, frame.bound(CFG.eq_bound(dec.norm**n), norm)))
+        return f_eps, powers
 
     @pytest.mark.parametrize(
         "family, a",
@@ -655,6 +665,28 @@ class TestSpectralPeel:
         assert trace.verdict and len(trace.steps) == d
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_one_map_call_whatever_the_steps(self, d, monkeypatch):
+        # Phi(a) for the superFixed hypothesis is the one matrix through
+        # apply_map: the d projections and remainders of the peel go through
+        # the map in a's eigenframe
+        import sys
+
+        calls = []
+
+        def counting(kf, b):
+            calls.append(np.shape(b))
+            return apply_map(kf, b)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cpfix") and getattr(mod, "apply_map", None) is apply_map:
+                monkeypatch.setattr(mod, "apply_map", counting)
+        signs = [[(-1.0) ** (k >> t & 1) for k in range(d)] for t in range(3)]
+        kf = KrausFamily.from_operators([np.diag(s) / np.sqrt(3) for s in signs])
+        trace = spectral_peel(kf, np.diag(np.arange(1.0, d + 1)), CFG)
+        assert trace.verdict and len(trace.steps) == d
+        assert calls == [(d, d)]
+
     def test_rejects_non_selfadjoint_family(self):
         kf = KrausFamily.from_operators([E12, E12.conj().T])
         with pytest.raises(PreconditionError, match="x_t"):
@@ -689,7 +721,7 @@ class TestSpectralPeel:
                 assert step.eigenvalue == lam
                 comm = max(opnorm(commutator(xs, p)))
                 assert abs(step.commutator_residual - comm) <= 1e-13
-                assert step.fixedness_residual == opnorm(apply_map(kf, p) - p)
+                assert abs(step.fixedness_residual - opnorm(apply_map(kf, p) - p)) <= 1e-13
             assert trace.verdict == (perturbation == 0.0)
 
     def test_peel_commutant_agreement(self):
@@ -739,8 +771,88 @@ def _clustered_instance(sizes, seed, projective):
     return kf, a + 1e-9 * h / opnorm(h)
 
 
+def _theorem_oracle(kf, a, powers):
+    """The f_eps, power, projection and off-diagonal residuals of the theorem, from d x d matrices through apply_map."""
+    h = hermitize(a, CFG)
+    dec = herm_eig(h, CFG)
+    unit = _unit(h)
+    half = 0.5 / max(1.0, dec.norm)
+    fas = [dec.apply(lambda t, f=EpsFunction(e * unit): f(t / unit)) for e in (half, -half)]
+    return {
+        "fEps": [opnorm(apply_map(kf, m) - m) for m in fas],
+        "powers": _power_oracle(kf, a, powers),
+        "projections": [opnorm(apply_map(kf, p) - p) for p in dec.projections()],
+        "offDiagonal": _dense_off_diagonal(kf, dec.projections()),
+    }
+
+
+def _peel_oracle(kf, a):
+    """Per peel step: ||Phi(p) - p||, the dense off-diagonal residual, and min eig of Phi(rest) - rest."""
+    h = hermitize(a, CFG)
+    dec = herm_eig(h, CFG)
+    rest, out = h, []
+    for lam, p in zip(dec.eigenvalues, dec.projections()):
+        rest = rest - lam * p
+        low = psd_min_eig(herm_part(apply_map(kf, rest) - rest), CFG)
+        out.append((opnorm(apply_map(kf, p) - p), _dense_off_diagonal(kf, [p])[0], low))
+    return out
+
+
+def _rotated_diagonal(d, seed, selfadjoint):
+    """Three Haar-rotated diagonal unitaries over sqrt3 (signs when ``selfadjoint``), and a = V diag(1..d) V*."""
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng)
+    if selfadjoint:
+        diagonals = [[(-1.0) ** (k >> t & 1) for k in range(d)] for t in range(3)]
+    else:
+        diagonals = [np.exp(2j * np.pi * rng.uniform(size=d)) for _ in range(3)]
+    kf = KrausFamily.from_operators([v @ np.diag(x) @ v.conj().T / np.sqrt(3) for x in diagonals])
+    return kf, v @ np.diag(np.arange(1.0, d + 1)) @ v.conj().T
+
+
+def _schur_weyl(selfadjoint):
+    """k = 4 qubits: a positive element of the commutant, with the degenerate spectrum of Schur-Weyl duality.
+
+    Of U^(x)4 (su2_tensor_family) the commutant is (+)_j 1_{2j+1} (x) M_{m_j},
+    spectral multiplicities 5, 3, 3, 3, 1, 1; of the adjacent swaps
+    (transposition_family, self-adjoint) it is (+)_j M_{2j+1} (x) 1_{m_j},
+    multiplicities 1 (five times), 3, 3, 3 and 2.
+    """
+    kf = transposition_family(4) if selfadjoint else su2_tensor_family(4)
+    return kf, _commutant_positive_element(kf, np.random.default_rng(8))
+
+
+def _lueders(a):
+    return KrausFamily.from_operators([E11, E22]), np.diag(a).astype(complex)
+
+
+def _low_rank(sizes, values, seed):
+    """A rotated block family and a = V diag(values repeated by sizes) V*, of rank < d when a value is 0."""
+    kf, _ = _clustered_instance(sizes, seed, projective=True)
+    v = haar_unitary(sum(sizes), np.random.default_rng(seed))
+    return kf, v @ np.diag(np.repeat(values, sizes)) @ v.conj().T
+
+
+_DIFFERENTIAL = {
+    "d=1": lambda sa: (KrausFamily.from_operators([np.ones((1, 1))]), np.array([[3.0]])),
+    "d=2": lambda sa: (
+        KrausFamily.from_operators([np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]),
+        2.0 * np.eye(2) + SIGMA_X,
+    ),
+    "d=16": lambda sa: _clustered_instance((6, 5, 5), 1, projective=sa),
+    "d=64": lambda sa: _rotated_diagonal(64, 2, sa),
+    "Schur-Weyl": _schur_weyl,
+    "rank<d": lambda sa: _low_rank((2, 3, 1), [0.0, 1.0, 2.5], 3),
+    "Lueders 2e40": lambda sa: _lueders([2e40, 1e40]),
+    "Lueders 1.7e308": lambda sa: _lueders([1.7e308, 1.0]),
+}
+
+
 class TestEigenframeStage:
-    """The off-diagonal residuals from a's eigenframe equal the d x d formula."""
+    """Every eigenframe residual against its d x d apply_map form, within 1e-13 max(1, scale).
+
+    The off-diagonal residuals are compared on clustered instances first.
+    """
 
     CLUSTERS = {"1, d-1": (1, 5), "d/2, d/2": (3, 3), "three of rank 2": (2, 2, 2), "ranks 1, 1, 2, 2": (1, 2, 1, 2)}
 
@@ -779,6 +891,58 @@ class TestEigenframeStage:
         assert _dense_off_diagonal(kf, herm_eig(a, CFG).projections())[0] <= 1e-13
         selfadjoint = random_selfadjoint_family(5, 2, 0)
         assert [s.commutator_residual for s in spectral_peel(selfadjoint, a, CFG).steps] == [0.0]
+
+    @pytest.mark.parametrize("powers", [1, 8])
+    @pytest.mark.parametrize("name", _DIFFERENTIAL)
+    def test_theorem_residuals(self, name, powers):
+        kf, a = _DIFFERENTIAL[name](False)
+        report = theorem_verify(kf, BlockAlgebra.full(kf.dim), a, CFG, powers=powers)
+        # d = 16 is perturbed off its fixed point, so residuals are far above
+        # rounding there; its powers fail, the other stages pass
+        assert all(report.hypotheses.values()) and report.verdict == (name != "d=16" or powers == 1)
+        oracle = _theorem_oracle(kf, a, powers)
+        norm = herm_eig(hermitize(a, CFG), CFG).norm
+        scales = {
+            "fEps": 1.0,
+            # relative to unit^n, at most (||a|| / unit)^n <= 2^n
+            "powers": max(1.0, (norm / _unit(hermitize(a, CFG))) ** powers),
+            "projections": 1.0,
+            "offDiagonal": float(kf.operator_norms.max()),
+        }
+        for stage, scale in scales.items():
+            assert len(report.residuals(stage)) == len(oracle[stage])
+            _assert_close(report.residuals(stage), oracle[stage], scale)
+
+    @pytest.mark.parametrize("name", _DIFFERENTIAL)
+    def test_peel_steps(self, name):
+        kf, a = _DIFFERENTIAL[name](True)
+        if not normalization_report(kf, CFG).self_adjoint_family:
+            kf = KrausFamily.from_operators([herm_part(x) for x in kf.operators])
+        trace = spectral_peel(kf, a, CFG)
+        assert all(c.passed for _, c in trace.checks if c.name == "superFixed")
+        oracle = _peel_oracle(kf, a)[: len(trace.steps)]
+        lows = [c.value for _, c in trace.checks if c.name == "superFixed"]
+        assert len(lows) == len(oracle) == len(trace.steps)
+        norm = herm_eig(hermitize(a, CFG), CFG).norm
+        _assert_close([s.fixedness_residual for s in trace.steps], [o[0] for o in oracle])
+        _assert_close([s.commutator_residual for s in trace.steps], [o[1] for o in oracle], float(kf.operator_norms.max()))
+        _assert_close(lows, [o[2] for o in oracle], norm)
+
+    def test_cases_reach_their_shapes(self):
+        # degenerate clusters of mixed ranks, a zero cluster the peel stops
+        # before, and a drift-free frame only where a is diagonal
+        for selfadjoint, want in [(False, [1, 1, 3, 3, 3, 5]), (True, [1, 1, 1, 1, 1, 2, 3, 3, 3])]:
+            kf, a = _schur_weyl(selfadjoint)
+            assert sorted(herm_eig(hermitize(a, CFG), CFG).multiplicities) == want
+        kf, a = _DIFFERENTIAL["rank<d"](True)
+        dec = herm_eig(hermitize(a, CFG), CFG)
+        assert list(dec.multiplicities) == [1, 3, 2] and abs(dec.eigenvalues[-1]) < 1e-12
+        assert len(spectral_peel(kf, a, CFG).steps) == 2
+        kf, a = _DIFFERENTIAL["d=64"](False)
+        dec = herm_eig(hermitize(a, CFG), CFG)
+        assert len(dec.eigenvalues) == 64 and 0.0 < verify._eigenframe(kf, dec).drift < 1e-12
+        kf, a = _DIFFERENTIAL["Lueders 1.7e308"](True)
+        assert verify._eigenframe(kf, herm_eig(a, CFG)).drift == 0.0
 
 
 def _commutant_positive_element(kf, rng):
