@@ -22,10 +22,11 @@ from .matcore import (
     DEFAULT_TOL,
     DomainError,
     PreconditionError,
+    SpectralDecomposition,
     ToleranceConfig,
+    herm_eig,
     herm_part,
     hermitize,
-    mat_func,
     opnorm,
     require_finite,
 )
@@ -89,18 +90,19 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray, cfg: ToleranceConfig) -> IneqRes
 def f_eps_eval(f: EpsFunction, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Spectral evaluation of f_eps; equals a @ a when eps = 0.
 
-    Only the pole side of the spectrum is margin-guarded: f_eps is
-    analytic past the symmetric convexity interval on the other side, and
-    the inequality operations impose the symmetric bound themselves.
+    ``a`` is a matrix or its held :class:`SpectralDecomposition`.  Only the
+    pole side of the spectrum is margin-guarded: f_eps is analytic past the
+    symmetric convexity interval on the other side, and the inequality
+    operations impose the symmetric bound themselves.
     """
-    h = hermitize(a, cfg)
+    dec = a if isinstance(a, SpectralDecomposition) else herm_eig(a, cfg)
     if f.eps > 0:
         domain = (-np.inf, MARGIN_FACTOR / f.eps)
     elif f.eps < 0:
         domain = (MARGIN_FACTOR / f.eps, np.inf)
     else:
         domain = None
-    return mat_func(f, h, cfg, domain=domain)
+    return dec.apply(f, domain)
 
 
 def jensen_residual(
@@ -110,15 +112,17 @@ def jensen_residual(
 
     Residual of sum mu x* f(a) x - f(sum mu x* a x); the verdict must be
     true whenever sum mu x*x <= 1.  Note ||sum mu x* a x|| <= ||a||, so
-    the left argument is automatically inside the domain.
+    the left argument is automatically inside the domain.  One
+    decomposition of a gives ||a|| and f_eps(a).
     """
     msg = "family is not contractive: min eig of (I - sum mu x*x) = {:.3e}"
     cfg.psd_check("contractive", np.eye(kf.dim) - kf.column_sum, msg).require()
     h = hermitize(a, cfg)
+    dec = herm_eig(h, cfg)
     # operator convexity of f_eps lives on the symmetric interval
-    f.require_margin(opnorm(h))
+    f.require_margin(dec.norm)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_h = require_finite("value f_eps(a)", f_eps_eval(f, h, cfg))
+        f_h = require_finite("value f_eps(a)", f_eps_eval(f, dec, cfg))
         lhs = require_finite("value f_eps(Phi(a))", f_eps_eval(f, herm_part(apply_map(kf, h)), cfg))
     rhs = herm_part(apply_map(kf, f_h))
     return _residual(lhs, rhs, cfg)

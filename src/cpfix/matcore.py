@@ -158,8 +158,8 @@ class ToleranceConfig:
         return bool(within[0]) if len(shape) == 2 else within.reshape(shape[:-2])
 
     def psd_check(self, name: str, m, failure: str = "") -> Check:
-        """``m >= 0`` as a Check; ``failure``'s ``{:.3e}`` field gets the min eig."""
-        value = psd_min_eig(m, self)
+        """``m >= 0`` as a Check, ``m`` the matrix or its held least eigenvalue; ``failure``'s ``{:.3e}`` field gets it."""
+        value = float(m) if np.ndim(m) == 0 else psd_min_eig(m, self)
         return Check(name, value, self.psd_bound(), failure.format(value), lower=True)
 
 

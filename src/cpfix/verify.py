@@ -8,13 +8,16 @@ the eigenprojection-by-eigenprojection argument for self-adjoint
 families, and an explorer probes what happens when hypotheses are
 dropped.
 
-Phi is applied once, to a itself, for the hypotheses; the conclusion
-stages run in a's eigenframe.  With a = V Lambda V* and W_t = V* x_t V,
-formed once per decomposition (:func:`_eigenframe`), every f(a) =
-V f(Lambda) V* has V* Phi(f(a)) V = sum_t mu_t W_t* f(Lambda) W_t.  So f_eps,
-the powers, each spectral projection and each remainder of the peel go
-through Phi with no map call, and the commutators [x_t, p] are blocks of
-W_t.  The stage costs O(n d^3) however many distinct eigenvalues a has.
+Each Hermitian matrix goes through one eigenvalue call.  a's decomposition
+also answers a >= 0 and ||a||, and one spectrum of Phi(a) - a answers both
+super-fixedness and fixedness.  Phi is applied to a for the hypotheses
+(``corollary`` also to a^2); the conclusion stages run in a's eigenframe.
+With a = V Lambda V* and W_t = V* x_t V, formed once per decomposition
+(:func:`_eigenframe`), every f(a) = V f(Lambda) V* has V* Phi(f(a)) V =
+sum_t mu_t W_t* f(Lambda) W_t.  So f_eps, the powers, each spectral
+projection and each remainder of the peel go through Phi with no map call,
+and the commutators [x_t, p] are blocks of W_t.  The stage costs O(n d^3)
+however many distinct eigenvalues a has.
 
 Conclusion residuals (f_eps(a), projections, off-diagonal blocks,
 commutators) get ``slack=CONCLUSION_SLACK``, 100x, in ``cfg.eq_bound``:
@@ -35,6 +38,7 @@ from .matcore import (
     PreconditionError,
     SpectralDecomposition,
     ToleranceConfig,
+    as_cmatrix,
     commutator,
     herm_eig,
     herm_part,
@@ -181,13 +185,14 @@ def trace_inequality_check(
     and is raised rather than returned.
     """
     h = hermitize(a, cfg)
-    cfg.psd_check("aPositive", h, "a must be positive semidefinite").require()
+    dec = herm_eig(h, cfg)
+    cfg.psd_check("aPositive", dec.spectrum[-1], "a must be positive semidefinite").require()
     if not alg.contains(h, cfg):
         raise PreconditionError("a is not in the algebra")
     rep = normalization_report(kf, cfg)
     if not rep.is_subunital_dual:
         raise PreconditionError("family violates sum mu x x* <= 1")
-    return _trace_gap(alg, h, herm_eig(h, cfg), apply_map(kf, h), kf.row_sum, cfg)[1]
+    return _trace_gap(alg, h, dec, apply_map(kf, h), kf.row_sum, cfg)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,21 +259,24 @@ def _theorem(
     powers: int,
     commutator_name: str,
 ) -> TheoremReport:
-    """Hypotheses and conclusion stages for a hermitized ``h``, its image and the report."""
-    defect = herm_part(phi_h - h)
+    """Hypotheses and conclusion stages for a hermitized ``h``, its image and the report.
+
+    One decomposition of h, and one eigenvalue call of Phi(h) - h, serve every stage.
+    """
+    dec = herm_eig(h, cfg)
+    norm_h = dec.norm
     hypotheses = {
         "unital": rep.is_unital,
         "subunitalDual": rep.is_subunital_dual,
         "invariance": invariance_check(kf, alg, cfg),
         "aInAlgebra": alg.contains(h, cfg),
-        "aPositive": cfg.psd_check("aPositive", h).passed,
-        "superFixed": cfg.psd_check("superFixed", defect).passed,
+        "aPositive": cfg.psd_check("aPositive", dec.spectrum[-1]).passed,
     }
+    least, fixedness = _least_and_norm(herm_part(phi_h - h))
+    hypotheses["superFixed"] = cfg.psd_check("superFixed", least).passed
     if not all(hypotheses.values()):
         return TheoremReport(hypotheses)
 
-    dec = herm_eig(h, cfg)
-    norm_h = dec.norm
     # f_eps(h) and the powers h^n are measured on h / unit, relative to
     # unit^2 and unit^n, since a^n can overflow where its residual relative
     # to ||a||^n is at rounding level.  unit is the least power of two >=
@@ -282,7 +290,6 @@ def _theorem(
     gap_bound = -cfg.eq_bound(abs(tau_a))
     checks = [Check("traceGap", gap, gap_bound, f"trace gap negative: {gap:.3e}", lower=True)]
 
-    fixedness = opnorm(defect, hermitian=True)
     msg = f"fixedness residual {fixedness:.3e} exceeds tolerance"
     checks.append(Check("fixedness", fixedness, cfg.eq_bound(norm_h), msg))
 
@@ -313,13 +320,12 @@ def _theorem(
             bound = frame.bound(bound, power_norms[n - 2])
         checks.append(Check("powers", r, bound, msg))
 
-    stage = _projection_residuals(kf, frame, cfg)
-    (proj_res, proj_bound), (off_res, off_bound) = stage
-    for r in proj_res:
-        msg = f"projection fixedness residual {r:.3e}"
-        checks.append(Check("projections", r, proj_bound, msg))
-    for r in off_res:
-        checks.append(Check("offDiagonal", r, off_bound, f"off-diagonal block residual {r:.3e}"))
+    fix_bound, comm_bound = _stage_bounds(kf, frame, cfg)
+    count = len(dec.eigenvalues)
+    for r in _peel_stage(frame, count):
+        checks.append(Check("projections", r, fix_bound, f"projection fixedness residual {r:.3e}"))
+    for r in _off_diagonal_residuals(frame, count).tolist():
+        checks.append(Check("offDiagonal", r, comm_bound, f"off-diagonal block residual {r:.3e}"))
 
     checks += _commutator_checks(h, norm_h, kf, cfg, commutator_name, "commutator residual")
     return TheoremReport(hypotheses, checks)
@@ -374,26 +380,6 @@ def _projection_gaps(frame: _Eigenframe, start: int, stop: int) -> np.ndarray:
     rows = np.arange(first, last)
     out[np.repeat(np.arange(len(ranks)), ranks), rows, rows] -= 1.0
     return herm_part(out)
-
-
-def _projection_residuals(
-    kf: KrausFamily, frame: _Eigenframe, cfg: ToleranceConfig
-) -> tuple[tuple[list[float], float], tuple[list[float], float]]:
-    """(||Phi(p) - p||, max_t ||[x_t, p]||) for every spectral projection p of ``frame.dec``, each kind with its bound.
-
-    ||Phi(p) - p|| = ||G_k - E_k|| (:func:`_projection_gaps`), a largest
-    |eigenvalue|, one eigenvalue call per group of ``GROUP_BYTES``; the
-    commutators are ``_off_diagonal_residuals``; the bounds are
-    ``_stage_bounds``.
-    """
-    count, group = len(frame.dec.eigenvalues), _group(frame.dec.dim)
-    proj_res = []
-    for i in range(0, count, group):
-        gaps = _projection_gaps(frame, i, min(i + group, count))
-        proj_res += opnorm(gaps, hermitian=True).tolist()
-    off_res = _off_diagonal_residuals(frame, count).tolist()
-    fix_bound, comm_bound = _stage_bounds(kf, frame, cfg)
-    return (proj_res, fix_bound), (off_res, comm_bound)
 
 
 def _stage_bounds(kf: KrausFamily, frame: _Eigenframe, cfg: ToleranceConfig) -> tuple[float, float]:
@@ -451,15 +437,15 @@ def _commutator_checks(
     return [Check(name, r, bound, f"{label} {r:.3e}") for r in residuals]
 
 
-def _require_fixed_point(
-    kf: KrausFamily, h: np.ndarray, cfg: ToleranceConfig
-) -> tuple[np.ndarray, float, float]:
-    """(Phi(h), ||Phi(h) - h||, ||h||), once h is known to be a fixed point."""
-    phi_h = apply_map(kf, h)
-    fix_res, norm_h = opnorm(np.stack([herm_part(phi_h - h), h]), hermitian=True).tolist()
-    msg = f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
-    Check("fixedPoint", fix_res, cfg.eq_bound(norm_h), msg).require()
-    return phi_h, fix_res, norm_h
+def _least_and_norm(m: np.ndarray) -> tuple[float, float]:
+    """(least eigenvalue, spectral norm) of a Hermitian ``m``, from one eigenvalue call.
+
+    ``m`` is finite-checked as ``psd_min_eig`` checks it.  The norm is
+    ``opnorm(m, hermitian=True)`` bit for bit: np.maximum, unlike Python's
+    max, gives +0.0 for a zero spectrum.
+    """
+    w = np.linalg.eigvalsh(as_cmatrix(m))
+    return float(w[0]), float(np.maximum(-w[0], w[-1]))
 
 
 def corollary_verify(
@@ -474,13 +460,18 @@ def corollary_verify(
     Runs Kadison-Schwarz to upgrade Phi(a) = a into Phi(a^2) >= a^2, hands
     a^2 to the main pipeline, and asserts the commutators of a itself
     (positive a and a^2 share their spectral family).  The report, Phi(a)
-    and Phi(a^2) are computed once and shared with the main pipeline.
+    and Phi(a^2) are computed once and shared with the main pipeline; a's
+    least eigenvalue and norm come from one eigenvalue call.
     """
     h = hermitize(a, cfg)
-    cfg.psd_check("aPositive", h, "corollary pipeline requires a >= 0").require()
+    least, norm_h = _least_and_norm(h)
+    cfg.psd_check("aPositive", least, "corollary pipeline requires a >= 0").require()
     # the report first: an overflowing family sum is named, not a NaN residual
     rep = normalization_report(kf, cfg)
-    phi_h, _, norm_h = _require_fixed_point(kf, h, cfg)
+    phi_h = apply_map(kf, h)
+    fix_res = _least_and_norm(herm_part(phi_h - h))[1]
+    msg = f"a is not a fixed point: ||Phi(a) - a|| = {fix_res:.3e}"
+    Check("fixedPoint", fix_res, cfg.eq_bound(norm_h), msg).require()
     if not rep.is_unital:
         raise PreconditionError("Kadison-Schwarz check requires a unital family")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -564,12 +555,12 @@ def spectral_peel(
     if not rep.is_unital:
         raise PreconditionError("spectral peeling requires a unital family")
     h = hermitize(a, cfg)
-    cfg.psd_check("aPositive", h, "spectral peeling requires a >= 0").require()
+    dec = herm_eig(h, cfg)
+    cfg.psd_check("aPositive", dec.spectrum[-1], "spectral peeling requires a >= 0").require()
     gap = herm_part(apply_map(kf, h) - h)
     msg = "Phi(a) >= a fails: min eig of Phi(a) - a is {:.3e}"
     cfg.psd_check("superFixed", gap, msg).require()
 
-    dec = herm_eig(h, cfg)
     norm_h = dec.norm
     n = max(np.flatnonzero(np.abs(dec.eigenvalues) > cfg.eq_bound(norm_h)) + 1, default=0)
     frame = _eigenframe(kf, dec)
@@ -578,7 +569,7 @@ def spectral_peel(
     lams = dec.eigenvalues[:n].tolist()
     steps: list[PeelStep] = []
     checks: list[tuple[int | None, Check]] = []
-    for k, (lam, comm, (fix, low)) in enumerate(zip(lams, comm_res, _peel_stage(frame, gap, n))):
+    for k, (lam, comm, (fix, low)) in enumerate(zip(lams, comm_res, _peel_stage(frame, n, gap))):
         steps.append(PeelStep(lam, comm, fix))
         msg = f"step {k}: commutator residual {comm:.3e}"
         checks.append((k, Check("commutator", comm, comm_bound, msg)))
@@ -600,30 +591,34 @@ def spectral_peel(
     return PeelTrace(steps=steps, reconstruction_residual=recon, checks=checks)
 
 
-def _peel_stage(frame: _Eigenframe, gap: np.ndarray, count: int):
-    """(||Phi(p_k) - p_k||, min eig of Phi(rest_k) - rest_k) for k < count, one group at a time.
+def _peel_stage(frame: _Eigenframe, count: int, gap: np.ndarray | None = None):
+    """||Phi(p_k) - p_k|| = ||G_k - E_k|| for k < count, the theorem's and the peel's projection stage.
 
-    rest_k = a - sum_{j <= k} lambda_j p_j, so in the eigenframe D_k = V*
-    (Phi(rest_k) - rest_k) V follows D_k = D_{k-1} - lambda_k (G_k - E_k)
-    from D_{-1} = V* (Phi(a) - a) V, ``gap`` being Phi(a) - a: no map call
-    per step.  Up to the frame's drift in E_k, D_k is the congruence V*
-    (Phi(rest_k) - rest_k) V, which keeps the signs of the eigenvalues
-    (Sylvester's law of inertia) and moves them by a factor within 1 +- e.
-    Each group of ``GROUP_BYTES`` takes one eigenvalue call for the norms
-    and one for the minimum eigenvalues; a group is only formed when the
-    caller asks for its steps, so a peel that stops early forms no more.
+    Given ``gap`` = Phi(a) - a, it yields pairs, each norm with the min eig
+    of Phi(rest_k) - rest_k.  rest_k = a - sum_{j <= k} lambda_j p_j, so in
+    the eigenframe D_k = V* (Phi(rest_k) - rest_k) V follows D_k = D_{k-1}
+    - lambda_k (G_k - E_k) from D_{-1} = V* gap V: no map call per step.  Up
+    to the frame's drift in E_k, D_k is a congruence, which keeps the signs
+    of the eigenvalues (Sylvester's law of inertia) and moves them by a
+    factor within 1 +- e.  Each group of ``GROUP_BYTES`` takes one
+    eigenvalue call per kind; a group is only formed when the caller asks
+    for its steps, so a peel that stops early forms no more.
     """
     v = frame.dec.eigenvectors
-    rest = herm_part(v.conj().T @ gap @ v)
+    rest = None if gap is None else herm_part(v.conj().T @ gap @ v)
     lams = frame.dec.eigenvalues
     group = _group(frame.dec.dim)
     for i in range(0, count, group):
         stop = min(i + group, count)
         gaps = _projection_gaps(frame, i, stop)
+        norms = opnorm(gaps, hermitian=True).tolist()
+        if rest is None:
+            yield from norms
+            continue
         rests = np.empty_like(gaps)
         for j, (lam, gap_k) in enumerate(zip(lams[i:stop].tolist(), gaps)):
             rest = rests[j] = rest - lam * gap_k
-        yield from zip(opnorm(gaps, hermitian=True).tolist(), np.linalg.eigvalsh(rests)[:, 0].tolist())
+        yield from zip(norms, np.linalg.eigvalsh(rests)[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------

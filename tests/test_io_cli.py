@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import hashlib
 import json
 import os
 import struct
@@ -14,8 +16,18 @@ from hypothesis import given, settings, strategies
 from cpfix import io
 from cpfix.channel import KrausFamily
 from cpfix.cli import run
+from cpfix.matcore import opnorm
 
-from conftest import E11, E22, SIGMA_X, haar_unitary, random_bistochastic, random_unital_family
+from conftest import (
+    E11,
+    E22,
+    SIGMA_X,
+    haar_unitary,
+    random_bistochastic,
+    random_hermitian,
+    random_selfadjoint_family,
+    random_unital_family,
+)
 from test_witnesses import MARKOV, MARKOV_A
 
 
@@ -1130,3 +1142,226 @@ class TestCli:
             report = json.loads(out)
             assert report["dimension"] == len(report["basis"]) >= 1
             assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# The README's example files, as its Example section writes them
+_README_FILES = {
+    "lueders.json": """{"dim": 2, "terms": [
+  {"weight": 1.0, "matrix": [[[1,0],[0,0]],[[0,0],[0,0]]]},
+  {"weight": 1.0, "matrix": [[[0,0],[0,0]],[[0,0],[1,0]]]}]}
+""",
+    "a.json": "[[[2,0],[0,0]],[[0,0],[1,0]]]\n",
+}
+
+# verify and corollary print the same report on a = diag(2, 1): a and a^2
+# are both fixed and every residual is an exact zero
+_README_THEOREM_TEXT = """\
+verdict: True
+hypothesis unital: True
+hypothesis subunitalDual: True
+hypothesis invariance: True
+hypothesis aInAlgebra: True
+hypothesis aPositive: True
+hypothesis superFixed: True
+trace gap: 0.000e+00
+fixedness residual: 0.000e+00
+max power residual: 0.000e+00
+max projection residual: 0.000e+00
+max commutator residual: 0.000e+00
+"""
+
+_README_THEOREM_JSON = """\
+{
+  "failures": [],
+  "hypotheses": {
+    "aInAlgebra": true,
+    "aPositive": true,
+    "invariance": true,
+    "subunitalDual": true,
+    "superFixed": true,
+    "unital": true
+  },
+  "residuals": {
+    "commutators": [
+      0.0,
+      0.0
+    ],
+    "fEps": [
+      0.0,
+      0.0
+    ],
+    "fixedness": 0.0,
+    "offDiagonal": [
+      0.0,
+      0.0
+    ],
+    "powers": [
+      0.0,
+      0.0,
+      0.0,
+      0.0,
+      0.0,
+      0.0,
+      0.0,
+      0.0
+    ],
+    "projections": [
+      0.0,
+      0.0
+    ],
+    "traceGap": 0.0
+  },
+  "verdict": true
+}
+"""
+
+_README_OUTPUTS = {
+    ("verify",): (_README_THEOREM_TEXT, _README_THEOREM_JSON),
+    ("corollary",): (_README_THEOREM_TEXT, _README_THEOREM_JSON),
+    ("peel",): (
+        """\
+verdict: True
+step 0: eigenvalue 2, commutator 0.000e+00, fixedness 0.000e+00
+step 1: eigenvalue 1, commutator 0.000e+00, fixedness 0.000e+00
+reconstruction residual: 0.000e+00
+""",
+        """\
+{
+  "failedStep": null,
+  "failures": [],
+  "reconstructionResidual": 0.0,
+  "steps": [
+    {
+      "commutatorResidual": 0.0,
+      "eigenvalue": 2.0,
+      "fixednessResidual": 0.0
+    },
+    {
+      "commutatorResidual": 0.0,
+      "eigenvalue": 1.0,
+      "fixednessResidual": 0.0
+    }
+  ],
+  "verdict": true
+}
+""",
+    ),
+    ("jensen", "--eps", "0.1"): (
+        """\
+min eigenvalue of (Phi(f(a)) - f(Phi(a))): 0.000e+00
+verdict: True
+""",
+        """\
+{
+  "eps": 0.1,
+  "lhsNorm": 5.0,
+  "minEig": 0.0,
+  "rhsNorm": 5.0,
+  "verdict": true
+}
+""",
+    ),
+}
+
+
+class TestReadmeExample:
+    """The README's example, stdout byte for byte.
+
+    Every residual is an exact zero, so a norm read off a spectrum with
+    Python's max, which keeps the -0.0 of -w[0], would print -0.000e+00.
+    """
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", list(_README_OUTPUTS), ids=lambda c: c[0])
+    def test_stdout_pinned(self, tmp_path, command, json_flag):
+        for name, text in _README_FILES.items():
+            (tmp_path / name).write_text(text)
+        name, *options = command
+        argv = [name, str(tmp_path / "lueders.json"), str(tmp_path / "a.json"), *options]
+        want = _README_OUTPUTS[command][json_flag]
+        assert _run_quietly(argv + ["--json"] * json_flag) == (0, want, "")
+
+
+def _block_family(rng, rotate):
+    """x_t = V (u_t (+) u'_t (+) 1) V* / sqrt3, blocks of sizes 3, 2 and 1, and the fixed point a = V diag(2, 2, 2, 3, 3, 4) V*; V is Haar, or 1."""
+    v = haar_unitary(6, rng) if rotate else np.eye(6)
+    ops = []
+    for _ in range(3):
+        u = np.zeros((6, 6), dtype=complex)
+        u[:3, :3], u[3:5, 3:5], u[5:, 5:] = haar_unitary(3, rng), haar_unitary(2, rng), 1.0
+        ops.append(v @ u @ v.conj().T / np.sqrt(3))
+    a = v @ np.diag([2.0, 2.0, 2.0, 3.0, 3.0, 4.0]) @ v.conj().T
+    return KrausFamily.from_operators(ops), a
+
+
+class TestOneSpectrumPerMatrix:
+    """No matrix reaches an eigenvalue or singular-value routine twice in one command.
+
+    Each array handed to ``np.linalg.eigvalsh``, ``eigh`` or ``svd`` during
+    one ``cli.run`` is recorded by shape and bytes.  An exactly zero array
+    is skipped: in the standard basis, a and a^2 of a block fixed point both
+    commute exactly, and ``corollary`` measures two all-zero commutator
+    stacks, which are equal values, not a repeated computation.
+    """
+
+    @staticmethod
+    def _inputs(monkeypatch):
+        """The (shape, sha256) of every nonzero array the three routines receive, in call order."""
+        seen = []
+        for name in ("eigvalsh", "eigh", "svd"):
+
+            def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                m = np.asarray(a)
+                if m.any():
+                    seen.append((m.shape, hashlib.sha256(m.tobytes()).hexdigest()))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify", "rotated", "rotated_a"], id="verify"),
+            pytest.param(["verify", "rotated", "perturbed_a"], id="verify-not-super-fixed"),
+            pytest.param(["verify", "block", "block_a"], id="verify-standard-basis"),
+            pytest.param(["corollary", "rotated", "rotated_a"], id="corollary"),
+            pytest.param(["corollary", "block", "block_a"], id="corollary-standard-basis"),
+            pytest.param(["peel", "projective", "projective_a"], id="peel"),
+            pytest.param(["jensen", "rotated", "hermitian_a", "--eps", "0.25"], id="jensen"),
+            pytest.param(["jensen", "rotated", "hermitian_a", "--eps", "-0.25"], id="jensen-negative-eps"),
+            pytest.param(["check", "rotated"], id="check"),
+            pytest.param(["fix", "rotated"], id="fix"),
+            pytest.param(["commutant", "rotated"], id="commutant"),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_no_repeated_decomposition(self, tmp_path, monkeypatch, argv, json_flag):
+        rng = np.random.default_rng(12)
+        rotated, rotated_a = _block_family(rng, rotate=True)
+        block, block_a = _block_family(rng, rotate=False)
+        projective = random_selfadjoint_family(6, 3, 12)
+        h = random_hermitian(6, rng)
+        files = {
+            "rotated": rotated,
+            "rotated_a": rotated_a,
+            # Phi is trace preserving, so Phi(a) - a is traceless and not >= 0
+            "perturbed_a": rotated_a + 0.3 * h / opnorm(h),
+            "block": block,
+            "block_a": block_a,
+            "projective": projective,
+            "projective_a": sum(c * p for c, p in zip((3.0, 2.0, 1.5), projective.operators)),
+            # ||a|| = 2 and |eps| ||a|| = 0.5, inside the margin
+            "hermitian_a": 2.0 * h / opnorm(h),
+        }
+        for name, value in files.items():
+            if isinstance(value, KrausFamily):
+                io.write_channel(tmp_path / f"{name}.json", value)
+            else:
+                _matrix_file(tmp_path, f"{name}.json", value)
+        paths = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]
+        seen = self._inputs(monkeypatch)
+        code, _, err = _run_quietly(paths + json_flag)
+        assert (code, err) == (1 if "perturbed_a" in argv else 0, "")
+        repeated = [key for key, count in collections.Counter(seen).items() if count > 1]
+        assert seen and repeated == []

@@ -216,9 +216,10 @@ class TestTheoremVerify:
         # one cluster, so no off-diagonal block.  The Hermitian norms are
         # largest |eigenvalues| and the f_eps norms are read off f(lambda):
         # singular values only for the cached ||x_t|| and the commutators, 3
-        # each; eigenvalues for the ">= 0" tests of I - row sum, a and
-        # Phi(a) - a, then fixedness 1, f_eps 2 and powers 7 in one call, and
-        # the projection 1
+        # each; eigenvalues for the ">= 0" test of I - row sum, then one call
+        # for Phi(a) - a, its ">= 0" test and fixedness alike, then f_eps 2
+        # and powers 7 in one call, and the projection 1.  a's positivity is
+        # read off its one decomposition (eigh, not counted here)
         calls = []
         for name in ("svd", "eigvalsh"):
 
@@ -230,7 +231,7 @@ class TestTheoremVerify:
         kf = random_bistochastic(6, 3, 0)
         report = theorem_verify(kf, BlockAlgebra.full(6), 2.0 * np.eye(6), CFG)
         assert report.verdict and report.residuals("offDiagonal") == [0.0]
-        assert calls == [("eigvalsh", 1)] * 4 + [("eigvalsh", 9), ("eigvalsh", 1), ("svd", 3), ("svd", 3)]
+        assert calls == [("eigvalsh", 1)] * 2 + [("eigvalsh", 9), ("svd", 3), ("eigvalsh", 1), ("svd", 3)]
 
     def test_off_diagonal_norms_are_eigenframe_blocks(self, monkeypatch):
         # a rotated block fixed point with clusters of ranks 3, 2 and 1: the
@@ -257,9 +258,9 @@ class TestTheoremVerify:
         assert not np.array_equal(a, a.conj().T)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert theorem_verify(kf, BlockAlgebra.full(6), a, CFG).verdict
-        # the off-diagonal blocks by rank, the cached ||x_t|| of the
-        # off-diagonal bound, commutators
-        assert svds == [(6, 1, 1, 5), (6, 1, 2, 4), (6, 1, 3, 3), (3, 6, 6), (3, 6, 6)]
+        # the cached ||x_t|| of the off-diagonal bound, the off-diagonal
+        # blocks by rank, commutators
+        assert svds == [(3, 6, 6), (6, 1, 1, 5), (6, 1, 2, 4), (6, 1, 3, 3), (3, 6, 6)]
 
     def test_hermiticity_checked_on_input_only(self, monkeypatch):
         # the deviation test runs once per not exactly Hermitian input, and
