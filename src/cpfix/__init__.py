@@ -9,26 +9,16 @@ from .matcore import (
     Check,
     DomainError,
     HermiticityError,
-    SpectralDecomposition,
     ToleranceConfig,
-    herm_eig,
-    herm_part,
-    hermitize,
-    mat_func,
-    nullspace_basis,
-    psd_min_eig,
 )
 from .channel import (
     DimensionMismatchError,
     KrausFamily,
     NormalizationReport,
-    Superoperator,
     apply_map,
-    choi_psd_check,
     dual_apply,
     fixed_space_basis,
     normalization_report,
-    superoperator_matrix,
 )
 from .algebra import (
     AlgebraStructure,
@@ -36,15 +26,12 @@ from .algebra import (
     MembershipError,
     algebra_structure,
     commutant_basis,
-    invariance_check,
     structure_commutant,
     structure_fixed_space,
-    trace_tau,
 )
 from .jensen import (
     EpsFunction,
     IneqResidual,
-    f_eps_eval,
     jensen_residual,
     kadison_schwarz_residual,
 )

@@ -58,7 +58,6 @@ __all__ = [
     "Superoperator",
     "apply_map",
     "dual_apply",
-    "is_unital",
     "normalization_report",
     "superoperator_matrix",
     "choi_matrix",
@@ -151,13 +150,9 @@ class KrausFamily:
 
 
 def _operand(kf: KrausFamily, a) -> np.ndarray:
-    """``a`` as a finite complex (d, d) matrix or (k, d, d) stack of them."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 3:
-        m = as_cmatrix(m)
-    elif not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    if m.shape[-2:] != (kf.dim, kf.dim):
+    """``a`` as a finite complex (d, d) matrix."""
+    m = as_cmatrix(a)
+    if m.shape != (kf.dim, kf.dim):
         raise DimensionMismatchError(
             f"operator of shape {m.shape} fed to a dim-{kf.dim} family"
         )
@@ -165,18 +160,18 @@ def _operand(kf: KrausFamily, a) -> np.ndarray:
 
 
 def apply_map(kf: KrausFamily, a) -> np.ndarray:
-    """Phi(a) = sum mu_t x_t* a x_t, of a matrix or of each matrix of a (k, d, d) stack.
+    """Phi(a) = sum mu_t x_t* a x_t of a d x d matrix.
 
-    A stack runs the same loop over Kraus terms with broadcast products, so
-    each image equals the image of its matrix alone bit for bit.
     Hermitian input gives Hermitian output up to rounding; a caller that
     needs exact self-adjointness applies ``herm_part`` to the result.
+    Raises ValueError when the image overflows.
     """
     a = _operand(kf, a)
     out = np.zeros_like(a)
-    for s in kf.scaled_operators:
-        out += s.conj().T @ a @ s
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in kf.scaled_operators:
+            out += s.conj().T @ a @ s
+    return require_finite("image Phi(a)", out)
 
 
 def dual_apply(kf: KrausFamily, a) -> np.ndarray:
@@ -186,26 +181,58 @@ def dual_apply(kf: KrausFamily, a) -> np.ndarray:
     """
     a = _operand(kf, a)
     out = np.zeros_like(a)
-    for s in kf.scaled_operators:
-        out += s @ a @ s.conj().T
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in kf.scaled_operators:
+            out += s @ a @ s.conj().T
+    return require_finite("image Phi*(a)", out)
 
 
 @dataclass(frozen=True, eq=False)
 class NormalizationReport:
-    """Which of the setup conditions a family satisfies.
+    """Which of the setup conditions ``family`` satisfies, each flag decided on first read.
 
     The sums the flags are read from are the family's cached
-    ``column_sum`` and ``row_sum``.  ``rigidity_holds`` records the
-    finite-dimensional trace argument: unital plus sub-unital-dual forces
-    row_sum equal to the identity.
+    ``column_sum`` and ``row_sum``, and a flag reads only what its rule
+    needs: ``is_unital`` the column sum alone, the row-side flags the row
+    sum.  Each "= I" and self-adjointness flag is a rule ||dev|| <=
+    ``cfg.eq_bound(||m||)`` on a deviation of m, decided by
+    ``cfg.norm_within``, from Frobenius norms with an SVD only near a
+    bound.  ``rigidity_holds`` records the finite-dimensional trace
+    argument: unital plus sub-unital-dual forces row_sum equal to the
+    identity.
     """
 
-    is_unital: bool
-    is_subunital_dual: bool
-    is_trace_preserving: bool
-    self_adjoint_family: bool
-    rigidity_holds: bool
+    family: KrausFamily
+    cfg: ToleranceConfig
+
+    @cached_property
+    def is_unital(self) -> bool:
+        col = self.family.column_sum
+        return self.cfg.norm_within(col - np.eye(self.family.dim), col)
+
+    @cached_property
+    def is_subunital_dual(self) -> bool:
+        return self.cfg.psd_check("subunitalDual", np.eye(self.family.dim) - self.family.row_sum).passed
+
+    @cached_property
+    def is_trace_preserving(self) -> bool:
+        row = self.family.row_sum
+        return self.cfg.norm_within(row - np.eye(self.family.dim), row)
+
+    @cached_property
+    def self_adjoint_family(self) -> bool:
+        xs = self.family.operators
+        return bool(self.cfg.norm_within(xs - xs.conj().transpose(0, 2, 1), xs).all())
+
+    @cached_property
+    def rigidity_holds(self) -> bool:
+        # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
+        # forces row_sum = I; numerically we grant a 10x slack on eq_tol, which
+        # is_trace_preserving already grants with slack 1.
+        if not (self.is_unital and self.is_subunital_dual) or self.is_trace_preserving:
+            return True
+        row = self.family.row_sum
+        return self.cfg.norm_within(row - np.eye(self.family.dim), row, slack=10.0)
 
     def flags(self) -> dict[str, bool]:
         return {
@@ -217,41 +244,16 @@ class NormalizationReport:
         }
 
 
-def is_unital(kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """``normalization_report(kf, cfg).is_unital``, from the cached column sum alone.
-
-    The same rule: ||col - I|| <= ``cfg.eq_bound(||col||)``, by ``cfg.norm_within``.
-    """
-    return cfg.norm_within(kf.column_sum - np.eye(kf.dim), kf.column_sum)
-
-
 def normalization_report(
     kf: KrausFamily, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> NormalizationReport:
-    """Every flag from the family's cached sums.
+    """The flags of ``kf`` under ``cfg``, none decided yet.
 
-    Each "= I" and self-adjointness flag is a rule ||dev|| <=
-    ``cfg.eq_bound(||m||)`` on a deviation of m, all decided in one
-    ``cfg.norm_within`` call, from Frobenius norms with an SVD only near a
-    bound; ``is_unital`` is the rule of :func:`is_unital`.
+    Reads the family's column sum, so an overflowing one is named here,
+    before any flag or pipeline stage.
     """
-    eye = np.eye(kf.dim)
-    col, row = kf.column_sum, kf.row_sum
-    xs = kf.operators
-    devs = np.concatenate([[col - eye, row - eye], xs - xs.conj().transpose(0, 2, 1)])
-    unital, is_tp, *self_adjoint = cfg.norm_within(devs, np.concatenate([[col, row], xs])).tolist()
-    is_subunital = cfg.psd_check("subunitalDual", eye - row).passed
-    # Tr(row_sum) = Tr(column_sum) = d, and row_sum <= I with full trace
-    # forces row_sum = I; numerically we grant a 10x slack on eq_tol, which
-    # is_tp already grants with slack 1.
-    rigidity = not (unital and is_subunital) or is_tp or cfg.norm_within(row - eye, row, slack=10.0)
-    return NormalizationReport(
-        is_unital=unital,
-        is_subunital_dual=is_subunital,
-        is_trace_preserving=is_tp,
-        self_adjoint_family=all(self_adjoint),
-        rigidity_holds=rigidity,
-    )
+    kf.column_sum
+    return NormalizationReport(kf, cfg)
 
 
 @dataclass(frozen=True, eq=False)

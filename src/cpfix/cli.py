@@ -24,7 +24,6 @@ from .algebra import (
 from .channel import (
     DimensionMismatchError,
     fixed_space_basis,
-    is_unital,
     normalization_report,
 )
 from .jensen import EpsFunction, jensen_residual
@@ -177,7 +176,7 @@ def _cmd_kernel(args, cfg):
     else:
         dimension, rank_warning = found.dimension, False
     if fix:
-        obj["unital"] = is_unital(kf, cfg)
+        obj["unital"] = normalization_report(kf, cfg).is_unital
         lines.append(f"fixed-space dimension: {dimension}")
         if not obj["unital"]:
             lines.append("warning: family is not unital")

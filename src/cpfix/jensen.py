@@ -30,7 +30,7 @@ from .matcore import (
     opnorm,
     require_finite,
 )
-from .channel import KrausFamily, apply_map, is_unital
+from .channel import KrausFamily, apply_map, normalization_report
 
 __all__ = [
     "MARGIN_FACTOR",
@@ -132,7 +132,7 @@ def kadison_schwarz_residual(
     kf: KrausFamily, a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> IneqResidual:
     """Residual of Phi(a^2) - Phi(a)^2 for a unital family."""
-    if not is_unital(kf, cfg):
+    if not normalization_report(kf, cfg).is_unital:
         raise PreconditionError("Kadison-Schwarz check requires a unital family")
     h = hermitize(a, cfg)
     phi_a = apply_map(kf, h)

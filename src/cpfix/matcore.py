@@ -301,10 +301,9 @@ class SpectralDecomposition:
     is a's orthonormal eigenframe V, clusters in order: projection n is
     p_n = V_n V_n*, V_n the next ``multiplicities[n]`` columns, so the
     family is Hermitian, idempotent, mutually orthogonal and sums to the
-    identity.  No projection is stored; :meth:`projections` forms those a
-    caller asks for.  ``spectrum`` holds the eigensolver's eigenvalues before
-    clustering, descending, one per column of V, so a = V diag(spectrum) V*
-    up to the eigensolver's rounding.
+    identity; no projection is stored.  ``spectrum`` holds the
+    eigensolver's eigenvalues before clustering, descending, one per column
+    of V, so a = V diag(spectrum) V* up to the eigensolver's rounding.
     """
 
     eigenvalues: np.ndarray
@@ -320,19 +319,6 @@ class SpectralDecomposition:
     def norm(self) -> float:
         """The spectral norm of a, max |lambda| over ``spectrum``: exactly the number the clustering cut scales with."""
         return float(max(abs(self.spectrum[0]), abs(self.spectrum[-1])))
-
-    def projections(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The (k, d, d) stack of the projections p_n of clusters ``start``..``stop``.
-
-        Each p_n is formed from its own r_n frame columns, in O(d^2 r_n).
-        """
-        bounds = np.append(0, np.cumsum(self.multiplicities))
-        lows, highs = bounds[:-1][start:stop], bounds[1:][start:stop]
-        out = np.empty((len(lows), self.dim, self.dim), dtype=np.complex128)
-        for k, (lo, hi) in enumerate(zip(lows, highs)):
-            v = self.eigenvectors[:, lo:hi]
-            out[k] = herm_part(v @ v.conj().T)
-        return out
 
     def apply(self, f, domain: tuple[float, float] | None = None) -> np.ndarray:
         """Spectral evaluation sum f(lambda_n) p_n = V f(Lambda) V* of a scalar function.

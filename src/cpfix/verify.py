@@ -72,7 +72,6 @@ __all__ = [
     "TrialConfig",
     "ExplorationReport",
     "trace_inequality_check",
-    "trace_chain_residual",
     "theorem_verify",
     "corollary_verify",
     "spectral_peel",
@@ -137,24 +136,6 @@ def _eigenframe(kf: KrausFamily, dec: SpectralDecomposition) -> _Eigenframe:
     return _Eigenframe(dec, w, np.sqrt(kf.weights), math.sqrt(np.vdot(gram, gram).real))
 
 
-def _trace_chain(
-    alg: BlockAlgebra, dec: SpectralDecomposition, tau_phi: float, row_sum: np.ndarray
-) -> float:
-    # negative rounding noise in the spectrum is clamped to zero
-    root = dec.apply(lambda t: np.sqrt(max(t, 0.0)))
-    # no membership check: root e root may leave the algebra
-    return abs(tau_phi - alg.trace(root @ row_sum @ root))
-
-
-def trace_chain_residual(
-    kf: KrausFamily, alg: BlockAlgebra, a, cfg: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """|tau(Phi(a)) - tau(a^{1/2} e a^{1/2})|, the swap behind the trace inequality."""
-    h = hermitize(a, cfg)
-    tau_phi = trace_tau(alg, apply_map(kf, h), cfg)
-    return _trace_chain(alg, herm_eig(h, cfg), tau_phi, kf.row_sum)
-
-
 def _trace_gap(
     alg: BlockAlgebra,
     h: np.ndarray,
@@ -169,7 +150,10 @@ def _trace_gap(
     except MembershipError as exc:
         raise PreconditionError(f"Phi(a) is not in the algebra: {exc}") from exc
     tau_a = alg.trace(h)
-    chain = _trace_chain(alg, dec, tau_phi, row_sum)
+    # negative rounding noise in the spectrum is clamped to zero
+    root = dec.apply(lambda t: np.sqrt(max(t, 0.0)))
+    # no membership check: root e root may leave the algebra
+    chain = abs(tau_phi - alg.trace(root @ row_sum @ root))
     msg = f"trace chain broken: |tau(Phi(a)) - tau(sqrt(a) e sqrt(a))| = {chain:.3e}"
     Check("traceChain", chain, cfg.eq_bound(abs(tau_a)), msg).require()
     return tau_a, tau_a - tau_phi

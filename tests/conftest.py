@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cpfix import KrausFamily, herm_part
+from cpfix import KrausFamily
+from cpfix.matcore import herm_part
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -25,6 +26,19 @@ def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(
         np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
     )
+
+
+def projections(dec):
+    """The (k, d, d) stack of the spectral projections p_n = V_n V_n* of a ``SpectralDecomposition``.
+
+    V_n is the next ``multiplicities[n]`` columns of ``dec.eigenvectors``.
+    """
+    bounds = np.append(0, np.cumsum(dec.multiplicities))
+    out = np.empty((len(dec.multiplicities), dec.dim, dec.dim), dtype=np.complex128)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        v = dec.eigenvectors[:, lo:hi]
+        out[k] = herm_part(v @ v.conj().T)
+    return out
 
 
 def random_contractive_family(dim, n_terms, rng):

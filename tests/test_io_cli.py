@@ -57,6 +57,8 @@ _NAMED = {
     "markov": MARKOV,
     # Phi = 3/2 id: I - sum mu x*x has the eigenvalue -1/2
     "wide": KrausFamily.from_operators([np.eye(2, dtype=complex)], [1.5]),
+    # Phi = 2 id, whose image of top_a overflows
+    "double": KrausFamily.from_operators([np.eye(2, dtype=complex)], [2.0]),
     "markov_a": MARKOV_A,
     "e11": E11,
     "large_a": np.diag([1.2e154, 0.0]),
@@ -891,12 +893,16 @@ class TestCli:
              "precondition failure: the value f_eps(Phi(a)) overflows double precision\n"),
             (["verify", "lueders", "anti_hermitian_a"], 2,
              "error: the deviation from self-adjointness (a - a*) overflows double precision\n"),
+            (["verify", "double", "top_a"], 1, "precondition failure: the image Phi(a) overflows double precision\n"),
+            (["corollary", "double", "top_a"], 1, "precondition failure: the image Phi(a) overflows double precision\n"),
         ],
-        ids=["verify", "peel", "corollary-square", "jensen-f", "jensen-f-phi", "verify-anti-hermitian"],
+        ids=["verify", "peel", "corollary-square", "jensen-f", "jensen-f-phi", "verify-anti-hermitian",
+             "verify-image", "corollary-image"],
     )
     def test_finite_operator_near_overflow(self, tmp_path, argv, code, err):
         # numpy warnings and "NaN or Inf entries" came from symmetrizing as
-        # (m + m*)/2; in a fresh interpreter, so that a warning reaches stderr
+        # (m + m*)/2, and from an image Phi(a) that overflowed; in a fresh
+        # interpreter, so that a warning reaches stderr
         proc = _run_in_subprocess(_with_files(tmp_path, argv))
         assert (proc.returncode, proc.stderr) == (code, err)
 
@@ -1305,19 +1311,32 @@ class TestOneSpectrumPerMatrix:
     """
 
     @staticmethod
-    def _inputs(monkeypatch):
-        """The (shape, sha256) of every nonzero array the three routines receive, in call order."""
+    def _inputs(monkeypatch, routines=("eigvalsh", "eigh", "svd"), nonzero=True):
+        """The (shape, sha256) of every array the ``routines`` receive, in call order; only the nonzero ones by default."""
         seen = []
-        for name in ("eigvalsh", "eigh", "svd"):
+        for name in routines:
 
             def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
                 m = np.asarray(a)
-                if m.any():
+                if m.any() or not nonzero:
                     seen.append((m.shape, hashlib.sha256(m.tobytes()).hexdigest()))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
         return seen
+
+    def test_peel_decomposes_no_row_sum(self, tmp_path, monkeypatch):
+        # peel reads the unital and self-adjoint flags alone, so I - sum mu x x*,
+        # whose least eigenvalue decides the sub-unital dual flag, reaches no
+        # LAPACK routine: nine calls in all on this family
+        projective = random_selfadjoint_family(6, 3, 12)
+        io.write_channel(tmp_path / "projective.json", projective)
+        a = _matrix_file(tmp_path, "a.json", sum(c * p for c, p in zip((3.0, 2.0, 1.5), projective.operators)))
+        seen = self._inputs(monkeypatch, ("eigvalsh", "eigh", "svd", "qr", "eig", "eigvals"), nonzero=False)
+        code, _, err = _run_quietly(["peel", str(tmp_path / "projective.json"), a])
+        assert (code, err) == (0, "")
+        gap = np.eye(6) - projective.row_sum
+        assert len(seen) == 9 and ((6, 6), hashlib.sha256(gap.tobytes()).hexdigest()) not in seen
 
     @pytest.mark.parametrize(
         "argv",

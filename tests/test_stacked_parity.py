@@ -1,11 +1,11 @@
-"""Stacked norms and map images change no reported digit.
+"""Stacked norms change no reported digit.
 
 Every report is computed twice, from a freshly built family each time (a
-family caches its norms): once as shipped, and once with ``opnorm`` and
-``apply_map`` replaced everywhere by per-matrix reference loops, the
+family caches its norms): once as shipped, and once with ``opnorm``
+replaced everywhere by a per-matrix reference loop, the
 ``np.linalg.norm(m, 2)`` (or, for a Hermitian norm, the largest |eigenvalue|
-of ``np.linalg.eigvalsh(m)``) and single-matrix map calls the pipelines made
-one at a time.  The canonical JSON of the two runs must be equal.
+of ``np.linalg.eigvalsh(m)``) the pipelines took one at a time.  The
+canonical JSON of the two runs must be equal.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import sys
 import numpy as np
 import pytest
 
-import cpfix.channel as channel_mod
 import cpfix.matcore as matcore_mod
 from cpfix.algebra import BlockAlgebra
 from cpfix.channel import KrausFamily
@@ -30,7 +29,7 @@ from cpfix.verify import (
 from conftest import haar_unitary, random_bistochastic, random_hermitian, random_selfadjoint_family
 
 CFG = ToleranceConfig()
-STACKED = {"opnorm": matcore_mod.opnorm, "apply_map": channel_mod.apply_map}
+STACKED_OPNORM = matcore_mod.opnorm
 
 
 def _reference_opnorm(a, hermitian=False):
@@ -44,21 +43,10 @@ def _reference_opnorm(a, hermitian=False):
     return np.array(norms).reshape(a.shape[:-2])
 
 
-def _reference_apply_map(kf, a):
-    a = np.asarray(a)
-    if a.ndim == 2:
-        return STACKED["apply_map"](kf, a)
-    return np.stack([STACKED["apply_map"](kf, m) for m in a])
-
-
 def _per_matrix(monkeypatch):
-    references = {"opnorm": _reference_opnorm, "apply_map": _reference_apply_map}
     for mod_name, mod in list(sys.modules.items()):
-        if not mod_name.startswith("cpfix"):
-            continue
-        for name, real in STACKED.items():
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, references[name])
+        if mod_name.startswith("cpfix") and getattr(mod, "opnorm", None) is STACKED_OPNORM:
+            monkeypatch.setattr(mod, "opnorm", _reference_opnorm)
 
 
 def _json(report):

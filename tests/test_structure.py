@@ -20,8 +20,8 @@ from cpfix.algebra import (
     structure_commutant,
     structure_fixed_space,
 )
-from cpfix.channel import KrausFamily, fixed_space_basis, is_unital, normalization_report
-from cpfix.matcore import ToleranceConfig, eigen_clusters, vec
+from cpfix.channel import KrausFamily, fixed_space_basis, normalization_report
+from cpfix.matcore import ToleranceConfig, eigen_clusters, opnorm, vec
 
 from conftest import (
     E11,
@@ -632,10 +632,16 @@ class TestStructureCommand:
 
 class TestIsUnital:
     def test_agrees_with_the_report(self):
+        # the report's flag is the spectral rule on the column sum, read alone
         rng = np.random.default_rng(4)
         families = [random_unital_family(4, 3, rng) for _ in range(3)]
         families += [KrausFamily.from_operators([random_complex(4, rng)]) for _ in range(3)]
         eye = np.eye(3, dtype=complex)
         families += [KrausFamily.from_operators([eye * (1 + t)]) for t in (0.0, 4e-10, 6e-10, 1e-3)]
+        verdicts = []
         for kf in families:
-            assert is_unital(kf, CFG) == normalization_report(kf, CFG).is_unital
+            col = kf.column_sum
+            rule = opnorm(col - np.eye(kf.dim)) <= CFG.eq_bound(opnorm(col))
+            verdicts.append(normalization_report(kf, CFG).is_unital)
+            assert verdicts[-1] == rule and "row_sum" not in vars(kf)
+        assert verdicts == [True] * 3 + [False] * 3 + [True, True, False, False]

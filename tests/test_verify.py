@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpfix import io, verify
+from cpfix import cli, io, verify
 from cpfix.algebra import BlockAlgebra, commutant_basis
 from cpfix.channel import KrausFamily, apply_map, fixed_space_basis, normalization_report
 from cpfix.jensen import EpsFunction, jensen_residual, kadison_schwarz_residual
@@ -20,7 +20,6 @@ from cpfix.verify import (
     hypothesis_explorer,
     spectral_peel,
     theorem_verify,
-    trace_chain_residual,
     trace_inequality_check,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
     E22,
     SIGMA_X,
     haar_unitary,
+    projections,
     random_bistochastic,
     random_hermitian,
     random_selfadjoint_family,
@@ -59,24 +59,76 @@ def test_unital_requirement_is_a_precondition_error(pipeline):
         pipeline(kf, np.zeros((2, 2)))
 
 
-def test_trace_chain_and_jensen_build_no_report(monkeypatch):
-    # both read the family's cached row and column sums
+FLAGS = ("is_unital", "is_subunital_dual", "is_trace_preserving", "self_adjoint_family", "rigidity_holds")
+
+
+def _recorded(monkeypatch) -> list:
+    """The list that every report built from now on is appended to."""
     import sys
 
-    calls = [0]
+    reports = []
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return normalization_report(*args, **kwargs)
+    def recording(*args, **kwargs):
+        reports.append(normalization_report(*args, **kwargs))
+        return reports[-1]
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("cpfix") and getattr(mod, "normalization_report", None) is normalization_report:
-            monkeypatch.setattr(mod, "normalization_report", counting)
-    kf = random_bistochastic(4, 3, 2)
-    a = 2.0 * np.eye(4)
-    assert trace_chain_residual(kf, BlockAlgebra.full(4), a, CFG) <= 1e-12
-    assert jensen_residual(kf, EpsFunction(0.1), a, CFG).verdict
-    assert calls == [0]
+            monkeypatch.setattr(mod, "normalization_report", recording)
+    return reports
+
+
+def _decided(reports) -> list:
+    """Per report: the flags decided on it, and whether its family's row sum was read."""
+    return [({f for f in FLAGS if f in vars(rep)}, "row_sum" in vars(rep.family)) for rep in reports]
+
+
+def test_jensen_builds_no_report(monkeypatch):
+    # it reads the family's cached column sum
+    reports = _recorded(monkeypatch)
+    assert jensen_residual(random_bistochastic(4, 3, 2), EpsFunction(0.1), 2.0 * np.eye(4), CFG).verdict
+    assert reports == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, row_sum",
+    [
+        ("check", set(FLAGS), True),
+        # the structure path reads the row sum, the report does not
+        ("fix", {"is_unital"}, True),
+        ("verify", {"is_unital", "is_subunital_dual"}, True),
+        ("corollary", {"is_unital", "is_subunital_dual"}, True),
+        ("peel", {"is_unital", "self_adjoint_family"}, False),
+    ],
+    ids=["check", "fix", "verify", "corollary", "peel"],
+)
+def test_command_decides_only_the_flags_it_reads(tmp_path, monkeypatch, command, flags, row_sum):
+    # the Lueders family and its fixed point diag(2, 1), on which each command passes
+    io.write_channel(tmp_path / "lueders.json", KrausFamily.from_operators([E11, E22]))
+    io.write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]).astype(complex))
+    argv = [command, str(tmp_path / "lueders.json")]
+    if command in ("verify", "corollary", "peel"):
+        argv.append(str(tmp_path / "a.json"))
+    reports = _recorded(monkeypatch)
+    assert cli.run(argv) == 0
+    assert _decided(reports) == [(flags, row_sum)]
+
+
+@pytest.mark.parametrize(
+    "pipeline, flags, row_sum",
+    [
+        (lambda kf, a: trace_inequality_check(kf, BlockAlgebra.full(4), a, CFG) >= 0.0, {"is_subunital_dual"}, True),
+        (lambda kf, a: kadison_schwarz_residual(kf, a, CFG).verdict, {"is_unital"}, False),
+    ],
+    ids=["trace-inequality", "kadison-schwarz"],
+)
+def test_pipeline_decides_only_the_flags_it_reads(monkeypatch, pipeline, flags, row_sum):
+    # the two pipelines no command runs; a self-adjoint partition of the
+    # identity, and a fixed point that both accept
+    reports = _recorded(monkeypatch)
+    kf = random_selfadjoint_family(4, 3, 2)
+    assert pipeline(kf, sum((k + 1.0) * p for k, p in enumerate(kf.operators)))
+    assert _decided(reports) == [(flags, row_sum)]
 
 
 class TestTraceInequality:
@@ -100,8 +152,8 @@ class TestTraceInequality:
             h = random_hermitian(d, rng)
             a = h @ h.conj().T
             alg = BlockAlgebra.full(d)
+            # the check raises unless tau(Phi(a)) = tau(sqrt(a) e sqrt(a)) within eq_bound(|tau(a)|)
             assert trace_inequality_check(kf, alg, a, CFG) >= -1e-8
-            assert trace_chain_residual(kf, alg, a, CFG) <= 1e-9
 
     def test_rejects_indefinite(self, identity_channel):
         with pytest.raises(PreconditionError):
@@ -296,7 +348,7 @@ class TestTheoremVerify:
             if mod_name.startswith("cpfix") and getattr(mod, "hermitize", None) is hermitize:
                 monkeypatch.setattr(mod, "hermitize", counting_hermitize)
         kf = random_bistochastic(6, 3, 0)
-        normalization_report(kf, CFG)
+        normalization_report(kf, CFG).flags()
         assert (tests, svds) == ([0], [0])
         skew = np.triu(np.full((6, 6), 1e-14j), 1)
         a = 2.0 * np.eye(6) + skew + skew.T
@@ -716,9 +768,9 @@ class TestSpectralPeel:
             a = a + perturbation * random_hermitian(d, rng)
             trace = spectral_peel(kf, a, cfg)
             dec = herm_eig(a, cfg)
-            assert len(trace.steps) == len(dec.projections())
+            assert len(trace.steps) == len(projections(dec))
             xs = np.stack(kf.operators)
-            for step, lam, p in zip(trace.steps, dec.eigenvalues, dec.projections()):
+            for step, lam, p in zip(trace.steps, dec.eigenvalues, projections(dec)):
                 assert step.eigenvalue == lam
                 comm = max(opnorm(commutator(xs, p)))
                 assert abs(step.commutator_residual - comm) <= 1e-13
@@ -782,8 +834,8 @@ def _theorem_oracle(kf, a, powers):
     return {
         "fEps": [opnorm(apply_map(kf, m) - m) for m in fas],
         "powers": _power_oracle(kf, a, powers),
-        "projections": [opnorm(apply_map(kf, p) - p) for p in dec.projections()],
-        "offDiagonal": _dense_off_diagonal(kf, dec.projections()),
+        "projections": [opnorm(apply_map(kf, p) - p) for p in projections(dec)],
+        "offDiagonal": _dense_off_diagonal(kf, projections(dec)),
     }
 
 
@@ -792,7 +844,7 @@ def _peel_oracle(kf, a):
     h = hermitize(a, CFG)
     dec = herm_eig(h, CFG)
     rest, out = h, []
-    for lam, p in zip(dec.eigenvalues, dec.projections()):
+    for lam, p in zip(dec.eigenvalues, projections(dec)):
         rest = rest - lam * p
         low = psd_min_eig(herm_part(apply_map(kf, rest) - rest), CFG)
         out.append((opnorm(apply_map(kf, p) - p), _dense_off_diagonal(kf, [p])[0], low))
@@ -865,7 +917,7 @@ class TestEigenframeStage:
         assert all(report.hypotheses.values())
         dec = herm_eig(hermitize(a, CFG), CFG)
         assert list(dec.multiplicities) == list(sizes[::-1])
-        dense = _dense_off_diagonal(kf, dec.projections())
+        dense = _dense_off_diagonal(kf, projections(dec))
         assert min(dense) > 1e-11
         tol = 1e-13 * max(opnorm(x) for x in kf.operators)
         np.testing.assert_allclose(report.residuals("offDiagonal"), dense, rtol=0, atol=tol)
@@ -877,7 +929,7 @@ class TestEigenframeStage:
         trace = spectral_peel(kf, a, CFG)
         dec = herm_eig(hermitize(a, CFG), CFG)
         assert list(dec.multiplicities) == list(sizes[::-1]) and len(trace.steps) == len(sizes)
-        dense = _dense_off_diagonal(kf, dec.projections())
+        dense = _dense_off_diagonal(kf, projections(dec))
         assert min(dense) > 1e-11
         tol = 1e-13 * max(opnorm(x) for x in kf.operators)
         np.testing.assert_allclose([s.commutator_residual for s in trace.steps], dense, rtol=0, atol=tol)
@@ -889,7 +941,7 @@ class TestEigenframeStage:
         a = c * np.eye(5)
         report = theorem_verify(kf, BlockAlgebra.full(5), a, CFG)
         assert report.residuals("offDiagonal") == [0.0]
-        assert _dense_off_diagonal(kf, herm_eig(a, CFG).projections())[0] <= 1e-13
+        assert _dense_off_diagonal(kf, projections(herm_eig(a, CFG)))[0] <= 1e-13
         selfadjoint = random_selfadjoint_family(5, 2, 0)
         assert [s.commutator_residual for s in spectral_peel(selfadjoint, a, CFG).steps] == [0.0]
 
